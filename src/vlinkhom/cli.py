@@ -18,8 +18,8 @@ import random
 import sys
 
 from . import corpus
-from .algebra import (preset, theory_from_params, theory_from_triple,
-                      verify_4tu, verify_axioms)
+from .algebra import (TheoryParams, _derive, preset, theory_from_params,
+                      theory_from_triple, verify_4tu, verify_axioms)
 from .diagram import load_diagram, random_moves
 from .errors import InputError, MismatchError, VlinkhomError
 from .fields import field_by_name
@@ -60,8 +60,12 @@ def _split_kv(text):
     return plain, keyed
 
 
-def resolve_theory(args):
-    """Build (theory, selector-echo) from the CLI flags; exactly one selector."""
+def resolve_theory(args, check_constraints=True):
+    """Build (theory, selector-echo) from the CLI flags; exactly one selector.
+
+    With ``check_constraints=False`` a --params theory is built even when
+    it violates eq1/eq2, so that ``verify`` can report the failure.
+    """
     chosen = [x for x in (args.theory, args.params, args.triple) if x]
     if len(chosen) != 1:
         raise InputError("exactly one of --theory / --params / --triple is required")
@@ -78,8 +82,9 @@ def resolve_theory(args):
             raise InputError(f"--params is missing {exc.args[0]!r}") from None
         if keyed:
             raise InputError(f"unknown --params keys {sorted(keyed)}")
-        th = theory_from_params(vals["a"], vals["t"], vals["lambda"],
-                                vals["mu"], vals["beta"], field=fld)
+        params = tuple(vals.values())  # a, t, lambda, mu, beta
+        th = (theory_from_params(*params, field=fld) if check_constraints
+              else TheoryParams(fld, *params, *_derive(fld, *params)))
         return th, {"params": {k: fld.to_str(v) for k, v in vals.items()},
                     "field": fld.name}
     plain, keyed = _split_kv(args.triple)
@@ -153,21 +158,7 @@ def cmd_compute(args):
 
 
 def cmd_verify(args):
-    chosen = [x for x in (args.theory, args.params, args.triple) if x]
-    if len(chosen) != 1:
-        raise InputError("exactly one of --theory / --params / --triple is required")
-    if args.params:
-        # report constraint failures instead of refusing to construct
-        plain, keyed = _split_kv(args.params)
-        if plain:
-            raise InputError(f"--params items must be key=value, got {plain!r}")
-        fld = field_by_name(keyed.pop("field", args.field or "q"))
-        vals = {k: fld.parse(keyed.pop(k)) for k in ("a", "t", "lambda", "mu", "beta")}
-        th = _theory_unchecked(fld, vals)
-        echo = {"params": {k: fld.to_str(v) for k, v in vals.items()},
-                "field": fld.name}
-    else:
-        th, echo = resolve_theory(args)
+    th, echo = resolve_theory(args, check_constraints=False)
     report = verify_axioms(th)
     ok4, witness4 = verify_4tu(th)
     F = th.field
@@ -191,13 +182,6 @@ def cmd_verify(args):
                  + (f"  {witness4}" if not ok4 else ""))
     _emit(args, payload, lines)
     return EXIT_OK if payload["passed"] else EXIT_MISMATCH
-
-
-def _theory_unchecked(fld, vals):
-    from .algebra import TheoryParams, _derive
-    f, h = _derive(fld, vals["a"], vals["t"], vals["lambda"], vals["mu"], vals["beta"])
-    return TheoryParams(fld, vals["a"], vals["t"], vals["lambda"], vals["mu"],
-                        vals["beta"], f, h, "")
 
 
 def cmd_invariance(args):

@@ -139,5 +139,9 @@ def field_by_name(name):
     if name == "f2":
         return GF2
     if name.startswith("fp:"):
-        return PrimeField(int(name[3:]))
+        try:
+            p = int(name[3:])
+        except ValueError:
+            raise InputError(f"field {name!r}: fp:P needs an integer prime P") from None
+        return PrimeField(p)
     raise InputError(f"unknown field {name!r} (expected q, f2 or fp:P)")

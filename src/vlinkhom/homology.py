@@ -4,9 +4,12 @@ Chain groups live in homological degrees i = r(s) - n_minus.  The group at
 degree i is the direct sum over states s with r(s) = i + n_minus of
 V^(x)k(s), with states in lexicographic order, circles in canonical order
 and decorations ordered with the unit before x.  Each cube edge contributes
-(-1)^<s,t> times its elementary cobordism map, identity-padded over the
-unaffected circles; d o d = 0 is asserted eagerly at build time because it
-is the one global check on the twist convention.
+(-1)^<s,t> times its elementary cobordism block, scattered over the
+unaffected circles by bit arithmetic on the basis indices.  A build makes
+each distinct block once; an anchor flip enters as a toggled twist bit of
+the merge/split it feeds, or as a factor phi for a circle the saddle does
+not touch.  d o d = 0 is asserted eagerly at build time because it is the
+one global check on the twist convention.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 from . import tqft
 from ._linalg import matrix_rank
-from .diagram import all_smoothings, cube_edges
-from .errors import DSquaredNonzero, NotGraded
+from .diagram import all_smoothings, coerce_state, cube_edges
+from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
 from .tqft import ExactLinearMap, Merge, SingleCycle, Split, StateSpaceBasis
 
@@ -70,37 +73,34 @@ class HomologyResult:
         return sum(self.betti.values())
 
 
-def _edge_cobordism(sd):
+def _flip_set(d, smoothings, anchor_flips):
+    """The anchor flips as a set of (state string, circle key) pairs.
+
+    Raises LengthMismatch for a state of the wrong length and an InputError
+    for a selector that names no circle of its state.
+    """
+    flips = set()
+    for state, key in anchor_flips:
+        bits = "".join(str(b) for b in coerce_state(d, state))
+        if key not in smoothings[bits].circle_keys():
+            raise InputError(f"anchor flip: state {bits} has no circle {key!r}")
+        flips.add((bits, key))
+    return flips
+
+
+def _edge_cobordism(sd, flips):
+    """The cobordism of one edge; an anchor flip on a consumed circle toggles
+    that circle's twist bit (phi is an involution).  The single-cycle piece
+    is twist-agnostic, so flips leave it alone."""
+    if sd.kind == "single_cycle":
+        return SingleCycle()
+    twist_in = tuple(b ^ ((sd.from_state, k) in flips)
+                     for b, k in zip(sd.twist_in, sd.bottom))
+    twist_out = tuple(b ^ ((sd.to_state, k) in flips)
+                      for b, k in zip(sd.twist_out, sd.top))
     if sd.kind == "merge":
-        return Merge(twist_in=sd.twist_in, twist_out=sd.twist_out[0])
-    if sd.kind == "split":
-        return Split(twist_in=sd.twist_in[0], twist_out=sd.twist_out)
-    return SingleCycle()
-
-
-def _edge_map(th, sd, ss, st):
-    """The full map V^(x)k(s) -> V^(x)k(t) of one cube edge (no sign)."""
-    src_keys = ss.circle_keys()
-    tgt_keys = st.circle_keys()
-    src_basis = StateSpaceBasis(src_keys)
-    tgt_basis = StateSpaceBasis(tgt_keys)
-    in_pos = tuple(src_keys.index(k) for k in sd.bottom)
-    out_pos = tuple(tgt_keys.index(k) for k in sd.top)
-    spectators_src = [k for k in src_keys if k not in sd.bottom]
-    spectators_tgt = [k for k in tgt_keys if k not in sd.top]
-    assert spectators_src == spectators_tgt, \
-        "unaffected circles must match across the edge"
-    block = tqft.elementary_map(th, _edge_cobordism(sd))
-    return tqft.tensor_extend(block, in_pos, src_basis, out_pos, tgt_basis)
-
-
-def _flip_operator(th, basis, flipped_keys):
-    """Tensor product of phi on the flipped factors, identity elsewhere."""
-    out = ExactLinearMap.identity(th.field, basis.dim)
-    for key in flipped_keys:
-        pos = basis.position(key)
-        out = tqft.tensor_extend(tqft.phi_matrix(th), pos, basis).compose(out)
-    return out
+        return Merge(twist_in=twist_in, twist_out=twist_out[0])
+    return Split(twist_in=twist_in[0], twist_out=twist_out)
 
 
 def build_complex(d, th, anchor_flips=(), check=True):
@@ -108,16 +108,14 @@ def build_complex(d, th, anchor_flips=(), check=True):
 
     ``anchor_flips`` is a collection of (state, circle_key) pairs whose
     canonical orientation is reversed before building maps; the build is
-    otherwise canonical.  Raises DSquaredNonzero if the differential fails
-    to square to zero (which would signal a twist-convention bug).
+    otherwise canonical, and a pair that names no circle is an InputError.
+    Raises DSquaredNonzero if the differential fails to square to zero
+    (which would signal a twist-convention bug).
     """
     F = th.field
     n, n_minus = d.n, d.n_minus
     smoothings = all_smoothings(d)
-    flips = set()
-    for state, key in anchor_flips:
-        bits = state if isinstance(state, str) else "".join(str(b) for b in state)
-        flips.add((bits, key))
+    flips = _flip_set(d, smoothings, anchor_flips)
 
     groups = {}
     for i in range(-n_minus, n - n_minus + 1):
@@ -129,29 +127,39 @@ def build_complex(d, th, anchor_flips=(), check=True):
             dim += bases[s].dim
         groups[i] = ChainGroup(i, states, bases, offsets, dim)
 
+    phi = tqft.phi_matrix(th)
+    blocks = {}  # (cobordism, phi'd spectators) -> block
+
+    def block_of(cob, n_phi):
+        key = (cob, n_phi)
+        if key not in blocks:
+            blocks[key] = (tqft.elementary_map(th, cob) if n_phi == 0
+                           else block_of(cob, n_phi - 1).kron(phi))
+        return blocks[key]
+
     edges = cube_edges(d, smoothings)
     entries_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
-    minus_one = F.neg(F.one)
     for sd in edges:
-        ss, st = smoothings[sd.from_state], smoothings[sd.to_state]
+        ss = smoothings[sd.from_state]
+        src_keys, tgt_keys = ss.circle_keys(), smoothings[sd.to_state].circle_keys()
+        spectators = [k for k in src_keys if k not in sd.bottom]
+        assert spectators == [k for k in tgt_keys if k not in sd.top], \
+            "unaffected circles must match across the edge"
+        # a spectator flipped on one side only is conjugated by phi once
+        phi_keys = tuple(k for k in spectators
+                         if ((sd.from_state, k) in flips) != ((sd.to_state, k) in flips))
+        block = block_of(_edge_cobordism(sd, flips), len(phi_keys))
+        in_pos = [src_keys.index(k) for k in sd.bottom + phi_keys]
+        out_pos = [tgt_keys.index(k) for k in sd.top + phi_keys]
         i = ss.r - n_minus
-        m = _edge_map(th, sd, ss, st)
-        src_flips = [key for (state, key) in flips if state == sd.from_state
-                     and key in ss.circle_keys()]
-        tgt_flips = [key for (state, key) in flips if state == sd.to_state
-                     and key in st.circle_keys()]
-        if src_flips:
-            m = m.compose(_flip_operator(th, StateSpaceBasis(ss.circle_keys()), src_flips))
-        if tgt_flips:
-            m = _flip_operator(th, StateSpaceBasis(st.circle_keys()), tgt_flips).compose(m)
-        if sd.sign_exponent % 2:
-            m = m.scale(minus_one)
         row0 = groups[i + 1].offsets[sd.to_state]
         col0 = groups[i].offsets[sd.from_state]
+        negate = sd.sign_exponent % 2
+        # distinct edges join distinct state pairs, so their blocks are disjoint
         acc = entries_by_degree[i]
-        for (r, c), v in m.entries:
-            key = (row0 + r, col0 + c)
-            acc[key] = F.add(acc.get(key, F.zero), v)
+        for (r, c), v in tqft.extended_entries(block, in_pos, len(src_keys),
+                                               out_pos, len(tgt_keys)):
+            acc[(row0 + r, col0 + c)] = F.neg(v) if negate else v
 
     differentials = {
         i: ExactLinearMap.make(F, groups[i + 1].dim, groups[i].dim, acc)

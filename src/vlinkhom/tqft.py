@@ -1,18 +1,25 @@
 """Evaluation rules of the unoriented TQFT on elementary cobordisms.
 
+The structure matrices (product, coproduct, phi, theta, counit, unit) are
+not tabulated here: each is read off the functions of ``algebra`` -- the
+same ones ``verify_axioms`` checks -- by evaluating them on basis tensors.
 Orientable pieces evaluate through the Frobenius algebra, with the flip
 involution inserted wherever a boundary identification disagrees with the
 reference orientation of its circle (the twist bits).  The nonorientable
 one-circle-to-one-circle piece acts by multiplication with the crosscap
 element theta; by the axiom phi(theta*v) = theta*v this needs no twist data.
+``extended_entries`` pads a block with identities on the other tensor
+factors by bit arithmetic on basis indices; the cube assembly in
+``homology`` scatters its edges through it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import algebra
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 
 
 # ---------------------------------------------------------------------------
@@ -37,27 +44,8 @@ class ExactLinearMap:
     def identity(field, n):
         return ExactLinearMap.make(field, n, n, {(i, i): field.one for i in range(n)})
 
-    @staticmethod
-    def zero(field, nrows, ncols):
-        return ExactLinearMap(field, nrows, ncols, ())
-
-    @staticmethod
-    def from_columns(field, nrows, columns):
-        """Build from a list of {row: value} dicts, one per column."""
-        ent = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                ent[(r, c)] = v
-        return ExactLinearMap.make(field, nrows, len(columns), ent)
-
     def entry_map(self):
         return dict(self.entries)
-
-    def columns(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries:
-            cols[c][r] = v
-        return cols
 
     def compose(self, other):
         """self o other (apply ``other`` first)."""
@@ -75,21 +63,6 @@ class ExactLinearMap:
                 out[key] = F.add(out.get(key, F.zero), F.mul(w, v))
         return ExactLinearMap.make(F, self.nrows, other.ncols, out)
 
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("add: shapes differ")
-        F = self.field
-        out = self.entry_map()
-        for rc, v in other.entries:
-            out[rc] = F.add(out.get(rc, F.zero), v)
-        return ExactLinearMap.make(F, self.nrows, self.ncols, out)
-
-    def scale(self, scalar):
-        F = self.field
-        return ExactLinearMap.make(
-            F, self.nrows, self.ncols,
-            {rc: F.mul(scalar, v) for rc, v in self.entries})
-
     def kron(self, other):
         """Tensor product of maps (self on the first factor)."""
         F = self.field
@@ -100,27 +73,8 @@ class ExactLinearMap:
         return ExactLinearMap.make(F, self.nrows * other.nrows,
                                    self.ncols * other.ncols, out)
 
-    def apply(self, column):
-        """Apply to a sparse column vector {index: value}."""
-        F = self.field
-        rows_of = {}
-        for (r, c), v in self.entries:
-            rows_of.setdefault(c, []).append((r, v))
-        out = {}
-        for c, v in column.items():
-            for r, w in rows_of.get(c, ()):
-                out[r] = F.add(out.get(r, F.zero), F.mul(w, v))
-        return {r: v for r, v in out.items() if not F.is_zero(v)}
-
     def is_zero(self):
         return not self.entries
-
-    def to_dense(self):
-        F = self.field
-        rows = [[F.zero] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries:
-            rows[r][c] = v
-        return rows
 
 
 def compose(*maps):
@@ -152,18 +106,38 @@ class StateSpaceBasis:
     def dim(self):
         return 1 << len(self.circles)
 
-    def index_of(self, decoration):
-        idx = 0
-        for d in decoration:
-            idx = (idx << 1) | d
-        return idx
-
     def decoration(self, index):
         k = len(self.circles)
         return tuple((index >> (k - 1 - i)) & 1 for i in range(k))
 
-    def position(self, circle_id):
-        return self.circles.index(circle_id)
+
+def _factor_masks(positions, k):
+    """Index bits of a k-factor basis vector for each index of a block
+    acting on the factors ``positions`` (both big-endian)."""
+    masks = [0]
+    for p in positions:
+        bit = 1 << (k - 1 - p)
+        masks = [m | b for m in masks for b in (0, bit)]
+    return masks
+
+
+def extended_entries(block, in_pos, k_in, out_pos, k_out):
+    """Yield the ((row, col), value) entries of ``block`` padded with
+    identities: it maps the factors ``in_pos`` of V^(x)k_in to the factors
+    ``out_pos`` of V^(x)k_out, and the remaining factors are matched up in
+    order."""
+    if block.ncols != 1 << len(in_pos) or block.nrows != 1 << len(out_pos):
+        raise DimensionMismatch("block shape does not match its factor positions")
+    spectators_in = [p for p in range(k_in) if p not in in_pos]
+    spectators_out = [p for p in range(k_out) if p not in out_pos]
+    if len(spectators_in) != len(spectators_out):
+        raise DimensionMismatch("spectator factor counts differ")
+    rows, cols = _factor_masks(out_pos, k_out), _factor_masks(in_pos, k_in)
+    placed = [(rows[r], cols[c], v) for (r, c), v in block.entries]
+    for sr, sc in zip(_factor_masks(spectators_out, k_out),
+                      _factor_masks(spectators_in, k_in)):
+        for r, c, v in placed:
+            yield (r | sr, c | sc), v
 
 
 def tensor_extend(block, position, basis, out_position=None, out_basis=None):
@@ -180,83 +154,54 @@ def tensor_extend(block, position, basis, out_position=None, out_basis=None):
         out_pos = in_pos
     else:
         out_pos = (out_position,) if isinstance(out_position, int) else tuple(out_position)
-    if block.ncols != 1 << len(in_pos) or block.nrows != 1 << len(out_pos):
-        raise DimensionMismatch("tensor_extend: block shape does not match positions")
-    spectators_in = [p for p in range(basis.k) if p not in in_pos]
-    spectators_out = [p for p in range(out_basis.k) if p not in out_pos]
-    if len(spectators_in) != len(spectators_out):
-        raise DimensionMismatch("tensor_extend: spectator factor counts differ")
-
-    F = block.field
-    out = {}
-    n_spec = len(spectators_in)
-    for spec in range(1 << n_spec):
-        spec_bits = [(spec >> (n_spec - 1 - i)) & 1 for i in range(n_spec)]
-        for (rb, cb), v in block.entries:
-            col_dec = [0] * basis.k
-            for i, p in enumerate(spectators_in):
-                col_dec[p] = spec_bits[i]
-            nb = len(in_pos)
-            for i, p in enumerate(in_pos):
-                col_dec[p] = (cb >> (nb - 1 - i)) & 1
-            row_dec = [0] * out_basis.k
-            for i, p in enumerate(spectators_out):
-                row_dec[p] = spec_bits[i]
-            mb = len(out_pos)
-            for i, p in enumerate(out_pos):
-                row_dec[p] = (rb >> (mb - 1 - i)) & 1
-            out[(out_basis.index_of(row_dec), basis.index_of(col_dec))] = v
-    return ExactLinearMap.make(F, out_basis.dim, basis.dim, out)
+    return ExactLinearMap.make(block.field, out_basis.dim, basis.dim, dict(
+        extended_entries(block, in_pos, basis.k, out_pos, out_basis.k)))
 
 
 # ---------------------------------------------------------------------------
-# structure maps as matrices (basis order 1, x; tensor factors big-endian)
+# structure maps as matrices, derived from the algebra
+# (basis order 1, x; tensor factors big-endian)
+
+def _structure_matrix(th, n_in, n_out, image):
+    """The matrix of a map V^(x)n_in -> V^(x)n_out.
+
+    ``image`` takes n_in basis elements and returns their image as a
+    TensorElement of rank n_out.
+    """
+    basis = th.basis()
+    entries = {}
+    for col, word in enumerate(itertools.product((0, 1), repeat=n_in)):
+        for idx, c in image(*(basis[i] for i in word)).terms:
+            entries[(sum(b << (n_out - 1 - i) for i, b in enumerate(idx)), col)] = c
+    return ExactLinearMap.make(th.field, 1 << n_out, 1 << n_in, entries)
+
 
 def product_matrix(th):
-    F = th.field
-    return ExactLinearMap.make(F, 2, 4, {
-        (0, 0): F.one,          # 1(x)1 -> 1
-        (1, 1): F.one,          # 1(x)x -> x
-        (1, 2): F.one,          # x(x)1 -> x
-        (0, 3): th.t,           # x(x)x -> t*1 + h*x
-        (1, 3): th.h,
-    })
+    return _structure_matrix(
+        th, 2, 1, lambda u, v: algebra.tensor_of(algebra.multiply(th, u, v)))
 
 
 def coproduct_matrix(th):
-    F = th.field
-    return ExactLinearMap.make(F, 4, 2, {
-        (0, 0): F.neg(F.mul(th.h, th.f)),   # Delta(1)
-        (1, 0): th.f,
-        (2, 0): th.f,
-        (0, 1): F.mul(th.f, th.t),          # Delta(x)
-        (3, 1): th.f,
-    })
+    return _structure_matrix(th, 1, 2, lambda v: algebra.comultiply(th, v))
 
 
 def phi_matrix(th):
-    F = th.field
-    return ExactLinearMap.make(F, 2, 2, {
-        (0, 0): F.one, (0, 1): th.beta, (1, 1): F.one})
+    return _structure_matrix(th, 1, 1, lambda v: algebra.tensor_of(algebra.phi(th, v)))
 
 
 def theta_matrix(th):
     """Multiplication by theta = lam*1 + mu*x."""
-    F = th.field
-    return ExactLinearMap.make(F, 2, 2, {
-        (0, 0): th.lam,
-        (1, 0): th.mu,
-        (0, 1): F.mul(th.mu, th.t),
-        (1, 1): F.add(th.lam, F.mul(th.mu, th.h)),
-    })
+    return _structure_matrix(th, 1, 1, lambda v: algebra.tensor_of(
+        algebra.multiply(th, algebra.theta(th), v)))
 
 
 def counit_matrix(th):
-    return ExactLinearMap.make(th.field, 1, 2, {(0, 1): th.a})
+    return _structure_matrix(th, 1, 0, lambda v: algebra.TensorElement.make(
+        th.field, 0, {(): algebra.counit(th, v)}))
 
 
 def unit_matrix(th):
-    return ExactLinearMap.make(th.field, 2, 1, {(0, 0): th.field.one})
+    return _structure_matrix(th, 0, 1, lambda: algebra.tensor_of(algebra.unit(th)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +276,8 @@ def evaluate_closed_surface(th, genus, crosscaps):
     the handle element m(Delta(1)).
     """
     if genus < 0 or crosscaps < 0:
-        raise DimensionMismatch("genus and crosscaps must be nonnegative")
+        raise InputError(f"genus and crosscaps must be nonnegative, got "
+                         f"genus={genus}, crosscaps={crosscaps}")
     v = algebra.element_power(th, algebra.handle_element(th), genus)
     v = algebra.multiply(th, v, algebra.element_power(th, algebra.theta(th), crosscaps))
     return algebra.counit(th, v)

@@ -1,8 +1,13 @@
 """CLI behaviour: flags, report schema, determinism, exit codes."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from vlinkhom.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -142,3 +147,48 @@ def test_out_file_and_text_format(tmp_path, capsys):
     code, out = run(capsys, "surface", "--genus", "1", "--triple", "1,0,1",
                     "--format", "text")
     assert code == 0 and out.strip() == "surface genus=1 crosscaps=0: 2"
+
+
+def test_verify_params_missing_key_is_input_error(capsys):
+    code, out = run(capsys, "verify", "--params", "a=1,t=0")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InputError" and "'lambda'" in error["message"]
+
+
+def test_verify_params_unknown_key_rejected(capsys):
+    code, out = run(capsys, "verify", "--params",
+                    "a=1,t=0,lambda=1,mu=1,beta=0,field=f2,bogus=3")
+    assert code == 3
+    assert "bogus" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("field", ["fp:abc", "fp:"])
+def test_malformed_prime_field_is_input_error(capsys, field):
+    code, out = run(capsys, "compute", "--triple", "1,0,1", "--field", field)
+    assert code == 3
+    assert repr(field) in json.loads(out)["error"]["message"]
+
+
+def test_surface_negative_genus_is_input_error(capsys):
+    code, out = run(capsys, "surface", "--genus", "-1", "--theory", "manturov")
+    assert code == 3
+    assert "genus=-1" in json.loads(out)["error"]["message"]
+
+
+# compute reports pinned byte for byte; regenerate only for an intended
+# change of the report, with the same flags and stdout redirected
+GOLDEN = {
+    "compute_manturov_graded": ("--theory", "manturov", "--graded"),
+    "compute_f2_row2": ("--theory", "f2_row2"),
+    "compute_f2_row7": ("--theory", "f2_row7"),
+    "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
+    "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_compute_matches_golden(capsys, name):
+    code, out = run(capsys, "compute", *GOLDEN[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()

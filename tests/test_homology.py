@@ -7,13 +7,15 @@ import pytest
 from oracles import classical_khovanov_f2_betti, dense_betti_qq
 from vlinkhom import corpus
 from vlinkhom.algebra import all_presets, preset, theory_from_triple
-from vlinkhom.diagram import all_smoothings, parse_gauss
-from vlinkhom.errors import NotGraded
+from vlinkhom import tqft
+from vlinkhom.diagram import all_smoothings, braid_closure, parse_gauss
+from vlinkhom.errors import InputError, LengthMismatch, NotGraded
 from vlinkhom.fields import QQ, PrimeField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
                                homology_of)
 from vlinkhom.jones import jones_at_one, kauffman_jones
+from vlinkhom.tqft import ExactLinearMap, phi_matrix
 
 Q = QQ.from_int
 
@@ -207,6 +209,82 @@ def test_anchor_flips_with_nontrivial_involution():
                 circle = rng.choice(sms[state].circles).key
                 assert betti_with_reversed_anchor(d, th, (state, circle)).betti \
                     == base
+
+
+def _flip_conjugator(c, i, flips):
+    """Block-diagonal map on C^i: phi on every flipped (state, circle)
+    factor, identity on the others."""
+    th = c.theory
+    grp = c.groups[i]
+    one, ident = ExactLinearMap.identity(th.field, 1), ExactLinearMap.identity(th.field, 2)
+    entries = {}
+    for s in grp.states:
+        block = one
+        for key in grp.bases[s].circles:
+            block = block.kron(phi_matrix(th) if (s, key) in flips else ident)
+        off = grp.offsets[s]
+        for (r, col), v in block.entries:
+            entries[(off + r, off + col)] = v
+    return ExactLinearMap.make(th.field, grp.dim, grp.dim, entries)
+
+
+def test_anchor_flips_conjugate_the_differentials():
+    # rows 2 and 5 have phi(x) = 1 + x: flipping anchors must give exactly
+    # d'_i = Phi_(i+1) o d_i o Phi_i, whether the flipped circle is consumed
+    # by an edge's saddle or is a spectator of it
+    covered, changed = set(), 0
+    for row in ("f2_row2", "f2_row5"):
+        th = preset(row)
+        for name in ("virtual_trefoil", "kishino"):
+            d = corpus.load(name)
+            plain = build_complex(d, th)
+            selectors = [(s, k) for s in sorted(plain.smoothings)
+                         for k in plain.smoothings[s].circle_keys()]
+            for flips in [[sel] for sel in selectors] + [selectors[::3]]:
+                for e in plain.edges:
+                    for s, k in flips:
+                        if s == e.from_state:
+                            covered.add("consumed" if k in e.bottom else "spectator")
+                flipped = build_complex(d, th, anchor_flips=flips)
+                for i in range(plain.min_degree, plain.max_degree):
+                    expected = _flip_conjugator(plain, i + 1, set(flips)).compose(
+                        plain.differentials[i]).compose(_flip_conjugator(plain, i, set(flips)))
+                    assert flipped.differentials[i] == expected, (row, name, flips, i)
+                changed += flipped.differentials != plain.differentials
+    assert covered == {"consumed", "spectator"}
+    assert changed
+
+
+def test_anchor_flip_selectors_must_name_a_circle():
+    d = braid_closure([1, 1, 1])
+    th = preset("f2_row2")
+    plain = build_complex(d, th).differentials
+    assert build_complex(d, th, anchor_flips=[("010", 0)]).differentials != plain
+    with pytest.raises(LengthMismatch):
+        build_complex(d, th, anchor_flips=[("0101", 0)])
+    for selector in (("2222", 0), ("010", 12345)):
+        with pytest.raises(InputError):
+            build_complex(d, th, anchor_flips=[selector])
+
+
+def test_each_distinct_block_is_built_once(monkeypatch):
+    calls = []
+    real = tqft.elementary_map
+
+    def counting(th, cob):
+        calls.append(cob)
+        return real(th, cob)
+
+    monkeypatch.setattr(tqft, "elementary_map", counting)
+    c = build_complex(braid_closure([1] * 9), preset("f2_row2"), check=False)
+    assert len(c.edges) == 2304
+    assert len(calls) == len(set(calls)) <= 17
+    d = corpus.load("kishino")
+    sms = all_smoothings(d)
+    for th in (preset("f2_row5"), q_theory(1, 0, 1)):
+        calls.clear()
+        build_complex(d, th, anchor_flips=[(s, sms[s].circles[0].key) for s in sms])
+        assert len(calls) == len(set(calls)) <= 17
 
 
 def test_fuzz_random_virtual_diagrams():

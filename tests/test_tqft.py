@@ -9,7 +9,7 @@ from vlinkhom.errors import DimensionMismatch
 from vlinkhom.fields import GF2, QQ
 from vlinkhom.tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge,
                            SingleCycle, Split, StateSpaceBasis, compose,
-                           counit_matrix, elementary_map,
+                           coproduct_matrix, counit_matrix, elementary_map,
                            evaluate_closed_surface, phi_matrix, product_matrix,
                            tensor_extend, theta_matrix, unit_matrix)
 
@@ -24,6 +24,23 @@ def test_merge_row1_matrix():
     # x*x = 0 in row 1
     m = elementary_map(preset("manturov"), Merge())
     assert m.entry_map() == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+
+
+def test_structure_matrices_follow_the_formulas():
+    # the matrices are derived from algebra.py; pin their big-endian layout
+    # against the defining formulas on a theory where every constant is
+    # distinct (theta = -1*1 + 2*x)
+    th = theory_from_triple(Q(2), Q(-1), Q(2))
+    f, h, t = th.f, th.h, th.t
+    assert product_matrix(th).entry_map() == {
+        (0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 3): t, (1, 3): h}
+    assert coproduct_matrix(th).entry_map() == {
+        (0, 0): -h * f, (1, 0): f, (2, 0): f, (0, 1): f * t, (3, 1): f}
+    assert theta_matrix(th).entry_map() == {
+        (0, 0): Q(-1), (1, 0): Q(2), (0, 1): 2 * t, (1, 1): -1 + 2 * h}
+    assert phi_matrix(th) == ExactLinearMap.identity(QQ, 2)  # beta = 0
+    assert phi_matrix(preset("f2_row2")).entry_map() == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert counit_matrix(th).entry_map() == {(0, 1): Q(2)}
 
 
 def test_single_cycle_row1_zero_row7_theta():
