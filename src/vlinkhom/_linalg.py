@@ -1,7 +1,10 @@
 """Exact rank computation over the supported fields.
 
-GF(2) matrices are eliminated as bit rows (Python ints) for speed; other
-fields go through generic dense Gaussian elimination on exact scalars.
+Over Q and GF(p) a differential is eliminated sparsely with Markowitz
+pivoting (``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column
+index tracks which live rows hold each column, and each pivot is chosen
+to keep fill-in small. Over GF(2) rows are bitmasks (Python ints) and are
+reduced by XOR (``rank_gf2_rows``).
 """
 
 from __future__ import annotations
@@ -25,34 +28,48 @@ def rank_gf2_rows(rows):
     return rank
 
 
-def rank_dense(rows, field):
-    """Rank by Gaussian elimination; ``rows`` is consumed."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    piv = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(piv, nrows):
-            if not field.is_zero(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[piv], rows[pivot] = rows[pivot], rows[piv]
-        inv = field.inv(rows[piv][col])
-        prow = rows[piv]
-        for r in range(piv + 1, nrows):
-            f = rows[r][col]
-            if field.is_zero(f):
-                continue
-            factor = field.mul(f, inv)
-            rr = rows[r]
-            for c in range(col, ncols):
-                rr[c] = field.sub(rr[c], field.mul(factor, prow[c]))
-        piv += 1
-        if piv == nrows:
-            break
-    return piv
+def rank_sparse(rows, field):
+    """Rank of a sparse matrix ``{row: {col: nonzero}}``; ``rows`` is consumed.
+
+    Each step pivots on the shortest live row, at its column held by the
+    fewest live rows, clears that column from every other row holding it
+    and retires the pivot row. Entries that cancel are dropped at once, so
+    rows and the column index hold nonzeros only.
+    """
+    live = {r: cols for r, cols in rows.items() if cols}
+    holders = {}
+    for r, cols in live.items():
+        for c in cols:
+            holders.setdefault(c, set()).add(r)
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    rank = 0
+    while live:
+        r = min(live, key=lambda k: len(live[k]))
+        prow = live.pop(r)
+        for c in prow:
+            holders[c].discard(r)
+        pc = min(prow, key=lambda c: len(holders[c]))
+        minus_inv = field.neg(field.inv(prow.pop(pc)))
+        prow = {c: mul(v, minus_inv) for c, v in prow.items()}
+        for s in holders.pop(pc):
+            row = live[s]
+            f = row.pop(pc)
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = mul(f, v)
+                    holders[c].add(s)
+                else:
+                    x = add(old, mul(f, v))
+                    if is_zero(x):
+                        del row[c]
+                        holders[c].discard(s)
+                    else:
+                        row[c] = x
+            if not row:
+                del live[s]
+        rank += 1
+    return rank
 
 
 def matrix_rank(m):
@@ -66,13 +83,7 @@ def matrix_rank(m):
             if v % 2:
                 bit_rows[r] = bit_rows.get(r, 0) | (1 << c)
         return rank_gf2_rows(bit_rows.values())
-    dense = {}
+    rows = {}
     for (r, c), v in m.entries:
-        dense.setdefault(r, {})[c] = v
-    rows = []
-    for r, cols in dense.items():
-        row = [F.zero] * m.ncols
-        for c, v in cols.items():
-            row[c] = v
-        rows.append(row)
-    return rank_dense(rows, F)
+        rows.setdefault(r, {})[c] = v
+    return rank_sparse(rows, F)

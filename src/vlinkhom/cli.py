@@ -70,7 +70,11 @@ def resolve_theory(args, check_constraints=True):
     if len(chosen) != 1:
         raise InputError("exactly one of --theory / --params / --triple is required")
     if args.theory:
-        return preset(args.theory), {"preset": args.theory.strip().lower()}
+        th = preset(args.theory)
+        if args.field is not None and field_by_name(args.field) != th.field:
+            raise InputError(f"--field {args.field} does not match preset "
+                             f"{args.theory!r}, which is over {th.field.name}")
+        return th, {"preset": args.theory.strip().lower()}
     if args.params:
         plain, keyed = _split_kv(args.params)
         if plain:

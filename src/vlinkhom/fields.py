@@ -66,11 +66,44 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin for ``n < PRIME_LIMIT``."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """GF(p) for a prime p; elements are ints in ``[0, p)``."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise InputError(f"GF(p) needs p < {PRIME_LIMIT}, where the "
+                             f"primality test is exact; got {p}")
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

@@ -81,6 +81,27 @@ def rank_qq_dense(rows):
     return rank
 
 
+def rank_fp_dense(rows, p):
+    """Rank over GF(p) of a dense integer matrix, full reduced echelon form."""
+    rows = [[x % p for x in r] for r in rows]
+    rows = [r for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def dense_betti_qq(complex_):
     """Betti numbers recomputed densely with the standalone eliminator."""
     ranks = {}

@@ -239,6 +239,6 @@ def test_acceptance_extra_rational_oracle_spot_check():
     # not a numbered criterion: double-checks the exact elimination behind
     # criteria 6 and 9 against the standalone dense oracle
     thq = theory_from_triple(Q(1), Q(0), Q(1))
-    for name in ("trefoil", "virtual_trefoil", "kishino"):
-        c = build_complex(corpus.load(name), thq)
-        assert homology(c).betti == dense_betti_qq(c)
+    for d in corpus.load_corpus():
+        c = build_complex(d, thq)
+        assert homology(c).betti == dense_betti_qq(c), d.name

@@ -14,8 +14,9 @@ from vlinkhom.algebra import (AlgebraElement, all_presets, comultiply,
                               theory_from_params, theory_from_triple, theta,
                               unit, verify_4tu, verify_axioms, x_element,
                               TensorElement)
-from vlinkhom.errors import ConstraintViolated, NotInvertible, UnknownPreset
-from vlinkhom.fields import GF2, QQ, PrimeField
+from vlinkhom.errors import (ConstraintViolated, InputError, NotInvertible,
+                             UnknownPreset)
+from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 
 Q = QQ.from_int
 
@@ -278,6 +279,13 @@ def test_beta_vanishes_away_from_char_two():
     # 2*beta = 0 in every valid theory
     for th in all_presets():
         assert th.field.is_zero(th.field.mul(th.field.from_int(2), th.beta))
+
+
+def test_primality_agrees_with_trial_division():
+    small = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
+    assert [n for n in range(3000) if is_prime(n)] == small
+    with pytest.raises(InputError, match=str(PRIME_LIMIT)):
+        PrimeField(PRIME_LIMIT)
 
 
 # -- verify_axioms / verify_4tu -------------------------------------------------

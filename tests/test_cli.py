@@ -192,3 +192,40 @@ def test_compute_matches_golden(capsys, name):
     code, out = run(capsys, "compute", *GOLDEN[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_large_mersenne_prime_field_is_accepted(capsys):
+    # 2^61 - 1: trial division up to its square root would never finish
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", "fp:2305843009213693951")
+    assert code == 0
+    assert json.loads(out)["theory"]["field"] == "fp:2305843009213693951"
+
+
+@pytest.mark.parametrize("p", ["0", "1", "561", "3215031751"])
+def test_composite_prime_field_is_input_error(capsys, p):
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", f"fp:{p}")
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == f"{p} is not prime"
+
+
+def test_prime_field_above_the_exact_test_limit_is_refused(capsys):
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", f"fp:{2 ** 89 - 1}")
+    assert code == 3
+    assert "3317044064679887385961981" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("field", ["fp:abc", "q", "fp:3"])
+def test_field_contradicting_a_preset_is_input_error(capsys, field):
+    code, out = run(capsys, "compute", "--theory", "manturov", "--field", field)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+def test_field_matching_a_preset_is_accepted(capsys):
+    _, plain = run(capsys, "compute", "--theory", "f2_row2")
+    code, out = run(capsys, "compute", "--theory", "f2_row2", "--field", "f2")
+    assert code == 0
+    assert out == plain

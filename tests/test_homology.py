@@ -134,6 +134,17 @@ def test_odd_prime_field():
     assert res.euler == 2
 
 
+@pytest.mark.parametrize("word, field", [
+    ([1] * 7, QQ), ([1] * 7, PrimeField(1000003)),
+    ([1, -2] * 5, PrimeField(1000003)),
+])
+def test_larger_knots_have_two_lee_generators(word, field):
+    # Lee's theorem: the (1,0,1) theory of a knot has rank 2, in degree 0;
+    # T(2,7) and the 10-crossing closure of (s1 s2^-1)^5 need sparse ranks
+    th = theory_from_triple(*(field.from_int(v) for v in (1, 0, 1)), field=field)
+    assert homology_of(braid_closure(word), th).betti == {0: 2}
+
+
 # -- grading -----------------------------------------------------------------------
 
 def test_graded_unknot():
