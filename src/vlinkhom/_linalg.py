@@ -1,6 +1,9 @@
 """Exact rank computation over the supported fields.
 
-Over Q and GF(p) a differential is eliminated sparsely with Markowitz
+``matrix_rank(entries, field)`` is the one entry point: it takes the
+nonzero ``((row, col), value)`` entries of a matrix, such as a
+differential's ``entries`` or one q-layer of them, and dispatches on the
+field. Over Q and GF(p) a differential is eliminated sparsely with Markowitz
 pivoting (``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column
 index tracks which live rows hold each column, and each pivot is chosen
 to keep fill-in small. Over GF(2) rows are bitmasks (Python ints) and are
@@ -72,18 +75,16 @@ def rank_sparse(rows, field):
     return rank
 
 
-def matrix_rank(m):
-    """Rank of an ExactLinearMap."""
-    if not m.entries:
-        return 0
-    F = m.field
-    if isinstance(F, PrimeField) and F.p == 2:
+def matrix_rank(entries, field):
+    """Rank of the matrix with the nonzero ``((row, col), value)`` entries,
+    over ``field``: XOR bitsets over GF(2), sparse elimination otherwise."""
+    if isinstance(field, PrimeField) and field.p == 2:
         bit_rows = {}
-        for (r, c), v in m.entries:
+        for (r, c), v in entries:
             if v % 2:
                 bit_rows[r] = bit_rows.get(r, 0) | (1 << c)
         return rank_gf2_rows(bit_rows.values())
     rows = {}
-    for (r, c), v in m.entries:
+    for (r, c), v in entries:
         rows.setdefault(r, {})[c] = v
-    return rank_sparse(rows, F)
+    return rank_sparse(rows, field)

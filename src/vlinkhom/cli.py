@@ -22,7 +22,7 @@ from .algebra import (TheoryParams, _derive, preset, theory_from_params,
                       theory_from_triple, verify_4tu, verify_axioms)
 from .diagram import load_diagram, random_moves
 from .errors import InputError, MismatchError, VlinkhomError
-from .fields import field_by_name
+from .fields import QQ, field_by_name
 from .homology import (build_complex, graded_euler_poly, graded_homology,
                        homology)
 from .jones import jones_at_one, kauffman_jones
@@ -60,6 +60,17 @@ def _split_kv(text):
     return plain, keyed
 
 
+def _field(args, own, source):
+    """The field a theory selector runs over.  ``own`` is the field name
+    its ``source`` fixes, or None; it and --field must name the same field
+    where both are given, and the field is q where neither is."""
+    named = [field_by_name(x) for x in (own, args.field) if x is not None]
+    if len(named) == 2 and named[0] != named[1]:
+        raise InputError(f"--field {args.field} does not match {source}, "
+                         f"which is over {named[0].name}")
+    return named[0] if named else QQ
+
+
 def resolve_theory(args, check_constraints=True):
     """Build (theory, selector-echo) from the CLI flags; exactly one selector.
 
@@ -71,15 +82,13 @@ def resolve_theory(args, check_constraints=True):
         raise InputError("exactly one of --theory / --params / --triple is required")
     if args.theory:
         th = preset(args.theory)
-        if args.field is not None and field_by_name(args.field) != th.field:
-            raise InputError(f"--field {args.field} does not match preset "
-                             f"{args.theory!r}, which is over {th.field.name}")
+        _field(args, th.field.name, f"preset {args.theory!r}")
         return th, {"preset": args.theory.strip().lower()}
     if args.params:
         plain, keyed = _split_kv(args.params)
         if plain:
             raise InputError(f"--params items must be key=value, got {plain!r}")
-        fld = field_by_name(keyed.pop("field", args.field or "q"))
+        fld = _field(args, keyed.pop("field", None), "--params")
         try:
             vals = {k: fld.parse(keyed.pop(k)) for k in ("a", "t", "lambda", "mu", "beta")}
         except KeyError as exc:
@@ -94,7 +103,7 @@ def resolve_theory(args, check_constraints=True):
     plain, keyed = _split_kv(args.triple)
     if len(plain) != 3:
         raise InputError("--triple needs exactly three values a,lambda,mu")
-    fld = field_by_name(keyed.pop("field", args.field or "q"))
+    fld = _field(args, keyed.pop("field", None), "--triple")
     if keyed:
         raise InputError(f"unknown --triple keys {sorted(keyed)}")
     a, lam, mu = (fld.parse(x) for x in plain)

@@ -10,10 +10,16 @@ each distinct block once; an anchor flip enters as a toggled twist bit of
 the merge/split it feeds, or as a factor phi for a circle the saddle does
 not touch.  d o d = 0 is asserted eagerly at build time because it is the
 one global check on the twist convention.
+
+Homology is one rank-and-Betti routine over (degree, q) layers.  Ungraded
+homology is the one-layer case; graded homology (homogeneous theories only)
+splits the same complex into q-degree layers, which each differential
+preserves, so its Betti numbers sum over q to the ungraded ones.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import tqft
@@ -183,18 +189,31 @@ def _assert_d_squared_zero(c):
             raise DSquaredNonzero(i, src, tgt, c.theory.field.to_str(v))
 
 
-def homology(c):
-    """Betti numbers by exact rank computation over the ground field."""
-    ranks = {i: matrix_rank(c.differentials[i])
-             for i in range(c.min_degree, c.max_degree)}
-    betti = {}
-    euler = 0
-    for i in c.degrees:
-        b = c.groups[i].dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
+def _homology(field, dims, entries):
+    """Betti numbers, Euler characteristic and per-layer table from the
+    dimension of each (degree, q) layer and, per degree i, the entries of
+    d^i grouped by the q-layer of their row.  d^i maps each layer into the
+    same q-layer of degree i + 1, so its rank at q is the rank of that
+    group of entries, taken with their original indices."""
+    ranks = {(i, q): matrix_rank(ent, field)
+             for i, by_q in entries.items() for q, ent in by_q.items()}
+    table, betti = {}, {}
+    for (i, q), dim in sorted(dims.items()):
+        b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
         assert b >= 0
         if b:
-            betti[i] = b
-        euler += b if i % 2 == 0 else -b
+            table[(i, q)] = b
+            betti[i] = betti.get(i, 0) + b
+    euler = sum(b if i % 2 == 0 else -b for i, b in betti.items())
+    return betti, euler, table
+
+
+def homology(c):
+    """Betti numbers by exact rank computation over the ground field: the
+    one-layer case, each degree a single layer q = 0."""
+    betti, euler, _ = _homology(
+        c.theory.field, {(i, 0): c.groups[i].dim for i in c.degrees},
+        {i: {0: c.differentials[i].entries} for i in range(c.min_degree, c.max_degree)})
     return HomologyResult(betti, euler)
 
 
@@ -202,29 +221,26 @@ def homology(c):
 # quantum grading (Manturov-type theories only)
 
 def _qdegrees(c):
-    """q-degree of every basis vector: sum of decoration degrees plus
-    r(s) + n_plus - 2*n_minus, with deg(1) = 1 and deg(x) = -1."""
+    """q-degree of every basis vector, by homological degree: a state with k
+    circles contributes k - 2 * (number of x's) + r(s) + n_plus - 2*n_minus,
+    as deg(1) = 1 and deg(x) = -1."""
     d = c.diagram
     out = {}
     for i in c.degrees:
         grp = c.groups[i]
-        degs = [0] * grp.dim
-        for s in grp.states:
-            shift = (i + d.n_minus) + d.n_plus - 2 * d.n_minus
-            basis = grp.bases[s]
-            for local in range(basis.dim):
-                dec = basis.decoration(local)
-                degs[grp.offsets[s] + local] = (basis.k - 2 * sum(dec)) + shift
-        out[i] = degs
+        shift = i + d.n_plus - d.n_minus  # r(s) = i + n_minus
+        out[i] = [k + shift - 2 * local.bit_count()
+                  for k in (grp.bases[s].k for s in grp.states)
+                  for local in range(1 << k)]
     return out
 
 
 def graded_homology(c):
-    """Homology with the quantum grading; requires a homogeneous theory.
+    """Homology with the quantum grading: the homology of the same complex,
+    split into q-degree layers.  Requires a homogeneous theory.
 
     The theory must have h = t = 0 and theta = 0 (the Manturov preset);
-    the differentials are additionally checked to be homogeneous of
-    q-degree zero.
+    every differential entry is additionally checked to preserve q-degree.
     """
     th = c.theory
     F = th.field
@@ -232,43 +248,20 @@ def graded_homology(c):
             and F.is_zero(th.lam) and F.is_zero(th.mu)):
         raise NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
     qdeg = _qdegrees(c)
+    entries = {}
     for i in range(c.min_degree, c.max_degree):
-        for (r, col), _ in c.differentials[i].entries:
-            if qdeg[i + 1][r] != qdeg[i][col]:
+        src, tgt = qdeg[i], qdeg[i + 1]
+        by_q = entries[i] = {}
+        for e in c.differentials[i].entries:
+            (r, col), _ = e
+            q = tgt[r]
+            if q != src[col]:
                 raise NotGraded(
                     f"differential entry {c.groups[i].label(col)} -> "
                     f"{c.groups[i + 1].label(r)} changes q-degree")
-
-    dims = {}
-    index_in_layer = {}
-    for i in c.degrees:
-        for idx, q in enumerate(qdeg[i]):
-            layer = dims.setdefault((i, q), 0)
-            index_in_layer[(i, idx)] = layer
-            dims[(i, q)] = layer + 1
-
-    ranks = {}
-    for i in range(c.min_degree, c.max_degree):
-        per_q = {}
-        for (r, col), v in c.differentials[i].entries:
-            q = qdeg[i][col]
-            per_q.setdefault(q, {})[(index_in_layer[(i + 1, r)],
-                                     index_in_layer[(i, col)])] = v
-        for q, ent in per_q.items():
-            rows = 1 + max(rc[0] for rc in ent)
-            cols = 1 + max(rc[1] for rc in ent)
-            ranks[(i, q)] = matrix_rank(ExactLinearMap.make(F, rows, cols, ent))
-
-    qtable = {}
-    betti = {}
-    for (i, q), dim in sorted(dims.items()):
-        b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
-        assert b >= 0
-        if b:
-            qtable[(i, q)] = b
-            betti[i] = betti.get(i, 0) + b
-    euler = sum(b if i % 2 == 0 else -b for i, b in betti.items())
-    return HomologyResult(betti, euler, qtable)
+            by_q.setdefault(q, []).append(e)
+    dims = Counter((i, q) for i in c.degrees for q in qdeg[i])
+    return HomologyResult(*_homology(F, dims, entries))
 
 
 def graded_euler_poly(result):

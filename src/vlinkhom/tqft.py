@@ -140,24 +140,6 @@ def extended_entries(block, in_pos, k_in, out_pos, k_out):
             yield (r | sr, c | sc), v
 
 
-def tensor_extend(block, position, basis, out_position=None, out_basis=None):
-    """Pad a block map with identities on the unaffected tensor factors.
-
-    ``position`` lists the domain factors consumed by ``block`` (an int is
-    treated as a single factor); ``out_position``/``out_basis`` give the
-    produced factors in the codomain, defaulting to the same factors of the
-    same basis.  Unaffected factors are matched up in order.
-    """
-    in_pos = (position,) if isinstance(position, int) else tuple(position)
-    out_basis = out_basis if out_basis is not None else basis
-    if out_position is None:
-        out_pos = in_pos
-    else:
-        out_pos = (out_position,) if isinstance(out_position, int) else tuple(out_position)
-    return ExactLinearMap.make(block.field, out_basis.dim, basis.dim, dict(
-        extended_entries(block, in_pos, basis.k, out_pos, out_basis.k)))
-
-
 # ---------------------------------------------------------------------------
 # structure maps as matrices, derived from the algebra
 # (basis order 1, x; tensor factors big-endian)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from vlinkhom import corpus
 from vlinkhom.cli import main
+from vlinkhom.diagram import braid_closure
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -177,19 +179,33 @@ def test_surface_negative_genus_is_input_error(capsys):
 
 
 # compute reports pinned byte for byte; regenerate only for an intended
-# change of the report, with the same flags and stdout redirected
+# change of the report, with the same flags and stdout redirected.  The
+# corpus is the default input; GOLDEN_DIAGRAMS are written as JSON files
+# and passed with --diagram, in this order.
 GOLDEN = {
     "compute_manturov_graded": ("--theory", "manturov", "--graded"),
+    "compute_manturov_graded_beyond_corpus": ("--theory", "manturov", "--graded"),
     "compute_f2_row2": ("--theory", "f2_row2"),
     "compute_f2_row7": ("--theory", "f2_row7"),
     "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
 }
+GOLDEN_DIAGRAMS = {
+    "compute_manturov_graded_beyond_corpus": lambda: (
+        braid_closure([1] * 7, name="t2_7"),          # T(2,7)
+        braid_closure([1, -2] * 3, name="s12_3"),     # (s1 s2^-1)^3
+        corpus.load("kishino")),
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_compute_matches_golden(capsys, name):
-    code, out = run(capsys, "compute", *GOLDEN[name])
+def test_compute_matches_golden(tmp_path, capsys, name):
+    argv = list(GOLDEN[name])
+    for d in GOLDEN_DIAGRAMS.get(name, lambda: ())():
+        path = tmp_path / f"{d.name}.json"
+        path.write_text(json.dumps(d.to_json_obj()))
+        argv += ["--diagram", str(path)]
+    code, out = run(capsys, "compute", *argv)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
@@ -229,3 +245,32 @@ def test_field_matching_a_preset_is_accepted(capsys):
     code, out = run(capsys, "compute", "--theory", "f2_row2", "--field", "f2")
     assert code == 0
     assert out == plain
+
+
+# selectors that may embed field=; t = -2 solves the constraints over q,
+# f2 and fp:7 alike, so every matching field gives exit code 0
+SELECTOR_WITH_FIELD = {
+    "triple": ("surface", "--genus", "0", "--triple", "1,0,1"),
+    "params": ("verify", "--params", "a=1,t=-2,lambda=0,mu=1,beta=0"),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTOR_WITH_FIELD))
+@pytest.mark.parametrize("own,flag", [("q", "fp:7"), ("f2", "fp:abc"),
+                                      ("fp:7", "fp:"), ("fp:7", "q")])
+def test_field_contradicting_an_embedded_field_is_input_error(capsys, selector, own, flag):
+    *argv, spec = SELECTOR_WITH_FIELD[selector]
+    code, out = run(capsys, *argv, f"{spec},field={own}", "--field", flag)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTOR_WITH_FIELD))
+@pytest.mark.parametrize("field", ["q", "f2", "fp:7"])
+def test_field_matching_an_embedded_field_is_accepted(capsys, selector, field):
+    *argv, spec = SELECTOR_WITH_FIELD[selector]
+    _, embedded = run(capsys, *argv, f"{spec},field={field}")
+    _, flagged = run(capsys, *argv, spec, "--field", field)
+    code, out = run(capsys, *argv, f"{spec},field={field}", "--field", field)
+    assert code == 0
+    assert out == embedded == flagged

@@ -173,6 +173,20 @@ def test_graded_euler_equals_kauffman_jones():
         assert sum(res.qtable.values()) == res.total_rank()
 
 
+@pytest.mark.parametrize("d", [corpus.load(n) for n in corpus.all_names()]
+                         + [braid_closure([1] * k, name=f"t2_{k}") for k in range(3, 8)],
+                         ids=lambda d: d.name)
+def test_graded_and_ungraded_homology_agree(d):
+    # graded homology splits the ungraded groups into q-layers
+    c = build_complex(d, preset("manturov"))
+    graded, plain = graded_homology(c), homology(c)
+    assert graded.betti == plain.betti
+    for i in c.degrees:
+        layers = [v for (j, _), v in graded.qtable.items() if j == i]
+        assert sum(layers) == plain.betti.get(i, 0), i
+    assert graded.euler == plain.euler
+
+
 def test_graded_rejects_inhomogeneous_theories():
     d = corpus.load("trefoil")
     for bad in ("f2_row2", "f2_row4", "f2_row7", "f2_row8"):

@@ -22,9 +22,10 @@ def as_map(field, dense, ncols):
 
 
 def ranks_agree(dense, ncols):
-    assert matrix_rank(as_map(QQ, dense, ncols)) == rank_qq_dense(dense)
+    assert matrix_rank(as_map(QQ, dense, ncols).entries, QQ) == rank_qq_dense(dense)
     for p in PRIMES:
-        assert matrix_rank(as_map(PrimeField(p), dense, ncols)) == rank_fp_dense(dense, p)
+        F = PrimeField(p)
+        assert matrix_rank(as_map(F, dense, ncols).entries, F) == rank_fp_dense(dense, p)
 
 
 @st.composite
@@ -64,8 +65,8 @@ def test_sparse_rank_seeded_larger_matrices():
 @pytest.mark.parametrize("ncols", [0, 1, 5])
 def test_zero_row_shapes_have_rank_zero(ncols):
     for field in (QQ, PrimeField(7)):
-        assert matrix_rank(ExactLinearMap.make(field, 0, ncols, {})) == 0
-        assert matrix_rank(ExactLinearMap.make(field, 3, ncols, {})) == 0
+        assert matrix_rank(ExactLinearMap.make(field, 0, ncols, {}).entries, field) == 0
+        assert matrix_rank(ExactLinearMap.make(field, 3, ncols, {}).entries, field) == 0
         assert rank_sparse({0: {}, 1: {}}, field) == 0
 
 
@@ -78,10 +79,11 @@ def test_empty_rows_and_columns_are_skipped():
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_drops_mod_p(p):
     dense = [[1, 1], [1, 1 + p]]
-    assert matrix_rank(as_map(QQ, dense, 2)) == rank_qq_dense(dense) == 2
-    assert matrix_rank(as_map(PrimeField(p), dense, 2)) == rank_fp_dense(dense, p) == 1
+    F = PrimeField(p)
+    assert matrix_rank(as_map(QQ, dense, 2).entries, QQ) == rank_qq_dense(dense) == 2
+    assert matrix_rank(as_map(F, dense, 2).entries, F) == rank_fp_dense(dense, p) == 1
 
 
 def test_rational_entries():
     dense = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert matrix_rank(as_map(QQ, dense, 2)) == rank_qq_dense(dense) == 1
+    assert matrix_rank(as_map(QQ, dense, 2).entries, QQ) == rank_qq_dense(dense) == 1

@@ -8,10 +8,11 @@ from vlinkhom.algebra import all_presets, preset, theory_from_triple
 from vlinkhom.errors import DimensionMismatch
 from vlinkhom.fields import GF2, QQ
 from vlinkhom.tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge,
-                           SingleCycle, Split, StateSpaceBasis, compose,
+                           SingleCycle, Split, compose,
                            coproduct_matrix, counit_matrix, elementary_map,
-                           evaluate_closed_surface, phi_matrix, product_matrix,
-                           tensor_extend, theta_matrix, unit_matrix)
+                           evaluate_closed_surface, extended_entries,
+                           phi_matrix, product_matrix, theta_matrix,
+                           unit_matrix)
 
 Q = QQ.from_int
 
@@ -94,20 +95,19 @@ def test_cup_cap_sphere():
         assert sphere.is_zero()
 
 
-def test_tensor_extend_phi_on_first_of_two():
+def test_extended_entries_phi_on_each_of_two():
     th = preset("f2_row2")
-    basis = StateSpaceBasis(("a", "b"))
-    ext = tensor_extend(phi_matrix(th), 0, basis)
-    expected = phi_matrix(th).kron(ExactLinearMap.identity(GF2, 2))
-    assert ext == expected
-    ext2 = tensor_extend(phi_matrix(th), 1, basis)
-    assert ext2 == ExactLinearMap.identity(GF2, 2).kron(phi_matrix(th))
+    phi, ident = phi_matrix(th), ExactLinearMap.identity(GF2, 2)
+    for pos, expected in ((0, phi.kron(ident)), (1, ident.kron(phi))):
+        ext = dict(extended_entries(phi, (pos,), 2, (pos,), 2))
+        assert ExactLinearMap.make(GF2, 4, 4, ext) == expected
 
 
-def test_tensor_extend_shape_mismatch():
+def test_extended_entries_shape_mismatch():
     th = preset("manturov")
     with pytest.raises(DimensionMismatch):
-        tensor_extend(product_matrix(th), 0, StateSpaceBasis(("a", "b")))
+        # a 2 -> 1 block placed as if it acted on one factor
+        list(extended_entries(product_matrix(th), (0,), 2, (0,), 2))
 
 
 def test_compose_dimension_mismatch():
