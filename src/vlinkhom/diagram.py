@@ -5,12 +5,13 @@ A diagram is a list of components, each a cyclic sequence of passages
 crossing according to its bit and sign, and the resulting circles are traced
 with a canonical orientation (start at the minimal half-edge, forward).
 
-Saddles between adjacent states are classified by how the circle count
-changes; for the orientable kinds the twist bits are computed by coherently
-orienting the bands of the saddle cobordism and comparing the induced
-boundary directions against the canonical ones.  A consistent orientation
-exists exactly when the saddle piece is orientable; the nonorientable case
-is the one-circle-to-one-circle saddle.
+Saddles between adjacent states are classified from the crossing alone.
+The circle counts give the kind: a saddle that changes the count by one is a
+pair of pants (merge or split), and one that takes one circle to one circle
+is a punctured Moebius band, the nonorientable single-cycle saddle.  For the
+orientable kinds the saddle square orients the four corner arcs, and each
+twist bit compares that orientation with the circle's canonical direction on
+one corner arc where the circle meets the crossing.
 """
 
 from __future__ import annotations
@@ -186,10 +187,33 @@ def parse_gauss(text, name="", classical=False):
 
 
 def diagram_from_json_obj(obj):
-    comps = [[Passage(int(p["c"]), bool(p["o"]), int(p["s"])) for p in comp]
-             for comp in obj["components"]]
-    return VirtualLinkDiagram(comps, obj.get("name", ""),
-                              obj.get("classical", False))
+    """Build a diagram from the JSON object format; BadSyntax if malformed."""
+    comps = obj.get("components") if isinstance(obj, dict) else None
+    if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
+        raise BadSyntax("components", "a JSON diagram needs 'components', "
+                        "a list of lists of passages")
+    name, classical = obj.get("name", ""), obj.get("classical", False)
+    if not isinstance(name, str):
+        raise BadSyntax("name", f"must be a string, got {name!r}")
+    if not isinstance(classical, bool):
+        raise BadSyntax("classical", f"must be true or false, got {classical!r}")
+    return VirtualLinkDiagram(
+        [[_json_passage(p, f"components[{ci}][{pi}]") for pi, p in enumerate(comp)]
+         for ci, comp in enumerate(comps)], name, classical)
+
+
+def _json_passage(p, where):
+    if not isinstance(p, dict) or not {"c", "o", "s"} <= p.keys():
+        raise BadSyntax(where, f"a passage needs keys 'c', 'o' and 's', got {p!r}")
+    c, o, s = p["c"], p["o"], p["s"]
+    # bool is a subclass of int, so the exact types are tested
+    if type(c) is not int:
+        raise BadSyntax(where, f"'c' must be an integer crossing label, got {c!r}")
+    if type(o) is not bool:
+        raise BadSyntax(where, f"'o' must be true or false, got {o!r}")
+    if type(s) is not int:
+        raise BadSyntax(where, f"'s' must be 1 or -1, got {s!r}")
+    return Passage(c, o, s)
 
 
 def load_diagram(path):
@@ -197,12 +221,21 @@ def load_diagram(path):
     import json
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
-    stripped = raw.strip()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadSyntax(exc.start, "diagram file is not UTF-8 text") from None
+    stripped = text.strip()
     stem = os.path.splitext(os.path.basename(path))[0]
     if stripped.startswith("{"):
-        return diagram_from_json_obj(json.loads(stripped))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise BadSyntax(exc.pos, f"invalid JSON: {exc.msg} (line {exc.lineno}, "
+                            f"column {exc.colno})") from None
+        return diagram_from_json_obj(obj)
     return parse_gauss(stripped, name=stem)
 
 
@@ -225,25 +258,6 @@ class Circle:
 
     def arcs(self):
         return [a for a, _ in self.steps]
-
-
-def normalize_circle(circle):
-    """Rotate the step list so the minimal half-edge comes first."""
-    steps = circle.steps
-    if not steps:
-        return circle
-    half = [2 * a + (0 if d > 0 else 1) for a, d in steps]
-    i = half.index(min(half))
-    steps = steps[i:] + steps[:i]
-    return Circle(steps, min(half))
-
-
-def reverse_circle(circle):
-    """The same circle traversed backwards (re-normalized)."""
-    if not circle.steps:
-        return circle
-    steps = tuple((a, -d) for a, d in reversed(circle.steps))
-    return normalize_circle(Circle(steps, 0))
 
 
 @dataclass(frozen=True)
@@ -387,21 +401,30 @@ def classify_saddle(d, s, t):
     return _classify(smooth(d, sb), smooth(d, tb), flips[0])
 
 
+# A saddle is connected (every affected circle meets the crossing) and has
+# Euler characteristic -1, which is 2 - 2g - b with g handles or 2 - h - b
+# with h crosscaps for b boundary circles.  So b = 3 forces a pair of pants
+# and b = 2 a punctured Moebius band: the circle counts give the kind.
+_KINDS = {(2, 1): "merge", (1, 2): "split", (1, 1): "single_cycle"}
+
+
 def _classify(ss, st, j):
-    d = ss.diagram
-    ends = d.crossing_ends(j + 1)
-    bottom_idx = sorted({ss.circle_of_arc(e >> 1) for e in ends})
-    top_idx = sorted({st.circle_of_arc(e >> 1) for e in ends})
-    nb, nt = len(bottom_idx), len(top_idx)
-    sigma, orientable = _band_orientations(ss, st, j, ends)
-    if not orientable:
-        assert (nb, nt) == (1, 1), "orientation conflict off a single-cycle saddle"
-        kind, twist_in, twist_out = "single_cycle", (), ()
-    else:
-        assert (nb, nt) in ((2, 1), (1, 2)), "orientable saddle must change k"
-        kind = "merge" if nb == 2 else "split"
-        twist_in = tuple(_circle_twist(ss.circles[i], sigma) for i in bottom_idx)
-        twist_out = tuple(_circle_twist(st.circles[i], sigma) for i in top_idx)
+    ends = ss.diagram.crossing_ends(j + 1)
+    bottom_idx = sorted({ss.arc_circle[e >> 1] for e in ends})
+    top_idx = sorted({st.arc_circle[e >> 1] for e in ends})
+    kind = _KINDS[len(bottom_idx), len(top_idx)]
+    twist_in = twist_out = ()
+    if kind != "single_cycle":
+        # The saddle square orients its corners: over-in and the end paired
+        # with neither of its partners point up, the two partners point down.
+        # An arc with both ends at the crossing must get one of each.
+        oi = ends[0]
+        down = (ss.pairing[oi], st.pairing[oi])
+        up = {e: e not in down for e in ends}
+        assert all(up[e] != up[e ^ 1] for e in ends if (e ^ 1) in up), \
+            "corner orientations conflict on an orientable saddle"
+        twist_in = _twists(ss, bottom_idx, up)
+        twist_out = _twists(st, top_idx, up)
     return SaddleDescriptor(
         from_state=ss.state,
         to_state=st.state,
@@ -415,60 +438,20 @@ def _classify(ss, st, j):
     )
 
 
-def _band_orientations(ss, st, j, ends):
-    """Coherently orient the bands of the saddle cobordism at crossing j+1.
+def _twists(sm, circle_idx, up):
+    """One twist bit per circle of ``sm``, read at the first corner on it.
 
-    Each arc band gets a flag sigma; sigma = +1 makes the band's compatible
-    boundary direction run head-to-tail.  The saddle square forces the four
-    corner arcs; unaffected splice bands force equal sigma across
-    flow-preserving junctions and opposite sigma across reversing ones.
-    Returns (sigma, True) on success and (partial, False) when the
-    constraints conflict, i.e. when the saddle piece is nonorientable.
+    The coherent band orientation runs out of the crossing at the up corners
+    and into it at the down ones; the bit is 1 where the circle's canonical
+    direction disagrees, which is then so on every arc of the circle.
     """
-    oi = ends[0]
-    e_a = oi
-    e_b = ss.pairing[oi]
-    e_c = st.pairing[oi]
-    e_d = next(e for e in ends if e not in (e_a, e_b, e_c))
-    corner_up = {e_a: True, e_b: False, e_c: False, e_d: True}
-    skip = frozenset(ends)
-
-    sigma = {}
-    for e, up in corner_up.items():
-        arc = e >> 1
-        want = 1 if up == bool(e & 1) else -1
-        if sigma.setdefault(arc, want) != want:
-            return sigma, False
-
-    affected = sorted({ss.circle_of_arc(e >> 1) for e in ends})
-    for idx in affected:
-        steps = ss.circles[idx].steps
-        m = len(steps)
-        current = None
-        for lap in range(2 * m):
-            arc, direction = steps[lap % m]
-            if current is not None:
-                if sigma.setdefault(arc, current) != current:
-                    return sigma, False
-            value = sigma.get(arc)
-            if value is None:
-                continue
-            exit_end = 2 * arc + (1 if direction > 0 else 0)
-            if exit_end in skip:
-                current = None
-                continue
-            nxt_dir = steps[(lap + 1) % m][1]
-            current = value if direction == nxt_dir else -value
-    return sigma, True
-
-
-def _circle_twist(circle, sigma):
-    """Compare the compatible direction against the canonical traversal."""
-    twists = set()
-    for arc, direction in circle.steps:
-        twists.add(1 if (sigma[arc] == 1) != (direction == -1) else 0)
-    assert len(twists) == 1, "incoherent band orientation around a circle"
-    return twists.pop()
+    twist = {}
+    for e, is_up in up.items():
+        idx = sm.arc_circle[e >> 1]
+        if idx not in twist:
+            inward = ((e >> 1, 1) in sm.circles[idx].steps) == bool(e & 1)
+            twist[idx] = int(is_up == inward)
+    return tuple(twist[i] for i in circle_idx)
 
 
 def cube_edges(d, smoothings=None):

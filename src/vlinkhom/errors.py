@@ -114,14 +114,9 @@ class NotGraded(VlinkhomError):
         super().__init__(f"theory is not quantum-graded: {reason}")
 
 
-# -- moves / harness ----------------------------------------------------------
+# -- moves -------------------------------------------------------------------
 
 class PatternNotFound(InputError):
     def __init__(self, message):
         super().__init__(message)
 
-
-class MismatchFound(MismatchError):
-    def __init__(self, message, trail=None):
-        self.trail = trail or []
-        super().__init__(message)

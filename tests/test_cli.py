@@ -70,6 +70,33 @@ def test_compute_bad_diagram_file(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "SignMismatch"
 
 
+_KINK = '{"c": 1, "o": false, "s": 1}'
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"components": [[{"c": 1, "o": true}, %s]]}' % _KINK, "needs keys 'c', 'o' and 's'"),
+    ('{"components": [[{"c": 1, "o": tr', "invalid JSON"),
+    ('{"components": [[{"c": "a", "o": true, "s": 1}, %s]]}' % _KINK, "'c' must be an integer"),
+    ('{"components": 5}', "list of lists of passages"),
+    ('{"components": [[{"c": 1, "o": "no", "s": 1}, %s]]}' % _KINK, "'o' must be true or false"),
+    ('{"components": [[{"c": true, "o": true, "s": 1}, %s]]}' % _KINK, "'c' must be an integer"),
+    ('{"components": [[{"c": 1.5, "o": true, "s": 1}, %s]]}' % _KINK, "'c' must be an integer"),
+    (b'{"name": "caf\xe9", "components": [[]]}', "not UTF-8"),
+], ids=["missing_s", "truncated", "c_string", "components_int", "o_string",
+        "c_bool", "c_float", "not_utf8"])
+def test_compute_malformed_json_diagram(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
+    code, out = run(capsys, "compute", "--diagram", str(path),
+                    "--theory", "manturov")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "BadSyntax" and message in error["message"]
+
+
 def test_verify_all_presets(capsys):
     for row in range(1, 9):
         code, out = run(capsys, "verify", "--theory", f"f2_row{row}")

@@ -1,7 +1,9 @@
 """Gauss code parsing, smoothing, saddle classification and moves."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from vlinkhom import corpus
 from vlinkhom.diagram import (all_smoothings,
                               apply_r1, apply_r1_inverse, apply_r2,
                               apply_r2_inverse, braid_closure, classify_saddle,
-                              cube_edges, normalize_circle, parse_gauss,
+                              cube_edges, parse_gauss,
                               r1_inverse_sites, r2_inverse_sites, random_moves,
-                              reverse_circle, smooth, diagram_from_json_obj)
+                              smooth, diagram_from_json_obj)
 from vlinkhom.errors import (BadSyntax, DuplicateRole, LengthMismatch,
                              MissingPassage, NotCubeEdge, PatternNotFound,
                              SignMismatch)
@@ -135,23 +137,26 @@ def test_arcs_partition_into_circles():
             # every half-edge (directed arc) appears exactly once
             steps = [s for c in sm.circles for s in c.steps]
             assert len({(a, dr) for a, dr in steps}) == len(steps) == d.total_arcs
-
-
-def test_circle_normalization_idempotent():
-    d = corpus.load("kishino")
-    rng = random.Random(5)
-    for _ in range(20):
-        bits = [rng.randint(0, 1) for _ in range(d.n)]
-        for c in smooth(d, bits).circles:
-            assert normalize_circle(c) == c
-            assert normalize_circle(normalize_circle(c)) == normalize_circle(c)
-            rev = reverse_circle(c)
-            assert normalize_circle(rev) == rev
-            if c.steps:
-                assert reverse_circle(rev) == c
+            # each circle starts at its minimal half-edge, which is its key
+            for c in sm.circles:
+                half = [2 * a + (dr < 0) for a, dr in c.steps]
+                assert half[0] == min(half) == c.key
 
 
 # -- saddles ---------------------------------------------------------------------
+
+def test_cube_edges_match_pinned_saddles():
+    # Every edge of 44 diagrams: the corpus, O1+,O2-,U1+,U2-, R1 kinks, an
+    # R2 move, multi-component codes with free loops and seeded random
+    # virtual codes.  The file stores each Gauss code with its edges.
+    pinned = json.loads((Path(__file__).parent / "golden" / "saddles.json").read_text())
+    assert sum(len(entry["edges"]) for entry in pinned) >= 2000
+    for entry in pinned:
+        edges = [[e.from_state, e.to_state, e.kind, list(e.bottom), list(e.top),
+                  list(e.twist_in), list(e.twist_out), e.sign_exponent]
+                 for e in cube_edges(parse_gauss(entry["code"]))]
+        assert edges == entry["edges"], entry["name"]
+
 
 def test_cube_edge_counts():
     assert len(cube_edges(parse_gauss(TREFOIL))) == 12
