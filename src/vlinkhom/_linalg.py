@@ -1,18 +1,31 @@
-"""Exact rank computation over the supported fields.
+"""Exact sparse linear algebra over the supported fields.
 
-``matrix_rank(entries, field)`` is the one entry point: it takes the
-nonzero ``((row, col), value)`` entries of a matrix, such as a
-differential's ``entries`` or one q-layer of them, and dispatches on the
-field. Over Q and GF(p) a differential is eliminated sparsely with Markowitz
-pivoting (``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column
-index tracks which live rows hold each column, and each pivot is chosen
-to keep fill-in small. Over GF(2) rows are bitmasks (Python ints) and are
-reduced by XOR (``rank_gf2_rows``).
+Both entry points take matrices as their nonzero ``((row, col), value)``
+entries, such as a differential's ``entries`` or one q-layer of them, and
+dispatch on the field.
+
+``matrix_rank(entries, field)`` is the one rank routine. Over Q and GF(p) a
+differential is eliminated sparsely with Markowitz pivoting
+(``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column index tracks
+which live rows hold each column, and each pivot is chosen to keep fill-in
+small. Over GF(2) rows are bitmasks (Python ints) and are reduced by XOR
+(``rank_gf2_rows``).
+
+``first_nonzero_composite(maps, field)`` finds the first nonzero entry of
+f_{j+1} o f_j along a sequence of maps without storing any product: it
+builds one output row at a time, as a set of columns added by symmetric
+difference over GF(2) and as plain Python ints otherwise.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .fields import PrimeField
+
+
+def _is_gf2(field):
+    return isinstance(field, PrimeField) and field.p == 2
 
 
 def rank_gf2_rows(rows):
@@ -78,7 +91,7 @@ def rank_sparse(rows, field):
 def matrix_rank(entries, field):
     """Rank of the matrix with the nonzero ``((row, col), value)`` entries,
     over ``field``: XOR bitsets over GF(2), sparse elimination otherwise."""
-    if isinstance(field, PrimeField) and field.p == 2:
+    if _is_gf2(field):
         bit_rows = {}
         for (r, c), v in entries:
             if v % 2:
@@ -88,3 +101,105 @@ def matrix_rank(entries, field):
     for (r, c), v in entries:
         rows.setdefault(r, {})[c] = v
     return rank_sparse(rows, field)
+
+
+def _gf2_rows(entries):
+    """``{row: set of columns}`` of a GF(2) matrix."""
+    rows = {}
+    for (r, c), _ in entries:
+        cols = rows.get(r)
+        if cols is None:
+            rows[r] = {c}
+        else:
+            cols.add(c)
+    return rows
+
+
+def _first_nonzero_gf2(maps):
+    maps = iter(maps)
+    right = _gf2_rows(next(maps, ()))
+    empty = frozenset()
+    for j, entries in enumerate(maps):
+        acc, row = set(), None
+        for (r, mid), _ in entries:
+            if r != row:
+                if acc:
+                    break
+                row = r
+            acc ^= right.get(mid, empty)
+        if acc:
+            return j, row, min(acc), 1
+        del right  # free f_j's rows before grouping f_(j+1)'s
+        right = _gf2_rows(entries)
+    return None
+
+
+def _int_rows(entries, field):
+    """``({row: [(col, int)]}, scale)``: the entries times ``scale`` as ints.
+
+    Over Q the scale is the lcm of the denominators. GF(p) elements are
+    lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints.
+    """
+    p = field.characteristic
+    scale = lcm(*{v.denominator for _, v in entries}) if p == 0 else 1
+    half = p // 2
+    rows = {}
+    for (r, c), v in entries:
+        if p == 0:
+            v = v.numerator * (scale // v.denominator)
+        elif v > half:
+            v -= p
+        row = rows.get(r)
+        if row is None:
+            rows[r] = [(c, v)]
+        else:
+            row.append((c, v))
+    return rows, scale
+
+
+def _first_nonzero_int(maps, field):
+    p = field.characteristic
+    maps = iter(maps)
+    right, right_scale = _int_rows(next(maps, ()), field)
+    for j, entries in enumerate(maps):
+        left, left_scale = _int_rows(entries, field)
+        for r, row in left.items():
+            acc = {}
+            for mid, w in row:
+                for c, v in right.get(mid, ()):
+                    acc[c] = acc.get(c, 0) + w * v
+            if not any(acc.values()):
+                continue
+            hits = [c for c, x in acc.items() if (x % p if p else x)]
+            if hits:
+                c = min(hits)
+                value = field.div(field.from_int(acc[c]),
+                                  field.from_int(left_scale * right_scale))
+                return j, r, c, value
+        right, right_scale = left, left_scale
+    return None
+
+
+def first_nonzero_composite(maps, field):
+    """The first nonzero entry of some f_{j+1} o f_j, or None if all vanish.
+
+    ``maps`` yields, for maps f_0, f_1, ..., each composable after the one
+    before, a sequence of its nonzero ``((row, col), value)`` entries sorted
+    row-major, as ``ExactLinearMap.entries`` are. The products are checked
+    for j = 0, 1, ... in turn, one output row at a time and never stored,
+    and the search stops at the first nonzero one: the result is
+    ``(j, row, col, value)`` at the lowest j, then row, then column. Each map
+    is grouped into rows once, and serves as the left factor of one product
+    and the right factor of the next.
+
+    Over GF(2) a row is a set of columns and rows add by symmetric
+    difference; the left factor is walked in its entries and grouped only
+    afterwards, so one map's sets are alive at a time. Otherwise rows hold
+    plain ints: GF(p) sums are reduced once per output entry, and over Q each
+    map is first scaled by the lcm L_j of its denominators, which is exact
+    because f_{j+1} o f_j vanishes exactly when (L_{j+1} f_{j+1}) o (L_j f_j)
+    does; the witness is divided back.
+    """
+    if _is_gf2(field):
+        return _first_nonzero_gf2(maps)
+    return _first_nonzero_int(maps, field)

@@ -8,8 +8,17 @@ and decorations ordered with the unit before x.  Each cube edge contributes
 unaffected circles by bit arithmetic on the basis indices.  A build makes
 each distinct block once; an anchor flip enters as a toggled twist bit of
 the merge/split it feeds, or as a factor phi for a circle the saddle does
-not touch.  d o d = 0 is asserted eagerly at build time because it is the
-one global check on the twist convention.
+not touch.  A complex above MAX_CHAIN_DIM generators is refused before it is
+built.
+
+d o d = 0 is asserted eagerly at build time because it is the one global
+check on the twist convention.  ``_linalg.first_nonzero_composite`` checks
+each d^(i+1) d^i one output row at a time over the differentials' entries,
+without building the product: over GF(2) a row is a set of columns added by
+symmetric difference, over GF(p) and Q it is a dict of exact Python ints
+(each differential over Q scaled by the lcm of its denominators first).
+The first nonzero entry, at the lowest degree, row and column, becomes the
+DSquaredNonzero witness.
 
 Homology is one rank-and-Betti routine over (degree, q) layers.  Ungraded
 homology is the one-layer case; graded homology (homogeneous theories only)
@@ -19,11 +28,13 @@ preserves, so its Betti numbers sum over q to the ungraded ones.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import tqft
-from ._linalg import matrix_rank
+from ._linalg import first_nonzero_composite, matrix_rank
 from .diagram import all_smoothings, coerce_state, cube_edges
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
@@ -38,13 +49,13 @@ class ChainGroup:
     offsets: dict            # state -> first index of its block
     dim: int
 
+    @cached_property
+    def _starts(self):
+        return [self.offsets[s] for s in self.states]
+
     def label(self, index):
-        state = None
-        for s in self.states:
-            if self.offsets[s] <= index:
-                state = s
-            else:
-                break
+        """(state, decoration) of the basis vector at ``index``."""
+        state = self.states[bisect_right(self._starts, index) - 1]
         basis = self.bases[state]
         dec = basis.decoration(index - self.offsets[state])
         return state, "".join("x" if b else "1" for b in dec)
@@ -109,6 +120,18 @@ def _edge_cobordism(sd, flips):
     return Split(twist_in=twist_in[0], twist_out=twist_out)
 
 
+# The largest total chain dimension (generators over all degrees) a build
+# accepts.  A build costs about 2 KB of memory per generator: T(2,12), with
+# 531,444 generators, peaks near 1.1 GB, so the cap allows about twice that.
+MAX_CHAIN_DIM = 1 << 20
+
+
+def _refuse_above_cap(n, dim, count):
+    if dim > MAX_CHAIN_DIM:
+        raise InputError(f"{n} crossings: the chain complex has {count} generators, "
+                         f"above the cap MAX_CHAIN_DIM = {MAX_CHAIN_DIM:,}")
+
+
 def build_complex(d, th, anchor_flips=(), check=True):
     """Assemble the based chain complex of ``d`` under the theory ``th``.
 
@@ -116,11 +139,19 @@ def build_complex(d, th, anchor_flips=(), check=True):
     canonical orientation is reversed before building maps; the build is
     otherwise canonical, and a pair that names no circle is an InputError.
     Raises DSquaredNonzero if the differential fails to square to zero
-    (which would signal a twist-convention bug).
+    (which would signal a twist-convention bug), unless ``check`` is false.
+    A complex of more than MAX_CHAIN_DIM generators is refused with an
+    InputError: on the lower bound 2^(n+1) before any state is smoothed, and
+    on the exact sum of 2^k(s) before any edge is built.
     """
     F = th.field
     n, n_minus = d.n, d.n_minus
+    # with a crossing every state has a circle, so the 2^n states give >= 2^(n+1)
+    bound = 2 ** (n + 1)
+    _refuse_above_cap(n, bound, f"at least 2^{n + 1} = {bound:,}")
     smoothings = all_smoothings(d)
+    dim = sum(1 << sm.k for sm in smoothings.values())
+    _refuse_above_cap(n, dim, f"{dim:,}")
     flips = _flip_set(d, smoothings, anchor_flips)
 
     groups = {}
@@ -180,13 +211,16 @@ def build_complex(d, th, anchor_flips=(), check=True):
 
 
 def _assert_d_squared_zero(c):
-    for i in range(c.min_degree, c.max_degree - 1):
-        prod = c.differentials[i + 1].compose(c.differentials[i])
-        if not prod.is_zero():
-            (r, col), v = prod.entries[0]
-            src = c.groups[i].label(col)
-            tgt = c.groups[i + 2].label(r)
-            raise DSquaredNonzero(i, src, tgt, c.theory.field.to_str(v))
+    """Raise DSquaredNonzero at the first nonzero entry of some d^(i+1) d^i:
+    the lowest degree, then target index, then source index."""
+    F = c.theory.field
+    hit = first_nonzero_composite(
+        (c.differentials[i].entries for i in range(c.min_degree, c.max_degree)), F)
+    if hit is not None:
+        j, r, col, v = hit
+        i = c.min_degree + j
+        raise DSquaredNonzero(i, c.groups[i].label(col), c.groups[i + 2].label(r),
+                              F.to_str(v))
 
 
 def _homology(field, dims, entries):

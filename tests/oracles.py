@@ -119,6 +119,60 @@ def dense_betti_qq(complex_):
     return betti
 
 
+# -- first nonzero entry of a composite, by a plain dict product -------------
+
+def first_nonzero_product(maps, characteristic):
+    """(j, row, col, value) of the first nonzero entry of maps[j + 1] o maps[j]
+    over Q (characteristic 0) or GF(p), at the lowest j, then row, then
+    column; None if every product vanishes.
+
+    ``maps`` lists each map's ((row, col), value) entries.  Each product is
+    formed whole in a {(row, col): value} dict, with Fractions over Q and
+    ints reduced mod p otherwise.
+    """
+    p = characteristic
+
+    def norm(x):
+        return Fraction(x) if p == 0 else int(x) % p
+
+    for j in range(len(maps) - 1):
+        right = {}
+        for (mid, c), v in maps[j]:
+            right.setdefault(mid, []).append((c, norm(v)))
+        prod = {}
+        for (r, mid), w in maps[j + 1]:
+            for c, v in right.get(mid, ()):
+                prod[(r, c)] = norm(prod.get((r, c), 0) + norm(w) * v)
+        nonzero = sorted(rc for rc, x in prod.items() if x != 0)
+        if nonzero:
+            r, c = nonzero[0]
+            return j, r, c, prod[(r, c)]
+    return None
+
+
+def chain_label(group, index):
+    """(state, decoration) of a chain group's basis vector, by a linear scan
+    over the states' offsets; decorations are big-endian, 1 before x."""
+    state = max((s for s in group.states if group.offsets[s] <= index),
+                key=group.offsets.get)
+    k = group.bases[state].k
+    local = index - group.offsets[state]
+    return state, "".join("x" if (local >> (k - 1 - i)) & 1 else "1" for i in range(k))
+
+
+def first_nonzero_d_squared(complex_):
+    """(degree, source label, target label, value) of the first nonzero entry
+    of d o d, from ``first_nonzero_product``; None if d o d = 0."""
+    lo = complex_.min_degree
+    maps = [complex_.differentials[i].entries for i in range(lo, complex_.max_degree)]
+    hit = first_nonzero_product(maps, complex_.theory.field.characteristic)
+    if hit is None:
+        return None
+    j, r, c, value = hit
+    return (lo + j, chain_label(complex_.groups[lo + j], c),
+            chain_label(complex_.groups[lo + j + 2], r), value)
+
+
 # -- classical Khovanov over F2 (planar diagrams, no twist machinery) --------
 
 def classical_khovanov_f2_betti(d, smoothings):

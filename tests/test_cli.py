@@ -1,6 +1,8 @@
 """CLI behaviour: flags, report schema, determinism, exit codes."""
 
+import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,24 @@ def test_compute_malformed_json_diagram(tmp_path, capsys, body, message):
     assert code == 3
     error = json.loads(out)["error"]
     assert error["kind"] == "BadSyntax" and message in error["message"]
+
+
+def test_compute_refuses_a_22_crossing_diagram(tmp_path, capsys, monkeypatch):
+    def no_smoothing(d):
+        raise AssertionError("smoothed a diagram above the cap")
+
+    # the homology module, not the function that ``vlinkhom.homology`` names
+    monkeypatch.setattr(importlib.import_module("vlinkhom.homology"),
+                        "all_smoothings", no_smoothing)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(braid_closure([1, -2] * 11).to_json_obj()))
+    start = time.perf_counter()
+    code, out = run(capsys, "compute", "--diagram", str(path), "--theory", "manturov")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert json.loads(out) == {"error": {"kind": "InputError", "message": (
+        "22 crossings: the chain complex has at least 2^23 = 8,388,608 "
+        "generators, above the cap MAX_CHAIN_DIM = 1,048,576")}}
 
 
 def test_verify_all_presets(capsys):

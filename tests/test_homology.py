@@ -1,15 +1,22 @@
 """Chain complex assembly, homology, grading and convention independence."""
 
+import dataclasses
+import importlib
+import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from oracles import classical_khovanov_f2_betti, dense_betti_qq
+from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
+                     first_nonzero_d_squared)
 from vlinkhom import corpus
-from vlinkhom.algebra import all_presets, preset, theory_from_triple
+from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
 from vlinkhom import tqft
-from vlinkhom.diagram import all_smoothings, braid_closure, parse_gauss
-from vlinkhom.errors import InputError, LengthMismatch, NotGraded
+from vlinkhom.cli import EXIT_MISMATCH, main
+from vlinkhom.diagram import all_smoothings, braid_closure, cube_edges, parse_gauss
+from vlinkhom.errors import DSquaredNonzero, InputError, LengthMismatch, NotGraded
 from vlinkhom.fields import QQ, PrimeField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
@@ -18,6 +25,8 @@ from vlinkhom.jones import jones_at_one, kauffman_jones
 from vlinkhom.tqft import ExactLinearMap, phi_matrix
 
 Q = QQ.from_int
+# the module; ``vlinkhom.homology`` as an attribute is the function homology()
+H = importlib.import_module("vlinkhom.homology")
 
 
 def q_theory(a=1, lam=0, mu=1):
@@ -363,3 +372,138 @@ def test_euler_from_smoothings_identity():
                           for i, dim in zip(c.degrees, c.dims()))
         assert chain_euler == jones_at_one(d)
         assert homology(c).euler == chain_euler
+
+
+# -- the d^2 guard on mutated cubes ---------------------------------------------
+
+F_P = PrimeField(1000003)
+MUTATION_THEORIES = {
+    **{name: preset(name) for name in PRESET_NAMES},
+    "q 1,0,1": q_theory(1, 0, 1),
+    "fp:1000003 1,0,1": theory_from_triple(F_P.one, F_P.zero, F_P.one, field=F_P),
+    "q 1/2,3,-2/3": theory_from_triple(Fraction(1, 2), Q(3), Fraction(-2, 3)),
+    "q 1/3,1/2,5": theory_from_triple(Fraction(1, 3), Fraction(1, 2), Q(5)),
+}
+
+
+def mutated_cube_edges(kind, which):
+    """``cube_edges`` with one edge broken: the ``which`` ("first" or "last")
+    orientable edge with twist_in[0] flipped (kind "twist"), or the first or
+    last edge with its sign flipped (kind "sign")."""
+    def edges_of(d, smoothings=None):
+        edges = list(cube_edges(d, smoothings))
+        picks = [k for k, e in enumerate(edges)
+                 if kind == "sign" or e.kind != "single_cycle"]
+        if picks:
+            k = picks[0 if which == "first" else -1]
+            e = edges[k]
+            edges[k] = (dataclasses.replace(e, sign_exponent=e.sign_exponent + 1)
+                        if kind == "sign" else
+                        dataclasses.replace(e, twist_in=(1 - e.twist_in[0],) + e.twist_in[1:]))
+        return edges
+    return edges_of
+
+
+# Twist flips break d^2 only under f2_row2 and f2_row5 (10 corpus diagrams
+# each); a sign flip breaks it in every theory of odd characteristic on the
+# 11 corpus diagrams with a crossing, and never mod 2.
+@pytest.mark.parametrize("kind, which, fired", [
+    ("twist", "first", 20), ("twist", "last", 20),
+    ("sign", "first", 44), ("sign", "last", 44),
+])
+def test_d_squared_guard_agrees_with_dict_product_oracle(monkeypatch, kind, which, fired):
+    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges(kind, which))
+    hits = 0
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        for th in MUTATION_THEORIES.values():
+            c = build_complex(d, th, check=False)  # never raises
+            expected = first_nonzero_d_squared(c)
+            if expected is None:
+                build_complex(d, th)
+                continue
+            hits += 1
+            with pytest.raises(DSquaredNonzero) as info:
+                build_complex(d, th)
+            degree, source, target, value = expected
+            assert (info.value.degree, info.value.source, info.value.target,
+                    info.value.value) == (degree, source, target, th.field.to_str(value))
+    assert hits == fired
+
+
+# witness messages pinned from the guard that built the whole product d o d;
+# the row-wise guard must repeat them byte for byte
+PINNED_D_SQUARED = [
+    ("trefoil", "f2_row2", "twist", "first",
+     "d^2 != 0 at degree 0: ('000', 'x1') -> ('101', '11') has value 1"),
+    ("cinquefoil", "f2_row5", "twist", "last",
+     "d^2 != 0 at degree 3: ('01110', '111') -> ('11111', '1111x') has value 1"),
+    ("virtual_trefoil", "q 1/3,1/2,5", "sign", "first",
+     "d^2 != 0 at degree 0: ('00', '1') -> ('11', '11') has value -141/250"),
+    ("trefoil", "q 1/3,1/2,5", "sign", "last",
+     "d^2 != 0 at degree 1: ('010', '1') -> ('111', '111') has value 297/1250"),
+    ("trefoil", "fp:1000003 1,0,1", "sign", "first",
+     "d^2 != 0 at degree 0: ('000', '11') -> ('101', '11') has value 999999"),
+]
+
+
+@pytest.mark.parametrize("name, theory, kind, which, message", PINNED_D_SQUARED)
+def test_d_squared_witness_messages_are_pinned(monkeypatch, name, theory, kind, which,
+                                               message):
+    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges(kind, which))
+    with pytest.raises(DSquaredNonzero) as info:
+        build_complex(corpus.load(name), MUTATION_THEORIES[theory])
+    assert str(info.value) == message
+
+
+def test_cli_reports_the_d_squared_witness(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges("twist", "first"))
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps(corpus.load("trefoil").to_json_obj()))
+    assert main(["compute", "--theory", "f2_row2", "--diagram", str(path)]) == EXIT_MISMATCH
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "kind": "DSquaredNonzero", "message": PINNED_D_SQUARED[0][-1]}}
+
+
+def test_chain_group_label_matches_a_linear_scan():
+    c = build_complex(braid_closure([1, -2, 1, 1, -2, -2, 1], name="seven"),
+                      preset("f2_row7"), check=False)
+    assert c.diagram.n == 7
+    for i in c.degrees:
+        group = c.groups[i]
+        assert [group.label(j) for j in range(group.dim)] == \
+            [chain_label(group, j) for j in range(group.dim)]
+
+
+# -- the size guard --------------------------------------------------------------
+
+def test_size_guard_refuses_22_crossings_before_smoothing(monkeypatch):
+    def no_smoothing(d):
+        raise AssertionError("smoothed a diagram above the cap")
+
+    monkeypatch.setattr(H, "all_smoothings", no_smoothing)
+    d = braid_closure([1, -2] * 11)
+    assert d.n == 22
+    start = time.perf_counter()
+    with pytest.raises(InputError) as info:
+        homology_of(d, preset("manturov"))
+    assert time.perf_counter() - start < 5
+    assert str(info.value) == (
+        "22 crossings: the chain complex has at least 2^23 = 8,388,608 "
+        "generators, above the cap MAX_CHAIN_DIM = 1,048,576")
+
+
+def test_size_guard_sums_the_states_before_building_edges(monkeypatch):
+    trefoil = corpus.load("trefoil")  # 2^4 <= dim = 4 + 6 + 12 + 8 = 30
+    monkeypatch.setattr(H, "MAX_CHAIN_DIM", 30)
+    assert build_complex(trefoil, preset("manturov")).dims() == [4, 6, 12, 8]
+
+    def no_edges(d, smoothings=None):
+        raise AssertionError("built edges of a complex above the cap")
+
+    monkeypatch.setattr(H, "MAX_CHAIN_DIM", 29)
+    monkeypatch.setattr(H, "cube_edges", no_edges)
+    with pytest.raises(InputError) as info:
+        build_complex(trefoil, preset("manturov"))
+    assert str(info.value) == ("3 crossings: the chain complex has 30 generators, "
+                               "above the cap MAX_CHAIN_DIM = 29")

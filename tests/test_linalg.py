@@ -1,4 +1,5 @@
-"""Sparse exact rank against the standalone dense oracles."""
+"""Sparse exact rank and the row-wise product check against the standalone
+dense and dict-product oracles."""
 
 import random
 from fractions import Fraction
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_fp_dense, rank_qq_dense
-from vlinkhom._linalg import matrix_rank, rank_sparse
-from vlinkhom.fields import QQ, PrimeField
+from oracles import first_nonzero_product, rank_fp_dense, rank_qq_dense
+from vlinkhom._linalg import first_nonzero_composite, matrix_rank, rank_sparse
+from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 from vlinkhom.tqft import ExactLinearMap
 
 PRIMES = (3, 7, 1000003)
@@ -87,3 +88,113 @@ def test_rank_drops_mod_p(p):
 def test_rational_entries():
     dense = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
     assert matrix_rank(as_map(QQ, dense, 2).entries, QQ) == rank_qq_dense(dense) == 1
+
+
+# -- first nonzero entry of a composite ------------------------------------------
+
+# the largest prime the fields accept, where unreduced integer sums run to
+# about 2^160 before they are reduced
+BIG_P = next(n for n in range(PRIME_LIMIT - 2, 0, -2) if is_prime(n))
+COMPOSITE_FIELDS = {"q": QQ, "gf2": GF2, "gf3": PrimeField(3),
+                    "gf_big": PrimeField(BIG_P)}
+
+
+def field_values(field):
+    """Nonzero field elements to draw entries from: non-unit denominators
+    over Q, and over GF(p) the elements near p as well as small ones."""
+    if field is QQ:
+        return st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                                Fraction(-2, 3), Fraction(5, 7), Fraction(9, 4), Fraction(7)])
+    p = field.p
+    return st.one_of(st.sampled_from(sorted({1, p - 1, p // 2, (p + 1) // 2})),
+                     st.integers(1, p - 1))
+
+
+def dense_of(draw, field, nrows, ncols):
+    value = field_values(field)
+    return [[draw(value) if draw(st.integers(0, 2)) else field.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def entries_of(field, dense, ncols):
+    return ExactLinearMap.make(field, len(dense), ncols,
+                               {(r, c): v for r, row in enumerate(dense)
+                                for c, v in enumerate(row)}).entries
+
+
+@st.composite
+def composable_chains(draw, field):
+    """(mode, dense maps f_0, f_1[, f_2], widths) with f_1 o f_0 either any
+    product ("random"), zero ("zero"), or zero but for its last entry
+    ("last"); an optional f_2 is any map after f_1."""
+    mode = draw(st.sampled_from(["random", "zero", "last"]))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if mode == "random":
+        k = draw(st.integers(1, 6))
+        f0, f1 = dense_of(draw, field, k, n), dense_of(draw, field, m, k)
+    else:
+        # f_0 = [M; M] and f_1 = [N, -N], so f_1 o f_0 = NM - NM = 0
+        t = draw(st.integers(1, 3))
+        half0, half1 = dense_of(draw, field, t, n), dense_of(draw, field, m, t)
+        f0 = half0 + [list(row) for row in half0]
+        f1 = [row + [field.neg(x) for x in row] for row in half1]
+        if mode == "last":
+            # one more middle index, used only by a new last row and column
+            w, v = draw(field_values(field)), draw(field_values(field))
+            f0 = [row + [field.zero] for row in f0] + [[field.zero] * n + [v]]
+            f1 = [row + [field.zero] for row in f1] + [[field.zero] * (2 * t) + [w]]
+            n, m = n + 1, m + 1
+    maps, widths = [f0, f1], [n, len(f0)]
+    if draw(st.booleans()):
+        maps.append(dense_of(draw, field, draw(st.integers(1, 6)), m))
+        widths.append(m)
+    return mode, maps, widths
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_nonzero_composite_matches_dict_product(name, data):
+    field = COMPOSITE_FIELDS[name]
+    mode, maps, widths = data.draw(composable_chains(field))
+    entries = [entries_of(field, f, w) for f, w in zip(maps, widths)]
+    hit = first_nonzero_composite(iter(entries), field)
+    assert hit == first_nonzero_product(entries, field.characteristic)
+    if mode == "zero":
+        assert hit is None or hit[0] == 1
+    if mode == "last":
+        last = (0, len(maps[1]) - 1, widths[0] - 1,
+                field.mul(maps[1][-1][-1], maps[0][-1][-1]))
+        assert hit == last
+
+
+def test_first_nonzero_composite_of_fewer_than_two_maps():
+    one = ExactLinearMap.identity(QQ, 3).entries
+    for field in COMPOSITE_FIELDS.values():
+        assert first_nonzero_composite([], field) is None
+        assert first_nonzero_composite([one], field) is None
+
+
+def test_rational_witness_is_scaled_back():
+    # (1/2) * (2/3) + (1/6) * 1 = 1/2 at (0, 0), after the zero product at j = 0
+    f0 = ExactLinearMap.make(QQ, 2, 1, {(0, 0): Fraction(2, 3), (1, 0): Fraction(1)})
+    f1 = ExactLinearMap.make(QQ, 1, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 6)})
+    zero = ExactLinearMap.make(QQ, 1, 1, {})
+    maps = [zero.entries, ExactLinearMap.make(QQ, 2, 1, {}).entries, f1.entries]
+    assert first_nonzero_composite(maps, QQ) is None
+    maps = [zero.entries, f0.entries, f1.entries]
+    assert first_nonzero_composite(maps, QQ) == (1, 0, 0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p, weights", [(3, (1, 1, 1)),
+                                        (BIG_P, (1, BIG_P // 2, BIG_P // 2))])
+def test_integer_sums_that_vanish_mod_p_are_zero(p, weights):
+    # column 0 of f_1 o f_0 sums to 1 + 1 + 1 = 3 over GF(3) and to
+    # 1 + 2 (p // 2) = p near the limit: nonzero as integers, zero in the
+    # field; column 1 is 1
+    field = PrimeField(p)
+    f0 = ExactLinearMap.make(field, 3, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1})
+    f1 = ExactLinearMap.make(field, 1, 3, {(0, j): w for j, w in enumerate(weights)})
+    maps = [f0.entries, f1.entries]
+    assert first_nonzero_composite(maps, field) == (0, 0, 1, 1)
+    assert first_nonzero_product(maps, p) == (0, 0, 1, 1)
