@@ -15,7 +15,6 @@ from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        homology, homology_of)
 from .jones import LaurentPoly, jones_at_one, kauffman_jones
 from .tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge, SingleCycle,
-                   Split, StateSpaceBasis, compose, elementary_map,
-                   evaluate_closed_surface)
+                   Split, compose, elementary_map, evaluate_closed_surface)
 
 __version__ = "0.1.0"

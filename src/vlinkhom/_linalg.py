@@ -1,14 +1,14 @@
 """Exact sparse linear algebra over the supported fields.
 
-Both entry points take matrices as their nonzero ``((row, col), value)``
-entries, such as a differential's ``entries`` or one q-layer of them, and
-dispatch on the field.
+Both entry points take matrices row-major as ``{row: {col: nonzero}}``
+dicts, such as a differential's ``rows`` or one q-layer of them, never
+change them, and dispatch on the field.
 
-``matrix_rank(entries, field)`` is the one rank routine. Over Q and GF(p) a
-differential is eliminated sparsely with Markowitz pivoting
+``matrix_rank(rows, field)`` is the one rank routine. Over Q and GF(p) a
+copy of the rows is eliminated sparsely with Markowitz pivoting
 (``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column index tracks
 which live rows hold each column, and each pivot is chosen to keep fill-in
-small. Over GF(2) rows are bitmasks (Python ints) and are reduced by XOR
+small. Over GF(2) rows become bitmasks (Python ints) and are reduced by XOR
 (``rank_gf2_rows``).
 
 ``first_nonzero_composite(maps, field)`` finds the first nonzero entry of
@@ -19,7 +19,9 @@ difference over GF(2) and as plain Python ints otherwise.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from .fields import PrimeField
 
@@ -88,85 +90,58 @@ def rank_sparse(rows, field):
     return rank
 
 
-def matrix_rank(entries, field):
-    """Rank of the matrix with the nonzero ``((row, col), value)`` entries,
-    over ``field``: XOR bitsets over GF(2), sparse elimination otherwise."""
+def matrix_rank(rows, field):
+    """Rank of the matrix ``{row: {col: nonzero}}`` over ``field``: XOR
+    bitsets over GF(2), sparse elimination of a copy otherwise."""
     if _is_gf2(field):
-        bit_rows = {}
-        for (r, c), v in entries:
-            if v % 2:
-                bit_rows[r] = bit_rows.get(r, 0) | (1 << c)
-        return rank_gf2_rows(bit_rows.values())
-    rows = {}
-    for (r, c), v in entries:
-        rows.setdefault(r, {})[c] = v
-    return rank_sparse(rows, field)
-
-
-def _gf2_rows(entries):
-    """``{row: set of columns}`` of a GF(2) matrix."""
-    rows = {}
-    for (r, c), _ in entries:
-        cols = rows.get(r)
-        if cols is None:
-            rows[r] = {c}
-        else:
-            cols.add(c)
-    return rows
+        # or-ing big ints is much cheaper than adding them
+        return rank_gf2_rows(reduce(or_, map((1).__lshift__, cols), 0)
+                             for cols in rows.values())
+    return rank_sparse({r: cols.copy() for r, cols in rows.items()}, field)
 
 
 def _first_nonzero_gf2(maps):
     maps = iter(maps)
-    right = _gf2_rows(next(maps, ()))
-    empty = frozenset()
-    for j, entries in enumerate(maps):
-        acc, row = set(), None
-        for (r, mid), _ in entries:
-            if r != row:
-                if acc:
-                    break
-                row = r
-            acc ^= right.get(mid, empty)
-        if acc:
-            return j, row, min(acc), 1
-        del right  # free f_j's rows before grouping f_(j+1)'s
-        right = _gf2_rows(entries)
+    right = next(maps, {})
+    empty = {}
+    for j, left in enumerate(maps):
+        for r in sorted(left):
+            acc = set()
+            for mid in left[r]:
+                acc.symmetric_difference_update(right.get(mid, empty))
+            if acc:
+                return j, r, min(acc), 1
+        right = left
     return None
 
 
-def _int_rows(entries, field):
-    """``({row: [(col, int)]}, scale)``: the entries times ``scale`` as ints.
+def _int_rows(rows, field):
+    """``({row: {col: int}}, scale)``: the rows times ``scale`` as ints.
 
     Over Q the scale is the lcm of the denominators. GF(p) elements are
     lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints.
     """
     p = field.characteristic
-    scale = lcm(*{v.denominator for _, v in entries}) if p == 0 else 1
+    if p == 0:
+        scale = lcm(*{v.denominator for row in rows.values() for v in row.values()})
+        return {r: {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+                for r, row in rows.items()}, scale
     half = p // 2
-    rows = {}
-    for (r, c), v in entries:
-        if p == 0:
-            v = v.numerator * (scale // v.denominator)
-        elif v > half:
-            v -= p
-        row = rows.get(r)
-        if row is None:
-            rows[r] = [(c, v)]
-        else:
-            row.append((c, v))
-    return rows, scale
+    return {r: {c: v - p if v > half else v for c, v in row.items()}
+            for r, row in rows.items()}, 1
 
 
 def _first_nonzero_int(maps, field):
     p = field.characteristic
     maps = iter(maps)
-    right, right_scale = _int_rows(next(maps, ()), field)
-    for j, entries in enumerate(maps):
-        left, left_scale = _int_rows(entries, field)
-        for r, row in left.items():
+    right, right_scale = _int_rows(next(maps, {}), field)
+    empty = {}
+    for j, rows in enumerate(maps):
+        left, left_scale = _int_rows(rows, field)
+        for r in sorted(left):
             acc = {}
-            for mid, w in row:
-                for c, v in right.get(mid, ()):
+            for mid, w in left[r].items():
+                for c, v in right.get(mid, empty).items():
                     acc[c] = acc.get(c, 0) + w * v
             if not any(acc.values()):
                 continue
@@ -184,21 +159,19 @@ def first_nonzero_composite(maps, field):
     """The first nonzero entry of some f_{j+1} o f_j, or None if all vanish.
 
     ``maps`` yields, for maps f_0, f_1, ..., each composable after the one
-    before, a sequence of its nonzero ``((row, col), value)`` entries sorted
-    row-major, as ``ExactLinearMap.entries`` are. The products are checked
-    for j = 0, 1, ... in turn, one output row at a time and never stored,
-    and the search stops at the first nonzero one: the result is
-    ``(j, row, col, value)`` at the lowest j, then row, then column. Each map
-    is grouped into rows once, and serves as the left factor of one product
-    and the right factor of the next.
+    before, its rows ``{row: {col: nonzero}}``, as ``ExactLinearMap.rows``
+    are. The products are checked for j = 0, 1, ... in turn, one output row
+    at a time in row order and never stored, and the search stops at the
+    first nonzero one: the result is ``(j, row, col, value)`` at the lowest
+    j, then row, then column. Each map serves as the left factor of one
+    product and the right factor of the next.
 
-    Over GF(2) a row is a set of columns and rows add by symmetric
-    difference; the left factor is walked in its entries and grouped only
-    afterwards, so one map's sets are alive at a time. Otherwise rows hold
-    plain ints: GF(p) sums are reduced once per output entry, and over Q each
-    map is first scaled by the lcm L_j of its denominators, which is exact
-    because f_{j+1} o f_j vanishes exactly when (L_{j+1} f_{j+1}) o (L_j f_j)
-    does; the witness is divided back.
+    Over GF(2) a row is a set of columns, and adding a row of the right
+    factor is a symmetric difference with its dict of columns. Otherwise
+    rows hold plain ints: GF(p) sums are reduced once per output entry, and
+    over Q each map is first scaled by the lcm L_j of its denominators, which
+    is exact because f_{j+1} o f_j vanishes exactly when
+    (L_{j+1} f_{j+1}) o (L_j f_j) does; the witness is divided back.
     """
     if _is_gf2(field):
         return _first_nonzero_gf2(maps)

@@ -5,15 +5,17 @@ degree i is the direct sum over states s with r(s) = i + n_minus of
 V^(x)k(s), with states in lexicographic order, circles in canonical order
 and decorations ordered with the unit before x.  Each cube edge contributes
 (-1)^<s,t> times its elementary cobordism block, scattered over the
-unaffected circles by bit arithmetic on the basis indices.  A build makes
-each distinct block once; an anchor flip enters as a toggled twist bit of
-the merge/split it feeds, or as a factor phi for a circle the saddle does
-not touch.  A complex above MAX_CHAIN_DIM generators is refused before it is
-built.
+unaffected circles by bit arithmetic on the basis indices straight into the
+differential's rows ``{row: {col: value}}``; nothing is sorted or filtered,
+as the blocks are zero-free and distinct edges fill disjoint blocks.  A
+build makes each distinct block, and its negative, once; an anchor flip
+enters as a toggled twist bit of the merge/split it feeds, or as a factor
+phi for a circle the saddle does not touch.  A complex above MAX_CHAIN_DIM
+generators is refused before it is built.
 
 d o d = 0 is asserted eagerly at build time because it is the one global
 check on the twist convention.  ``_linalg.first_nonzero_composite`` checks
-each d^(i+1) d^i one output row at a time over the differentials' entries,
+each d^(i+1) d^i one output row at a time over the differentials' rows,
 without building the product: over GF(2) a row is a set of columns added by
 symmetric difference, over GF(p) and Q it is a dict of exact Python ints
 (each differential over Q scaled by the lcm of its denominators first).
@@ -22,8 +24,9 @@ DSquaredNonzero witness.
 
 Homology is one rank-and-Betti routine over (degree, q) layers.  Ungraded
 homology is the one-layer case; graded homology (homogeneous theories only)
-splits the same complex into q-degree layers, which each differential
-preserves, so its Betti numbers sum over q to the ungraded ones.
+hands each row of a differential, by reference, to the q-layer of its row,
+which the differential preserves, so its Betti numbers sum over q to the
+ungraded ones.  Rank never changes the complex's rows.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from ._linalg import first_nonzero_composite, matrix_rank
 from .diagram import all_smoothings, coerce_state, cube_edges
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
-from .tqft import ExactLinearMap, Merge, SingleCycle, Split, StateSpaceBasis
+from .tqft import ExactLinearMap, Merge, SingleCycle, Split
 
 
 @dataclass(frozen=True)
 class ChainGroup:
     degree: int
     states: tuple            # lexicographically sorted state strings
-    bases: dict              # state -> StateSpaceBasis
+    circles: dict            # state -> its circle keys, in canonical order
     offsets: dict            # state -> first index of its block
     dim: int
 
@@ -56,9 +59,8 @@ class ChainGroup:
     def label(self, index):
         """(state, decoration) of the basis vector at ``index``."""
         state = self.states[bisect_right(self._starts, index) - 1]
-        basis = self.bases[state]
-        dec = basis.decoration(index - self.offsets[state])
-        return state, "".join("x" if b else "1" for b in dec)
+        k, local = len(self.circles[state]), index - self.offsets[state]
+        return state, "".join("x" if (local >> (k - 1 - i)) & 1 else "1" for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,9 @@ def _edge_cobordism(sd, flips):
 
 
 # The largest total chain dimension (generators over all degrees) a build
-# accepts.  A build costs about 2 KB of memory per generator: T(2,12), with
-# 531,444 generators, peaks near 1.1 GB, so the cap allows about twice that.
+# accepts.  A build and its graded homology cost about 1 KB of memory per
+# generator, ungraded GF(2) homology about 1.8 KB: T(2,12), with 531,444
+# generators, peaks near 550 MB and 980 MB, so the cap allows about twice that.
 MAX_CHAIN_DIM = 1 << 20
 
 
@@ -157,25 +160,26 @@ def build_complex(d, th, anchor_flips=(), check=True):
     groups = {}
     for i in range(-n_minus, n - n_minus + 1):
         states = tuple(sorted(s for s, sm in smoothings.items() if sm.r == i + n_minus))
-        bases, offsets, dim = {}, {}, 0
+        circles = {s: smoothings[s].circle_keys() for s in states}
+        offsets, dim = {}, 0
         for s in states:
-            bases[s] = StateSpaceBasis(smoothings[s].circle_keys())
             offsets[s] = dim
-            dim += bases[s].dim
-        groups[i] = ChainGroup(i, states, bases, offsets, dim)
+            dim += 1 << len(circles[s])
+        groups[i] = ChainGroup(i, states, circles, offsets, dim)
 
     phi = tqft.phi_matrix(th)
-    blocks = {}  # (cobordism, phi'd spectators) -> block
+    blocks = {}  # (cobordism, phi'd spectators, negated) -> block
 
-    def block_of(cob, n_phi):
-        key = (cob, n_phi)
+    def block_of(cob, n_phi, negate):
+        key = (cob, n_phi, negate)
         if key not in blocks:
-            blocks[key] = (tqft.elementary_map(th, cob) if n_phi == 0
-                           else block_of(cob, n_phi - 1).kron(phi))
+            blocks[key] = (block_of(cob, n_phi, 0).negated() if negate
+                           else block_of(cob, n_phi - 1, 0).kron(phi) if n_phi
+                           else tqft.elementary_map(th, cob))
         return blocks[key]
 
     edges = cube_edges(d, smoothings)
-    entries_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
+    rows_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
     for sd in edges:
         ss = smoothings[sd.from_state]
         src_keys, tgt_keys = ss.circle_keys(), smoothings[sd.to_state].circle_keys()
@@ -185,23 +189,18 @@ def build_complex(d, th, anchor_flips=(), check=True):
         # a spectator flipped on one side only is conjugated by phi once
         phi_keys = tuple(k for k in spectators
                          if ((sd.from_state, k) in flips) != ((sd.to_state, k) in flips))
-        block = block_of(_edge_cobordism(sd, flips), len(phi_keys))
+        block = block_of(_edge_cobordism(sd, flips), len(phi_keys), sd.sign_exponent % 2)
         in_pos = [src_keys.index(k) for k in sd.bottom + phi_keys]
         out_pos = [tgt_keys.index(k) for k in sd.top + phi_keys]
         i = ss.r - n_minus
-        row0 = groups[i + 1].offsets[sd.to_state]
-        col0 = groups[i].offsets[sd.from_state]
-        negate = sd.sign_exponent % 2
-        # distinct edges join distinct state pairs, so their blocks are disjoint
-        acc = entries_by_degree[i]
-        for (r, c), v in tqft.extended_entries(block, in_pos, len(src_keys),
-                                               out_pos, len(tgt_keys)):
-            acc[(row0 + r, col0 + c)] = F.neg(v) if negate else v
+        # distinct edges join distinct state pairs, so their blocks are
+        # disjoint, and a block has no zero entry to filter out
+        tqft.scatter_extended(rows_by_degree[i], block, in_pos, len(src_keys),
+                              out_pos, len(tgt_keys), groups[i + 1].offsets[sd.to_state],
+                              groups[i].offsets[sd.from_state])
 
-    differentials = {
-        i: ExactLinearMap.make(F, groups[i + 1].dim, groups[i].dim, acc)
-        for i, acc in entries_by_degree.items()
-    }
+    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
+                     for i, rows in rows_by_degree.items()}
 
     complex_ = ChainComplex(d, th, -n_minus, n - n_minus, groups,
                             differentials, smoothings, tuple(edges))
@@ -215,7 +214,7 @@ def _assert_d_squared_zero(c):
     the lowest degree, then target index, then source index."""
     F = c.theory.field
     hit = first_nonzero_composite(
-        (c.differentials[i].entries for i in range(c.min_degree, c.max_degree)), F)
+        (c.differentials[i].rows for i in range(c.min_degree, c.max_degree)), F)
     if hit is not None:
         j, r, col, v = hit
         i = c.min_degree + j
@@ -223,14 +222,14 @@ def _assert_d_squared_zero(c):
                               F.to_str(v))
 
 
-def _homology(field, dims, entries):
+def _homology(field, dims, rows):
     """Betti numbers, Euler characteristic and per-layer table from the
-    dimension of each (degree, q) layer and, per degree i, the entries of
-    d^i grouped by the q-layer of their row.  d^i maps each layer into the
-    same q-layer of degree i + 1, so its rank at q is the rank of that
-    group of entries, taken with their original indices."""
-    ranks = {(i, q): matrix_rank(ent, field)
-             for i, by_q in entries.items() for q, ent in by_q.items()}
+    dimension of each (degree, q) layer and, per degree i, the rows of d^i
+    grouped by their q-layer.  d^i maps each layer into the same q-layer of
+    degree i + 1, so its rank at q is the rank of that group of rows, taken
+    with their original indices."""
+    ranks = {(i, q): matrix_rank(layer, field)
+             for i, by_q in rows.items() for q, layer in by_q.items()}
     table, betti = {}, {}
     for (i, q), dim in sorted(dims.items()):
         b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
@@ -247,7 +246,7 @@ def homology(c):
     one-layer case, each degree a single layer q = 0."""
     betti, euler, _ = _homology(
         c.theory.field, {(i, 0): c.groups[i].dim for i in c.degrees},
-        {i: {0: c.differentials[i].entries} for i in range(c.min_degree, c.max_degree)})
+        {i: {0: c.differentials[i].rows} for i in range(c.min_degree, c.max_degree)})
     return HomologyResult(betti, euler)
 
 
@@ -264,7 +263,7 @@ def _qdegrees(c):
         grp = c.groups[i]
         shift = i + d.n_plus - d.n_minus  # r(s) = i + n_minus
         out[i] = [k + shift - 2 * local.bit_count()
-                  for k in (grp.bases[s].k for s in grp.states)
+                  for k in (len(grp.circles[s]) for s in grp.states)
                   for local in range(1 << k)]
     return out
 
@@ -282,20 +281,22 @@ def graded_homology(c):
             and F.is_zero(th.lam) and F.is_zero(th.mu)):
         raise NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
     qdeg = _qdegrees(c)
-    entries = {}
+    layers = {}
     for i in range(c.min_degree, c.max_degree):
-        src, tgt = qdeg[i], qdeg[i + 1]
-        by_q = entries[i] = {}
-        for e in c.differentials[i].entries:
-            (r, col), _ = e
+        src, tgt, rows = qdeg[i], qdeg[i + 1], c.differentials[i].rows
+        by_q = layers[i] = {}
+        for r, cols in rows.items():
             q = tgt[r]
-            if q != src[col]:
-                raise NotGraded(
-                    f"differential entry {c.groups[i].label(col)} -> "
-                    f"{c.groups[i + 1].label(r)} changes q-degree")
-            by_q.setdefault(q, []).append(e)
+            for col in cols:
+                if src[col] != q:  # report the first such entry, row-major
+                    r, col = min((r, col) for r, cols in rows.items()
+                                 for col in cols if src[col] != tgt[r])
+                    raise NotGraded(
+                        f"differential entry {c.groups[i].label(col)} -> "
+                        f"{c.groups[i + 1].label(r)} changes q-degree")
+            by_q.setdefault(q, {})[r] = cols
     dims = Counter((i, q) for i in c.degrees for q in qdeg[i])
-    return HomologyResult(*_homology(F, dims, entries))
+    return HomologyResult(*_homology(F, dims, layers))
 
 
 def graded_euler_poly(result):

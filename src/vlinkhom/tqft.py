@@ -8,15 +8,19 @@ involution inserted wherever a boundary identification disagrees with the
 reference orientation of its circle (the twist bits).  The nonorientable
 one-circle-to-one-circle piece acts by multiplication with the crosscap
 element theta; by the axiom phi(theta*v) = theta*v this needs no twist data.
-``extended_entries`` pads a block with identities on the other tensor
-factors by bit arithmetic on basis indices; the cube assembly in
-``homology`` scatters its edges through it.
+Every matrix is an ``ExactLinearMap``: nonzero scalars stored row-major as
+``{row: {col: value}}``, the layout that the cube assembly, the d o d check
+and elimination all read.  ``scatter_extended`` pads a block with identities
+on the other tensor factors by bit arithmetic on basis indices and writes it
+straight into the rows of a differential; the cube assembly in ``homology``
+scatters every edge through it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import algebra
 from .errors import DimensionMismatch, InputError
@@ -27,25 +31,33 @@ from .errors import DimensionMismatch, InputError
 
 @dataclass(frozen=True)
 class ExactLinearMap:
-    """A linear map stored as a sparse {(row, col): scalar} table."""
+    """A linear map stored row-major as a sparse {row: {col: scalar}} table."""
 
     field: object
     nrows: int
     ncols: int
-    entries: tuple  # sorted tuple of ((row, col), scalar), zeros omitted
+    rows: dict  # row -> {col: scalar}, zeros and empty rows omitted
 
     @staticmethod
     def make(field, nrows, ncols, entry_map):
-        entries = tuple(sorted((rc, v) for rc, v in entry_map.items()
-                               if not field.is_zero(v)))
-        return ExactLinearMap(field, nrows, ncols, entries)
+        rows = {}
+        for (r, c), v in entry_map.items():
+            if not field.is_zero(v):
+                rows.setdefault(r, {})[c] = v
+        return ExactLinearMap(field, nrows, ncols, rows)
 
     @staticmethod
     def identity(field, n):
         return ExactLinearMap.make(field, n, n, {(i, i): field.one for i in range(n)})
 
+    @cached_property
+    def entries(self):
+        """The nonzero ((row, col), scalar) entries, sorted row-major."""
+        return tuple(((r, c), row[c]) for r, row in sorted(self.rows.items())
+                     for c in sorted(row))
+
     def entry_map(self):
-        return dict(self.entries)
+        return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
 
     def compose(self, other):
         """self o other (apply ``other`` first)."""
@@ -53,28 +65,31 @@ class ExactLinearMap:
             raise DimensionMismatch(
                 f"compose: {self.nrows}x{self.ncols} after {other.nrows}x{other.ncols}")
         F = self.field
-        rows_of = {}
-        for (r, c), v in self.entries:
-            rows_of.setdefault(c, []).append((r, v))
         out = {}
-        for (mid, c), v in other.entries:
-            for r, w in rows_of.get(mid, ()):
-                key = (r, c)
-                out[key] = F.add(out.get(key, F.zero), F.mul(w, v))
+        for r, row in self.rows.items():
+            for mid, w in row.items():
+                for c, v in other.rows.get(mid, {}).items():
+                    out[(r, c)] = F.add(out.get((r, c), F.zero), F.mul(w, v))
         return ExactLinearMap.make(F, self.nrows, other.ncols, out)
 
     def kron(self, other):
         """Tensor product of maps (self on the first factor)."""
         F = self.field
         out = {}
-        for (r1, c1), v1 in self.entries:
-            for (r2, c2), v2 in other.entries:
+        for (r1, c1), v1 in self.entry_map().items():
+            for (r2, c2), v2 in other.entry_map().items():
                 out[(r1 * other.nrows + r2, c1 * other.ncols + c2)] = F.mul(v1, v2)
         return ExactLinearMap.make(F, self.nrows * other.nrows,
                                    self.ncols * other.ncols, out)
 
+    def negated(self):
+        """The map -self, zero-free like self."""
+        F = self.field
+        return ExactLinearMap(F, self.nrows, self.ncols, {
+            r: {c: F.neg(v) for c, v in row.items()} for r, row in self.rows.items()})
+
     def is_zero(self):
-        return not self.entries
+        return not self.rows
 
 
 def compose(*maps):
@@ -86,30 +101,7 @@ def compose(*maps):
 
 
 # ---------------------------------------------------------------------------
-# state spaces
-
-@dataclass(frozen=True)
-class StateSpaceBasis:
-    """V^(x)k indexed by decorations of an ordered tuple of circles.
-
-    A basis vector assigns 0 (the unit) or 1 (the element x) to every
-    circle; indices are big-endian in the circle order.
-    """
-
-    circles: tuple
-
-    @property
-    def k(self):
-        return len(self.circles)
-
-    @property
-    def dim(self):
-        return 1 << len(self.circles)
-
-    def decoration(self, index):
-        k = len(self.circles)
-        return tuple((index >> (k - 1 - i)) & 1 for i in range(k))
-
+# padding a block with identities
 
 def _factor_masks(positions, k):
     """Index bits of a k-factor basis vector for each index of a block
@@ -121,11 +113,12 @@ def _factor_masks(positions, k):
     return masks
 
 
-def extended_entries(block, in_pos, k_in, out_pos, k_out):
-    """Yield the ((row, col), value) entries of ``block`` padded with
-    identities: it maps the factors ``in_pos`` of V^(x)k_in to the factors
-    ``out_pos`` of V^(x)k_out, and the remaining factors are matched up in
-    order."""
+def scatter_extended(rows_out, block, in_pos, k_in, out_pos, k_out, row0, col0):
+    """Write the entries of ``block`` padded with identities, shifted by
+    ``row0`` and ``col0``, into the rows ``{row: {col: value}}`` of
+    ``rows_out``: the block maps the factors ``in_pos`` of V^(x)k_in to the
+    factors ``out_pos`` of V^(x)k_out, and the remaining factors are matched
+    up in order."""
     if block.ncols != 1 << len(in_pos) or block.nrows != 1 << len(out_pos):
         raise DimensionMismatch("block shape does not match its factor positions")
     spectators_in = [p for p in range(k_in) if p not in in_pos]
@@ -133,11 +126,19 @@ def extended_entries(block, in_pos, k_in, out_pos, k_out):
     if len(spectators_in) != len(spectators_out):
         raise DimensionMismatch("spectator factor counts differ")
     rows, cols = _factor_masks(out_pos, k_out), _factor_masks(in_pos, k_in)
-    placed = [(rows[r], cols[c], v) for (r, c), v in block.entries]
+    # block and spectator bits are disjoint, so or-ing them is adding them
+    placed = [(row0 + rows[r], [(cols[c], v) for c, v in row.items()])
+              for r, row in block.rows.items()]
     for sr, sc in zip(_factor_masks(spectators_out, k_out),
                       _factor_masks(spectators_in, k_in)):
-        for r, c, v in placed:
-            yield (r | sr, c | sc), v
+        c0 = col0 + sc
+        for r, row in placed:
+            target = rows_out.get(r + sr)
+            if target is None:
+                rows_out[r + sr] = {c0 + c: v for c, v in row}
+            else:
+                for c, v in row:
+                    target[c0 + c] = v
 
 
 # ---------------------------------------------------------------------------

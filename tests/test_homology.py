@@ -205,6 +205,35 @@ def test_graded_rejects_inhomogeneous_theories():
         graded_homology(build_complex(d, q_theory(1, 0, 1)))
 
 
+# one generator's q-degree shifted by 2: a row of d^0 on the trefoil, a column
+# of d^-2 on the figure eight; the witness is the first entry, in row-major
+# order, that joins generators of different q-degrees
+PINNED_NOT_GRADED = [
+    ("trefoil", 1, 5,
+     "theory is not quantum-graded: differential entry ('000', '1x') -> "
+     "('100', 'x') changes q-degree"),
+    ("figure_eight", -2, 1,
+     "theory is not quantum-graded: differential entry ('0000', '11x') -> "
+     "('0001', '1x') changes q-degree"),
+]
+
+
+@pytest.mark.parametrize("name, degree, index, message", PINNED_NOT_GRADED)
+def test_not_graded_entry_witness_is_pinned(monkeypatch, name, degree, index, message):
+    qdegrees = H._qdegrees
+
+    def shifted(c):
+        out = qdegrees(c)
+        out[degree][index] += 2
+        return out
+
+    c = build_complex(corpus.load(name), preset("manturov"))
+    monkeypatch.setattr(H, "_qdegrees", shifted)
+    with pytest.raises(NotGraded) as info:
+        graded_homology(c)
+    assert str(info.value) == message
+
+
 # -- convention independence --------------------------------------------------------
 
 def test_anchor_flip_identity_on_unknot():
@@ -254,7 +283,7 @@ def _flip_conjugator(c, i, flips):
     entries = {}
     for s in grp.states:
         block = one
-        for key in grp.bases[s].circles:
+        for key in grp.circles[s]:
             block = block.kron(phi_matrix(th) if (s, key) in flips else ident)
         off = grp.offsets[s]
         for (r, col), v in block.entries:
@@ -372,6 +401,24 @@ def test_euler_from_smoothings_identity():
                           for i, dim in zip(c.degrees, c.dims()))
         assert chain_euler == jones_at_one(d)
         assert homology(c).euler == chain_euler
+
+
+@pytest.mark.parametrize("theory", ["q 1,0,1", "fp:1000003 1,0,1", "f2_row7", "manturov"])
+def test_homology_leaves_the_complex_unchanged(theory):
+    # elimination consumes its rows: homology must work on copies, so a
+    # second call sees the same differentials and gives the same result;
+    # the entries are read only afterwards and compared with a fresh build
+    th = MUTATION_THEORIES[theory]
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        c, fresh = build_complex(d, th), build_complex(d, th)
+        runs = [homology, graded_homology] if theory == "manturov" else [homology]
+        for run in runs:
+            assert run(c) == run(c), (name, run.__name__)
+        for i in range(c.min_degree, c.max_degree):
+            m, ref = c.differentials[i], fresh.differentials[i]
+            assert (m.nrows, m.ncols, m.entries) == (ref.nrows, ref.ncols, ref.entries), \
+                (name, i)
 
 
 # -- the d^2 guard on mutated cubes ---------------------------------------------

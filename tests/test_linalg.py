@@ -23,10 +23,10 @@ def as_map(field, dense, ncols):
 
 
 def ranks_agree(dense, ncols):
-    assert matrix_rank(as_map(QQ, dense, ncols).entries, QQ) == rank_qq_dense(dense)
+    assert matrix_rank(as_map(QQ, dense, ncols).rows, QQ) == rank_qq_dense(dense)
     for p in PRIMES:
         F = PrimeField(p)
-        assert matrix_rank(as_map(F, dense, ncols).entries, F) == rank_fp_dense(dense, p)
+        assert matrix_rank(as_map(F, dense, ncols).rows, F) == rank_fp_dense(dense, p)
 
 
 @st.composite
@@ -66,8 +66,8 @@ def test_sparse_rank_seeded_larger_matrices():
 @pytest.mark.parametrize("ncols", [0, 1, 5])
 def test_zero_row_shapes_have_rank_zero(ncols):
     for field in (QQ, PrimeField(7)):
-        assert matrix_rank(ExactLinearMap.make(field, 0, ncols, {}).entries, field) == 0
-        assert matrix_rank(ExactLinearMap.make(field, 3, ncols, {}).entries, field) == 0
+        assert matrix_rank(ExactLinearMap.make(field, 0, ncols, {}).rows, field) == 0
+        assert matrix_rank(ExactLinearMap.make(field, 3, ncols, {}).rows, field) == 0
         assert rank_sparse({0: {}, 1: {}}, field) == 0
 
 
@@ -81,13 +81,13 @@ def test_empty_rows_and_columns_are_skipped():
 def test_rank_drops_mod_p(p):
     dense = [[1, 1], [1, 1 + p]]
     F = PrimeField(p)
-    assert matrix_rank(as_map(QQ, dense, 2).entries, QQ) == rank_qq_dense(dense) == 2
-    assert matrix_rank(as_map(F, dense, 2).entries, F) == rank_fp_dense(dense, p) == 1
+    assert matrix_rank(as_map(QQ, dense, 2).rows, QQ) == rank_qq_dense(dense) == 2
+    assert matrix_rank(as_map(F, dense, 2).rows, F) == rank_fp_dense(dense, p) == 1
 
 
 def test_rational_entries():
     dense = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert matrix_rank(as_map(QQ, dense, 2).entries, QQ) == rank_qq_dense(dense) == 1
+    assert matrix_rank(as_map(QQ, dense, 2).rows, QQ) == rank_qq_dense(dense) == 1
 
 
 # -- first nonzero entry of a composite ------------------------------------------
@@ -116,10 +116,10 @@ def dense_of(draw, field, nrows, ncols):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
-def entries_of(field, dense, ncols):
+def map_of(field, dense, ncols):
     return ExactLinearMap.make(field, len(dense), ncols,
                                {(r, c): v for r, row in enumerate(dense)
-                                for c, v in enumerate(row)}).entries
+                                for c, v in enumerate(row)})
 
 
 @st.composite
@@ -157,9 +157,9 @@ def composable_chains(draw, field):
 def test_first_nonzero_composite_matches_dict_product(name, data):
     field = COMPOSITE_FIELDS[name]
     mode, maps, widths = data.draw(composable_chains(field))
-    entries = [entries_of(field, f, w) for f, w in zip(maps, widths)]
-    hit = first_nonzero_composite(iter(entries), field)
-    assert hit == first_nonzero_product(entries, field.characteristic)
+    ms = [map_of(field, f, w) for f, w in zip(maps, widths)]
+    hit = first_nonzero_composite((m.rows for m in ms), field)
+    assert hit == first_nonzero_product([m.entries for m in ms], field.characteristic)
     if mode == "zero":
         assert hit is None or hit[0] == 1
     if mode == "last":
@@ -169,7 +169,7 @@ def test_first_nonzero_composite_matches_dict_product(name, data):
 
 
 def test_first_nonzero_composite_of_fewer_than_two_maps():
-    one = ExactLinearMap.identity(QQ, 3).entries
+    one = ExactLinearMap.identity(QQ, 3).rows
     for field in COMPOSITE_FIELDS.values():
         assert first_nonzero_composite([], field) is None
         assert first_nonzero_composite([one], field) is None
@@ -180,9 +180,9 @@ def test_rational_witness_is_scaled_back():
     f0 = ExactLinearMap.make(QQ, 2, 1, {(0, 0): Fraction(2, 3), (1, 0): Fraction(1)})
     f1 = ExactLinearMap.make(QQ, 1, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 6)})
     zero = ExactLinearMap.make(QQ, 1, 1, {})
-    maps = [zero.entries, ExactLinearMap.make(QQ, 2, 1, {}).entries, f1.entries]
+    maps = [zero.rows, ExactLinearMap.make(QQ, 2, 1, {}).rows, f1.rows]
     assert first_nonzero_composite(maps, QQ) is None
-    maps = [zero.entries, f0.entries, f1.entries]
+    maps = [zero.rows, f0.rows, f1.rows]
     assert first_nonzero_composite(maps, QQ) == (1, 0, 0, Fraction(1, 2))
 
 
@@ -195,6 +195,5 @@ def test_integer_sums_that_vanish_mod_p_are_zero(p, weights):
     field = PrimeField(p)
     f0 = ExactLinearMap.make(field, 3, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1})
     f1 = ExactLinearMap.make(field, 1, 3, {(0, j): w for j, w in enumerate(weights)})
-    maps = [f0.entries, f1.entries]
-    assert first_nonzero_composite(maps, field) == (0, 0, 1, 1)
-    assert first_nonzero_product(maps, p) == (0, 0, 1, 1)
+    assert first_nonzero_composite([f0.rows, f1.rows], field) == (0, 0, 1, 1)
+    assert first_nonzero_product([f0.entries, f1.entries], p) == (0, 0, 1, 1)

@@ -10,9 +10,8 @@ from vlinkhom.fields import GF2, QQ
 from vlinkhom.tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge,
                            SingleCycle, Split, compose,
                            coproduct_matrix, counit_matrix, elementary_map,
-                           evaluate_closed_surface, extended_entries,
-                           phi_matrix, product_matrix, theta_matrix,
-                           unit_matrix)
+                           evaluate_closed_surface, phi_matrix, product_matrix,
+                           scatter_extended, theta_matrix, unit_matrix)
 
 Q = QQ.from_int
 
@@ -99,15 +98,16 @@ def test_extended_entries_phi_on_each_of_two():
     th = preset("f2_row2")
     phi, ident = phi_matrix(th), ExactLinearMap.identity(GF2, 2)
     for pos, expected in ((0, phi.kron(ident)), (1, ident.kron(phi))):
-        ext = dict(extended_entries(phi, (pos,), 2, (pos,), 2))
-        assert ExactLinearMap.make(GF2, 4, 4, ext) == expected
+        ext = {}
+        scatter_extended(ext, phi, (pos,), 2, (pos,), 2, 0, 0)
+        assert ExactLinearMap(GF2, 4, 4, ext) == expected
 
 
 def test_extended_entries_shape_mismatch():
     th = preset("manturov")
     with pytest.raises(DimensionMismatch):
         # a 2 -> 1 block placed as if it acted on one factor
-        list(extended_entries(product_matrix(th), (0,), 2, (0,), 2))
+        scatter_extended({}, product_matrix(th), (0,), 2, (0,), 2, 0, 0)
 
 
 def test_compose_dimension_mismatch():
