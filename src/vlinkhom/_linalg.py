@@ -4,12 +4,24 @@ Both entry points take matrices row-major as ``{row: {col: nonzero}}``
 dicts, such as a differential's ``rows`` or one q-layer of them, never
 change them, and dispatch on the field.
 
-``matrix_rank(rows, field)`` is the one rank routine. Over Q and GF(p) a
-copy of the rows is eliminated sparsely with Markowitz pivoting
-(``rank_sparse``): rows stay ``{col: nonzero}`` dicts, a column index tracks
-which live rows hold each column, and each pivot is chosen to keep fill-in
-small. Over GF(2) rows become bitmasks (Python ints) and are reduced by XOR
-(``rank_gf2_rows``).
+``pivot_rows(rows, field, skip)`` is the one elimination routine. It
+returns the pivot rows of the matrix with the columns ``skip`` removed: the
+keys of a maximal independent set of its rows, so their number is its rank.
+Over Q and GF(p) a copy of the rows, without those columns, is eliminated
+sparsely with Markowitz pivoting (``pivot_rows_sparse``): rows stay
+``{col: nonzero}`` dicts, a column index tracks which live rows hold each
+column, and each pivot is chosen to keep fill-in small. Over GF(2) each row
+becomes a bitmask (a Python int) of its columns not skipped, and rows are
+reduced by XOR (``pivot_rows_gf2``).
+
+The columns to skip come from the Gaussian-elimination lemma of Bar-Natan,
+*Fast Khovanov homology computations* (J. Knot Theory Ramifications, 2007,
+arXiv:math/0606318, section 3). Let R be the pivot rows of d^i, which are
+generators of C^(i+1). Then d^(i+1) with the columns R removed has the rank
+of d^(i+1), with no correction term. For each r in R the image of d^i holds
+a vector e_r + (terms off R), since the rows R of d^i have full rank. So
+d^(i+1) e_r lies in the span of d^(i+1) on the columns off R, as
+d^(i+1) d^i = 0.
 
 ``first_nonzero_composite(maps, field)`` finds the first nonzero entry of
 f_{j+1} o f_j along a sequence of maps without storing any product: it
@@ -20,6 +32,7 @@ difference over GF(2) and as plain Python ints otherwise.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import filterfalse
 from math import lcm
 from operator import or_
 
@@ -30,29 +43,34 @@ def _is_gf2(field):
     return isinstance(field, PrimeField) and field.p == 2
 
 
-def rank_gf2_rows(rows):
-    """Rank of a GF(2) matrix given as an iterable of bitmask rows."""
-    pivots = {}
-    rank = 0
-    for row in rows:
+def pivot_rows_gf2(rows):
+    """The pivot rows of a GF(2) matrix given as ``(key, bitmask)`` pairs:
+    the keys of the rows that did not reduce to zero against the earlier
+    pivots, in the order they became pivots."""
+    pivots, keys = {}, []
+    for key, row in rows:
         while row:
             p = row.bit_length() - 1
             other = pivots.get(p)
             if other is None:
                 pivots[p] = row
-                rank += 1
+                keys.append(key)
                 break
             row ^= other
-    return rank
+    return keys
 
 
-def rank_sparse(rows, field):
-    """Rank of a sparse matrix ``{row: {col: nonzero}}``; ``rows`` is consumed.
+def pivot_rows_sparse(rows, field):
+    """The pivot rows of a sparse matrix ``{row: {col: nonzero}}``, in the
+    order they were pivoted on; ``rows`` is consumed.
 
     Each step pivots on the shortest live row, at its column held by the
     fewest live rows, clears that column from every other row holding it
     and retires the pivot row. Entries that cancel are dropped at once, so
-    rows and the column index hold nonzeros only.
+    rows and the column index hold nonzeros only. A row is only ever
+    changed by adding multiples of pivot rows, so every row that empties out
+    lies in the span of the pivot rows: they are a maximal independent set
+    of the original rows, and their number is the rank.
     """
     live = {r: cols for r, cols in rows.items() if cols}
     holders = {}
@@ -60,10 +78,11 @@ def rank_sparse(rows, field):
         for c in cols:
             holders.setdefault(c, set()).add(r)
     add, mul, is_zero = field.add, field.mul, field.is_zero
-    rank = 0
+    pivots = []
     while live:
         r = min(live, key=lambda k: len(live[k]))
         prow = live.pop(r)
+        pivots.append(r)
         for c in prow:
             holders[c].discard(r)
         pc = min(prow, key=lambda c: len(holders[c]))
@@ -86,18 +105,22 @@ def rank_sparse(rows, field):
                         row[c] = x
             if not row:
                 del live[s]
-        rank += 1
-    return rank
+    return pivots
 
 
-def matrix_rank(rows, field):
-    """Rank of the matrix ``{row: {col: nonzero}}`` over ``field``: XOR
-    bitsets over GF(2), sparse elimination of a copy otherwise."""
+def pivot_rows(rows, field, skip=()):
+    """The pivot rows of ``{row: {col: nonzero}}`` over ``field`` with the
+    columns ``skip`` removed: a maximal independent set of its rows, whose
+    number is its rank. XOR bitsets over GF(2), sparse elimination of a
+    copy otherwise."""
+    skip = set(skip)
     if _is_gf2(field):
         # or-ing big ints is much cheaper than adding them
-        return rank_gf2_rows(reduce(or_, map((1).__lshift__, cols), 0)
-                             for cols in rows.values())
-    return rank_sparse({r: cols.copy() for r, cols in rows.items()}, field)
+        return pivot_rows_gf2(
+            (r, reduce(or_, map((1).__lshift__, filterfalse(skip.__contains__, cols)), 0))
+            for r, cols in rows.items())
+    return pivot_rows_sparse({r: {c: v for c, v in cols.items() if c not in skip}
+                              for r, cols in rows.items()}, field)
 
 
 def _first_nonzero_gf2(maps):

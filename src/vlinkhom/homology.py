@@ -27,6 +27,17 @@ homology is the one-layer case; graded homology (homogeneous theories only)
 hands each row of a differential, by reference, to the q-layer of its row,
 which the differential preserves, so its Betti numbers sum over q to the
 ungraded ones.  Rank never changes the complex's rows.
+
+The degrees are cancelled in turn, upward, by the Gaussian-elimination
+lemma of Bar-Natan, *Fast Khovanov homology computations* (J. Knot Theory
+Ramifications, 2007, arXiv:math/0606318, section 3).  The pivot rows R that
+eliminating d^i finds are a maximal independent set of its rows, i.e.
+generators of C^(i+1).  Each e_r, r in R, equals a vector of im d^i up to
+terms off R, so d^(i+1) e_r lies in the span of d^(i+1) on the other
+columns: d^(i+1) with the columns R removed has the same rank, with no
+correction term.  So d^(i+1) is eliminated without them, per q-layer on the
+graded path, where the pivot rows of layer q of d^i are columns of layer q
+of d^(i+1).
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import tqft
-from ._linalg import first_nonzero_composite, matrix_rank
+from ._linalg import first_nonzero_composite, pivot_rows
 from .diagram import all_smoothings, coerce_state, cube_edges
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
@@ -222,14 +233,25 @@ def _assert_d_squared_zero(c):
                               F.to_str(v))
 
 
+def _layer_pivots(field, rows):
+    """The pivot rows of each layer (i, q) of d^i, from ``rows`` as
+    ``_homology`` takes them.  Degrees are walked upward, and each layer is
+    eliminated without the columns that are the pivot rows of the same
+    q-layer one degree down, which keeps its rank (module docstring)."""
+    pivots = {}
+    for i in sorted(rows):
+        for q, layer in rows[i].items():
+            pivots[(i, q)] = pivot_rows(layer, field, pivots.get((i - 1, q), ()))
+    return pivots
+
+
 def _homology(field, dims, rows):
     """Betti numbers, Euler characteristic and per-layer table from the
     dimension of each (degree, q) layer and, per degree i, the rows of d^i
     grouped by their q-layer.  d^i maps each layer into the same q-layer of
     degree i + 1, so its rank at q is the rank of that group of rows, taken
     with their original indices."""
-    ranks = {(i, q): matrix_rank(layer, field)
-             for i, by_q in rows.items() for q, layer in by_q.items()}
+    ranks = {layer: len(pivots) for layer, pivots in _layer_pivots(field, rows).items()}
     table, betti = {}, {}
     for (i, q), dim in sorted(dims.items()):
         b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)

@@ -236,12 +236,20 @@ GOLDEN = {
     "compute_f2_row7": ("--theory", "f2_row7"),
     "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
+    "compute_triple_101_q_beyond_corpus": ("--triple", "1,0,1", "--field", "q"),
+    "compute_triple_101_fp1000003_beyond_corpus": ("--triple", "1,0,1",
+                                                   "--field", "fp:1000003"),
 }
 GOLDEN_DIAGRAMS = {
     "compute_manturov_graded_beyond_corpus": lambda: (
         braid_closure([1] * 7, name="t2_7"),          # T(2,7)
         braid_closure([1, -2] * 3, name="s12_3"),     # (s1 s2^-1)^3
         corpus.load("kishino")),
+    **dict.fromkeys(
+        ("compute_triple_101_q_beyond_corpus", "compute_triple_101_fp1000003_beyond_corpus"),
+        lambda: (braid_closure([1, -2] * 5, name="s12_5"),  # (s1 s2^-1)^5
+                 braid_closure([1] * 7, name="t2_7"),       # T(2,7)
+                 corpus.load("kishino"))),
 }
 
 

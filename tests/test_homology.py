@@ -8,9 +8,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
-                     first_nonzero_d_squared)
+                     first_nonzero_d_squared, rank_f2_dense, rank_fp_dense,
+                     rank_qq_dense)
 from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
 from vlinkhom import tqft
@@ -554,3 +557,59 @@ def test_size_guard_sums_the_states_before_building_edges(monkeypatch):
         build_complex(trefoil, preset("manturov"))
     assert str(info.value) == ("3 crossings: the chain complex has 30 generators, "
                                "above the cap MAX_CHAIN_DIM = 29")
+
+
+# -- degree-by-degree cancellation ---------------------------------------------
+
+def oracle_rank(field, rows, drop=()):
+    """Dense oracle rank of ``{row: {col: value}}`` without the columns ``drop``."""
+    cols = sorted({c for row in rows.values() for c in row}.difference(drop))
+    dense = [[row.get(c, 0) for c in cols] for row in rows.values()]
+    p = field.characteristic
+    if p == 0:
+        return rank_qq_dense(dense)
+    return rank_f2_dense(dense) if p == 2 else rank_fp_dense(dense, p)
+
+
+# graded homology under manturov, so its pivot rows are recorded per q-layer
+CANCELLATION_THEORIES = ["q 1,0,1", "fp:1000003 1,0,1", "f2_row7", "manturov"]
+
+
+def assert_cancellation_lemma(d, theory):
+    """Take the homology of ``d`` and check the pivot rows recorded per layer
+    (i, q): they number rank(d^i), they are independent rows of d^i, and
+    d^(i+1) at the same q without them as columns keeps its rank, all by
+    dense oracles."""
+    calls, real = [], H._layer_pivots
+
+    def recording(field, rows):
+        pivots = real(field, rows)
+        calls.append((field, rows, pivots))
+        return pivots
+
+    c = build_complex(d, MUTATION_THEORIES[theory])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(H, "_layer_pivots", recording)
+        (graded_homology if theory == "manturov" else homology)(c)
+    [(field, rows, pivots)] = calls
+    assert set(pivots) == {(i, q) for i, by_q in rows.items() for q in by_q}
+    for (i, q), found in pivots.items():
+        layer, above = rows[i][q], rows.get(i + 1, {}).get(q)
+        rank = oracle_rank(field, layer)
+        assert len(set(found)) == len(found) == rank, (i, q)
+        assert oracle_rank(field, {r: layer[r] for r in found}) == rank, (i, q)
+        if above is not None:
+            assert oracle_rank(field, above, found) == oracle_rank(field, above), (i, q)
+
+
+@pytest.mark.parametrize("theory", CANCELLATION_THEORIES)
+def test_cancellation_lemma_on_the_corpus(theory):
+    for name in corpus.all_names():
+        assert_cancellation_lemma(corpus.load(name), theory)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
+       st.sampled_from(CANCELLATION_THEORIES))
+def test_cancellation_lemma_on_braid_closures(word, theory):
+    assert_cancellation_lemma(braid_closure(word), theory)

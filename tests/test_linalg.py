@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import first_nonzero_product, rank_fp_dense, rank_qq_dense
-from vlinkhom._linalg import first_nonzero_composite, matrix_rank, rank_sparse
+from vlinkhom._linalg import first_nonzero_composite, pivot_rows, pivot_rows_sparse
 from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 from vlinkhom.tqft import ExactLinearMap
 
@@ -23,10 +23,10 @@ def as_map(field, dense, ncols):
 
 
 def ranks_agree(dense, ncols):
-    assert matrix_rank(as_map(QQ, dense, ncols).rows, QQ) == rank_qq_dense(dense)
+    assert len(pivot_rows(as_map(QQ, dense, ncols).rows, QQ)) == rank_qq_dense(dense)
     for p in PRIMES:
         F = PrimeField(p)
-        assert matrix_rank(as_map(F, dense, ncols).rows, F) == rank_fp_dense(dense, p)
+        assert len(pivot_rows(as_map(F, dense, ncols).rows, F)) == rank_fp_dense(dense, p)
 
 
 @st.composite
@@ -66,9 +66,9 @@ def test_sparse_rank_seeded_larger_matrices():
 @pytest.mark.parametrize("ncols", [0, 1, 5])
 def test_zero_row_shapes_have_rank_zero(ncols):
     for field in (QQ, PrimeField(7)):
-        assert matrix_rank(ExactLinearMap.make(field, 0, ncols, {}).rows, field) == 0
-        assert matrix_rank(ExactLinearMap.make(field, 3, ncols, {}).rows, field) == 0
-        assert rank_sparse({0: {}, 1: {}}, field) == 0
+        assert len(pivot_rows(ExactLinearMap.make(field, 0, ncols, {}).rows, field)) == 0
+        assert len(pivot_rows(ExactLinearMap.make(field, 3, ncols, {}).rows, field)) == 0
+        assert len(pivot_rows_sparse({0: {}, 1: {}}, field)) == 0
 
 
 def test_empty_rows_and_columns_are_skipped():
@@ -81,13 +81,13 @@ def test_empty_rows_and_columns_are_skipped():
 def test_rank_drops_mod_p(p):
     dense = [[1, 1], [1, 1 + p]]
     F = PrimeField(p)
-    assert matrix_rank(as_map(QQ, dense, 2).rows, QQ) == rank_qq_dense(dense) == 2
-    assert matrix_rank(as_map(F, dense, 2).rows, F) == rank_fp_dense(dense, p) == 1
+    assert len(pivot_rows(as_map(QQ, dense, 2).rows, QQ)) == rank_qq_dense(dense) == 2
+    assert len(pivot_rows(as_map(F, dense, 2).rows, F)) == rank_fp_dense(dense, p) == 1
 
 
 def test_rational_entries():
     dense = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert matrix_rank(as_map(QQ, dense, 2).rows, QQ) == rank_qq_dense(dense) == 1
+    assert len(pivot_rows(as_map(QQ, dense, 2).rows, QQ)) == rank_qq_dense(dense) == 1
 
 
 # -- first nonzero entry of a composite ------------------------------------------
