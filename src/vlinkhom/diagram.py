@@ -3,7 +3,10 @@
 A diagram is a list of components, each a cyclic sequence of passages
 (crossing label, over/under, sign).  Smoothing a state splices every
 crossing according to its bit and sign, and the resulting circles are traced
-with a canonical orientation (start at the minimal half-edge, forward).
+with a canonical orientation (start at the minimal half-edge, forward).  The
+four arc ends of every crossing are computed once per diagram, on first use;
+each smoothing stores its state string, its circle keys and the direction in
+which its circles traverse every arc (one bitmask) when it is built.
 
 Saddles between adjacent states are classified from the crossing alone.
 The circle counts give the kind: a saddle that changes the count by one is a
@@ -11,12 +14,15 @@ pair of pants (merge or split), and one that takes one circle to one circle
 is a punctured Moebius band, the nonorientable single-cycle saddle.  For the
 orientable kinds the saddle square orients the four corner arcs, and each
 twist bit compares that orientation with the circle's canonical direction on
-one corner arc where the circle meets the crossing.
+one corner arc where the circle meets the crossing, read from the smoothing's
+direction bitmask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (BadSyntax, DuplicateRole, LengthMismatch, MissingPassage,
@@ -106,6 +112,31 @@ class VirtualLinkDiagram:
         ui = 2 * self.arc_id(uc, up - 1) + 1
         uo = 2 * self.arc_id(uc, up)
         return oi, oo, ui, uo
+
+    @cached_property
+    def ends(self):
+        """``crossing_ends`` of every crossing, indexed by label - 1.
+
+        Computed on first use, not in the constructor: move sequences build
+        many diagrams that are never smoothed."""
+        return tuple(self.crossing_ends(label) for label in range(1, self.n + 1))
+
+    @cached_property
+    def splices(self):
+        """Per crossing (label - 1) and bit, the two end pairs its smoothing
+        joins, flattened to (e1, e2, e3, e4) for the pairs (e1, e2), (e3, e4).
+
+        At a positive crossing the 0-smoothing joins over-in to under-out and
+        under-in to over-out (the flow-preserving splice); the 1-smoothing
+        joins the two inputs and the two outputs.  At a negative crossing the
+        roles swap, which reproduces the classical unoriented 0/1 convention.
+        """
+        out = []
+        for (oi, oo, ui, uo), label in zip(self.ends, range(1, self.n + 1)):
+            oriented, crossed = (oi, uo, ui, oo), (oi, ui, oo, uo)
+            out.append((oriented, crossed) if self.crossings[label].sign > 0
+                       else (crossed, oriented))
+        return tuple(out)
 
     # -- derived diagrams ----------------------------------------------------
 
@@ -242,7 +273,7 @@ def load_diagram(path):
 # ---------------------------------------------------------------------------
 # smoothings
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """One circle of a smoothing: a cyclic list of directed arcs.
 
@@ -260,33 +291,40 @@ class Circle:
         return [a for a, _ in self.steps]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Smoothing:
-    """The state circles Gamma_s together with the splice pairing used."""
+    """The state circles Gamma_s, with the tables the cube is built from.
+
+    ``state`` is the 0/1 string of the bits, ``keys`` the circle keys in
+    canonical order, ``arc_circle`` the index of each arc's circle and
+    ``forward`` a bitmask of the arcs whose circle traverses them from tail
+    to head (the direction +1 of ``Circle.steps``).
+    """
 
     diagram: VirtualLinkDiagram
-    bits: tuple
+    state: str
     circles: tuple
-    pairing: tuple     # pairing[end] = partner end, -1 for unused slots
+    keys: tuple
     arc_circle: tuple  # arc -> index into circles
+    forward: int       # bit a set iff arc a is traversed tail to head
+
+    @property
+    def bits(self):
+        return tuple(map(int, self.state))
 
     @property
     def r(self):
-        return sum(self.bits)
+        return self.state.count("1")
 
     @property
     def k(self):
         return len(self.circles)
 
-    @property
-    def state(self):
-        return "".join(str(b) for b in self.bits)
-
     def circle_of_arc(self, arc):
         return self.arc_circle[arc]
 
     def circle_keys(self):
-        return tuple(c.key for c in self.circles)
+        return self.keys
 
 
 def coerce_state(d, state):
@@ -305,71 +343,64 @@ def coerce_state(d, state):
 
 
 def splice_pairing(d, bits):
-    """End-to-end pairing of the smoothed diagram.
-
-    At a positive crossing the 0-smoothing joins over-in to under-out and
-    under-in to over-out (the flow-preserving splice); the 1-smoothing joins
-    the two inputs and the two outputs.  At a negative crossing the roles
-    swap, which reproduces the classical unoriented 0/1 convention.
-    """
+    """End-to-end pairing of the smoothed diagram: each crossing joins the
+    two end pairs that ``d.splices`` gives for its bit; -1 marks the slots
+    of free loops."""
     pairing = [-1] * (2 * d.total_arcs)
-    for label, cr in d.crossings.items():
-        oi, oo, ui, uo = d.crossing_ends(label)
-        oriented = (cr.sign > 0) == (bits[label - 1] == 0)
-        pairs = ((oi, uo), (ui, oo)) if oriented else ((oi, ui), (oo, uo))
-        for e1, e2 in pairs:
-            pairing[e1] = e2
-            pairing[e2] = e1
+    for splice, bit in zip(d.splices, bits):
+        e1, e2, e3, e4 = splice[bit]
+        pairing[e1], pairing[e2], pairing[e3], pairing[e4] = e2, e1, e4, e3
     return pairing
 
 
 def smooth(d, state):
     """Smooth every crossing of ``d`` according to ``state`` and trace circles."""
     bits = coerce_state(d, state)
+    return _smooth(d, bits, "".join(map(str, bits)))
+
+
+def _smooth(d, bits, state):
     pairing = splice_pairing(d, bits)
-    visited = [False] * d.total_arcs
+    arc_circle = [-1] * d.total_arcs
+    forward = 0
     circles = []
+    # a circle's key is twice its least arc, so tracing from each arc not yet
+    # seen, in order, finds the circles in canonical order
     for start in range(d.total_arcs):
-        if visited[start]:
+        if arc_circle[start] >= 0:
             continue
-        steps = []
-        arc, direction = start, 1
+        idx, steps = len(circles), []
+        arc, fwd = start, 1
         while True:
-            steps.append((arc, direction))
-            visited[arc] = True
-            exit_end = 2 * arc + (1 if direction > 0 else 0)
-            enter_end = pairing[exit_end]
-            arc = enter_end >> 1
-            direction = 1 if (enter_end & 1) == 0 else -1
+            steps.append((arc, 2 * fwd - 1))
+            arc_circle[arc] = idx
+            forward |= fwd << arc
+            enter_end = pairing[2 * arc + fwd]  # leave by the head going forward
+            arc, fwd = enter_end >> 1, 1 - (enter_end & 1)
             if arc == start:
-                assert direction == 1, "circle closed against its own direction"
+                assert fwd, "circle closed against its own direction"
                 break
         circles.append(Circle(tuple(steps), 2 * start))
     for ci, comp in enumerate(d.components):
         if not comp:
             circles.append(Circle((), 2 * d.total_arcs + ci))
-    circles.sort(key=lambda c: c.key)
-    arc_circle = [-1] * d.total_arcs
-    for idx, circ in enumerate(circles):
-        for a in circ.arcs():
-            arc_circle[a] = idx
-    return Smoothing(d, bits, tuple(circles), tuple(pairing), tuple(arc_circle))
+    return Smoothing(d, state, tuple(circles), tuple(c.key for c in circles),
+                     tuple(arc_circle), forward)
 
 
 def all_smoothings(d):
     """All 2^n smoothings, keyed by state string, in lexicographic order."""
     out = {}
-    for idx in range(1 << d.n):
-        bits = tuple((idx >> (d.n - 1 - i)) & 1 for i in range(d.n))
-        sm = smooth(d, bits)
-        out[sm.state] = sm
+    for bits in itertools.product((0, 1), repeat=d.n):
+        state = "".join(map(str, bits))
+        out[state] = _smooth(d, bits, state)
     return out
 
 
 # ---------------------------------------------------------------------------
 # saddles
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaddleDescriptor:
     """A classified cube edge from ``from_state`` to ``to_state``.
 
@@ -407,51 +438,47 @@ def classify_saddle(d, s, t):
 # and b = 2 a punctured Moebius band: the circle counts give the kind.
 _KINDS = {(2, 1): "merge", (1, 2): "split", (1, 1): "single_cycle"}
 
+# The saddle square orients the corners (Oi, Oo, Ui, Uo) of its crossing:
+# over-in and the end paired with neither of its partners point up, its two
+# partners down.  Over-in is paired with under-out in one of the two states
+# and with under-in in the other, so the over ends point up and the under
+# ends down.  A circle runs into the crossing at an end when its direction on
+# the arc agrees with the end being a head, and its twist bit is 1 where the
+# up/down orientation disagrees with that.  So the bit is the circle's
+# forward bit on the corner arc, flipped at over-out and under-in.
+_CORNER_FLIP = (0, 1, 1, 0)
+
 
 def _classify(ss, st, j):
-    ends = ss.diagram.crossing_ends(j + 1)
-    bottom_idx = sorted({ss.arc_circle[e >> 1] for e in ends})
-    top_idx = sorted({st.arc_circle[e >> 1] for e in ends})
+    oi, oo, ui, uo = ss.diagram.ends[j]
+    arcs = a, b, c, e = oi >> 1, oo >> 1, ui >> 1, uo >> 1
+    sc, tc = ss.arc_circle, st.arc_circle
+    bottom_idx = sorted({sc[a], sc[b], sc[c], sc[e]})
+    top_idx = sorted({tc[a], tc[b], tc[c], tc[e]})
     kind = _KINDS[len(bottom_idx), len(top_idx)]
     twist_in = twist_out = ()
     if kind != "single_cycle":
-        # The saddle square orients its corners: over-in and the end paired
-        # with neither of its partners point up, the two partners point down.
-        # An arc with both ends at the crossing must get one of each.
-        oi = ends[0]
-        down = (ss.pairing[oi], st.pairing[oi])
-        up = {e: e not in down for e in ends}
-        assert all(up[e] != up[e ^ 1] for e in ends if (e ^ 1) in up), \
+        # an arc with both ends at the crossing must get one up, one down
+        assert a != b and c != e, \
             "corner orientations conflict on an orientable saddle"
-        twist_in = _twists(ss, bottom_idx, up)
-        twist_out = _twists(st, top_idx, up)
-    return SaddleDescriptor(
-        from_state=ss.state,
-        to_state=st.state,
-        position=j,
-        kind=kind,
-        bottom=tuple(ss.circles[i].key for i in bottom_idx),
-        top=tuple(st.circles[i].key for i in top_idx),
-        twist_in=twist_in,
-        twist_out=twist_out,
-        sign_exponent=sum(st.bits[:j]),
-    )
+        twist_in = _twists(ss, bottom_idx, arcs)
+        twist_out = _twists(st, top_idx, arcs)
+    sk, tk = ss.keys, st.keys
+    return SaddleDescriptor(ss.state, st.state, j, kind,
+                            tuple([sk[i] for i in bottom_idx]),
+                            tuple([tk[i] for i in top_idx]),
+                            twist_in, twist_out, ss.state.count("1", 0, j))
 
 
-def _twists(sm, circle_idx, up):
-    """One twist bit per circle of ``sm``, read at the first corner on it.
-
-    The coherent band orientation runs out of the crossing at the up corners
-    and into it at the down ones; the bit is 1 where the circle's canonical
-    direction disagrees, which is then so on every arc of the circle.
-    """
-    twist = {}
-    for e, is_up in up.items():
-        idx = sm.arc_circle[e >> 1]
-        if idx not in twist:
-            inward = ((e >> 1, 1) in sm.circles[idx].steps) == bool(e & 1)
-            twist[idx] = int(is_up == inward)
-    return tuple(twist[i] for i in circle_idx)
+def _twists(sm, circle_idx, arcs):
+    """One twist bit per circle of ``sm``, read at the first corner arc on
+    it (corners in the order Oi, Oo, Ui, Uo): the circle's direction bit on
+    that arc, looked up in ``sm.forward``, XOR the corner's ``_CORNER_FLIP``.
+    The bit then holds on every arc of the circle."""
+    arc_circle, forward, twist = sm.arc_circle, sm.forward, {}
+    for a, flip in zip(arcs, _CORNER_FLIP):
+        twist.setdefault(arc_circle[a], (forward >> a & 1) ^ flip)
+    return tuple([twist[i] for i in circle_idx])
 
 
 def cube_edges(d, smoothings=None):
@@ -460,11 +487,10 @@ def cube_edges(d, smoothings=None):
     out = []
     for state in sorted(sms):
         ss = sms[state]
-        for j in range(d.n):
-            if ss.bits[j] == 0:
-                tbits = ss.bits[:j] + (1,) + ss.bits[j + 1:]
-                tstate = "".join(str(b) for b in tbits)
-                out.append(_classify(ss, sms[tstate], j))
+        j = state.find("0")
+        while j >= 0:
+            out.append(_classify(ss, sms[state[:j] + "1" + state[j + 1:]], j))
+            j = state.find("0", j + 1)
     return out
 
 

@@ -3,15 +3,18 @@
 Chain groups live in homological degrees i = r(s) - n_minus.  The group at
 degree i is the direct sum over states s with r(s) = i + n_minus of
 V^(x)k(s), with states in lexicographic order, circles in canonical order
-and decorations ordered with the unit before x.  Each cube edge contributes
-(-1)^<s,t> times its elementary cobordism block, scattered over the
-unaffected circles by bit arithmetic on the basis indices straight into the
-differential's rows ``{row: {col: value}}``; nothing is sorted or filtered,
-as the blocks are zero-free and distinct edges fill disjoint blocks.  A
-build makes each distinct block, and its negative, once; an anchor flip
-enters as a toggled twist bit of the merge/split it feeds, or as a factor
-phi for a circle the saddle does not touch.  A complex above MAX_CHAIN_DIM
-generators is refused before it is built.
+and decorations ordered with the unit before x; one pass over the smoothings
+groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times its
+elementary cobordism block, scattered over the unaffected circles by bit
+arithmetic on the basis indices straight into the differential's rows
+``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
+zero-free and distinct edges fill disjoint blocks.  A build makes each
+distinct block, and its negative, once, keyed by the plain tuple (kind,
+twist_in, twist_out, phi'd spectators, sign parity), and the index masks of
+each factor placement once.  An anchor flip enters as a toggled twist bit of
+the merge/split it feeds, or as a factor phi for a circle the saddle does
+not touch.  A complex above MAX_CHAIN_DIM generators is refused before it is
+built.
 
 d o d = 0 is asserted eagerly at build time because it is the one global
 check on the twist convention.  ``_linalg.first_nonzero_composite`` checks
@@ -118,19 +121,14 @@ def _flip_set(d, smoothings, anchor_flips):
     return flips
 
 
-def _edge_cobordism(sd, flips):
-    """The cobordism of one edge; an anchor flip on a consumed circle toggles
-    that circle's twist bit (phi is an involution).  The single-cycle piece
-    is twist-agnostic, so flips leave it alone."""
-    if sd.kind == "single_cycle":
-        return SingleCycle()
-    twist_in = tuple(b ^ ((sd.from_state, k) in flips)
-                     for b, k in zip(sd.twist_in, sd.bottom))
-    twist_out = tuple(b ^ ((sd.to_state, k) in flips)
-                      for b, k in zip(sd.twist_out, sd.top))
-    if sd.kind == "merge":
+def _cobordism(kind, twist_in, twist_out):
+    """The elementary cobordism of a saddle with these (flip-toggled) twist
+    bits; the single-cycle piece is twist-agnostic."""
+    if kind == "merge":
         return Merge(twist_in=twist_in, twist_out=twist_out[0])
-    return Split(twist_in=twist_in[0], twist_out=twist_out)
+    if kind == "split":
+        return Split(twist_in=twist_in[0], twist_out=twist_out)
+    return SingleCycle()
 
 
 # The largest total chain dimension (generators over all degrees) a build
@@ -168,10 +166,13 @@ def build_complex(d, th, anchor_flips=(), check=True):
     _refuse_above_cap(n, dim, f"{dim:,}")
     flips = _flip_set(d, smoothings, anchor_flips)
 
+    by_r = [[] for _ in range(n + 1)]
+    for s, sm in smoothings.items():  # in lexicographic order, kept per group
+        by_r[sm.r].append(s)
     groups = {}
     for i in range(-n_minus, n - n_minus + 1):
-        states = tuple(sorted(s for s, sm in smoothings.items() if sm.r == i + n_minus))
-        circles = {s: smoothings[s].circle_keys() for s in states}
+        states = tuple(by_r[i + n_minus])
+        circles = {s: smoothings[s].keys for s in states}
         offsets, dim = {}, 0
         for s in states:
             offsets[s] = dim
@@ -179,36 +180,48 @@ def build_complex(d, th, anchor_flips=(), check=True):
         groups[i] = ChainGroup(i, states, circles, offsets, dim)
 
     phi = tqft.phi_matrix(th)
-    blocks = {}  # (cobordism, phi'd spectators, negated) -> block
+    blocks = {}  # (kind, twist_in, twist_out, phi'd spectators, negated) -> block
 
-    def block_of(cob, n_phi, negate):
-        key = (cob, n_phi, negate)
-        if key not in blocks:
-            blocks[key] = (block_of(cob, n_phi, 0).negated() if negate
-                           else block_of(cob, n_phi - 1, 0).kron(phi) if n_phi
-                           else tqft.elementary_map(th, cob))
-        return blocks[key]
+    def block_of(key):
+        block = blocks.get(key)
+        if block is None:
+            kind, twist_in, twist_out, n_phi, negate = key
+            if negate:
+                block = block_of((kind, twist_in, twist_out, n_phi, 0)).negated()
+            elif n_phi:
+                block = block_of((kind, twist_in, twist_out, n_phi - 1, 0)).kron(phi)
+            else:
+                block = tqft.elementary_map(th, _cobordism(kind, twist_in, twist_out))
+            blocks[key] = block
+        return block
 
     edges = cube_edges(d, smoothings)
     rows_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
+    placements = {}  # scatter_extended's memo of factor masks, for this build
     for sd in edges:
-        ss = smoothings[sd.from_state]
-        src_keys, tgt_keys = ss.circle_keys(), smoothings[sd.to_state].circle_keys()
-        spectators = [k for k in src_keys if k not in sd.bottom]
-        assert spectators == [k for k in tgt_keys if k not in sd.top], \
+        s, t = sd.from_state, sd.to_state
+        src_keys, tgt_keys = smoothings[s].keys, smoothings[t].keys
+        bottom, top, twist_in, twist_out = sd.bottom, sd.top, sd.twist_in, sd.twist_out
+        spectators = [k for k in src_keys if k not in bottom]
+        assert spectators == [k for k in tgt_keys if k not in top], \
             "unaffected circles must match across the edge"
-        # a spectator flipped on one side only is conjugated by phi once
-        phi_keys = tuple(k for k in spectators
-                         if ((sd.from_state, k) in flips) != ((sd.to_state, k) in flips))
-        block = block_of(_edge_cobordism(sd, flips), len(phi_keys), sd.sign_exponent % 2)
-        in_pos = [src_keys.index(k) for k in sd.bottom + phi_keys]
-        out_pos = [tgt_keys.index(k) for k in sd.top + phi_keys]
-        i = ss.r - n_minus
+        phi_keys = ()
+        if flips:
+            # an anchor flip on a consumed circle toggles its twist bit (phi
+            # is an involution); a spectator flipped on one side only is
+            # conjugated by phi once
+            twist_in = tuple(b ^ ((s, k) in flips) for b, k in zip(twist_in, bottom))
+            twist_out = tuple(b ^ ((t, k) in flips) for b, k in zip(twist_out, top))
+            phi_keys = tuple(k for k in spectators if ((s, k) in flips) != ((t, k) in flips))
+        block = block_of((sd.kind, twist_in, twist_out, len(phi_keys), sd.sign_exponent & 1))
+        in_pos = tuple([src_keys.index(k) for k in bottom + phi_keys])
+        out_pos = tuple([tgt_keys.index(k) for k in top + phi_keys])
+        i = s.count("1") - n_minus
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
         tqft.scatter_extended(rows_by_degree[i], block, in_pos, len(src_keys),
-                              out_pos, len(tgt_keys), groups[i + 1].offsets[sd.to_state],
-                              groups[i].offsets[sd.from_state])
+                              out_pos, len(tgt_keys), groups[i + 1].offsets[t],
+                              groups[i].offsets[s], placements)
 
     differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
                      for i, rows in rows_by_degree.items()}

@@ -6,11 +6,14 @@ The normalization follows the Khovanov q-convention (unknot -> q + 1/q):
            * sum_s (-1)^r(s) * q^r(s) * (q + 1/q)^k(s)
 
 which makes the graded Euler characteristic identity with the
-Manturov-preset homology hold verbatim.
+Manturov-preset homology hold verbatim.  The sum depends on each state only
+through (r(s), k(s)), so the states are counted by that pair first and each
+pair adds one term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagram import all_smoothings
@@ -101,13 +104,19 @@ class LaurentPoly:
 CIRCLE_POLY = LaurentPoly.make({1: 1, -1: 1})
 
 
+def _state_counts(d, smoothings):
+    """How many states have each (r(s), k(s)): the state sums depend on
+    nothing else."""
+    sms = smoothings if smoothings is not None else all_smoothings(d)
+    return Counter((sm.r, sm.k) for sm in sms.values())
+
+
 def kauffman_jones(d, smoothings=None):
     """The unnormalised Jones polynomial of a virtual link diagram."""
-    sms = smoothings if smoothings is not None else all_smoothings(d)
     total = LaurentPoly.zero()
-    for sm in sms.values():
-        term = CIRCLE_POLY.power(sm.k).scaled((-1) ** sm.r)
-        total = total + term * LaurentPoly.q_power(sm.r)
+    for (r, k), count in _state_counts(d, smoothings).items():
+        term = CIRCLE_POLY.power(k).scaled((-1) ** r * count)
+        total = total + term * LaurentPoly.q_power(r)
     shift = LaurentPoly.q_power(d.n_plus - 2 * d.n_minus, (-1) ** d.n_minus)
     return shift * total
 
@@ -118,6 +127,5 @@ def jones_at_one(d, smoothings=None):
     Computed directly as sum_s (-1)^(r(s) - n_minus) * 2^k(s); equals
     kauffman_jones(d) evaluated at q = 1.
     """
-    sms = smoothings if smoothings is not None else all_smoothings(d)
-    return sum((-1 if (sm.r - d.n_minus) % 2 else 1) * (1 << sm.k)
-               for sm in sms.values())
+    return sum((-1 if (r - d.n_minus) % 2 else 1) * (count << k)
+               for (r, k), count in _state_counts(d, smoothings).items())

@@ -143,6 +143,33 @@ def test_arcs_partition_into_circles():
                 assert half[0] == min(half) == c.key
 
 
+def assert_smoothing_tables(d):
+    """Each smoothing's stored state, circle keys and arc directions agree
+    with its bits and circles."""
+    sms = all_smoothings(d)
+    assert list(sms) == ["".join(w) for w in itertools.product("01", repeat=d.n)]
+    for state, sm in sms.items():
+        assert sm.state == state == "".join(map(str, sm.bits))
+        assert sm.r == sum(sm.bits)
+        assert sm.circle_keys() == tuple(c.key for c in sm.circles)
+        assert sm.forward >> d.total_arcs == 0
+        for c in sm.circles:
+            for arc in c.arcs():
+                assert bool(sm.forward >> arc & 1) == ((arc, 1) in c.steps)
+        assert smooth(d, state) == sm
+
+
+def test_smoothing_tables_on_the_corpus():
+    for name in corpus.all_names():
+        assert_smoothing_tables(corpus.load(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=6))
+def test_smoothing_tables_on_braid_closures(word):
+    assert_smoothing_tables(braid_closure(word))
+
+
 # -- saddles ---------------------------------------------------------------------
 
 def test_cube_edges_match_pinned_saddles():
