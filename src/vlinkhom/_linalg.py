@@ -32,6 +32,7 @@ difference over GF(2) and as plain Python ints otherwise.
 from __future__ import annotations
 
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 from math import lcm
 from operator import or_
@@ -64,15 +65,25 @@ def pivot_rows_sparse(rows, field):
     """The pivot rows of a sparse matrix ``{row: {col: nonzero}}``, in the
     order they were pivoted on; ``rows`` is consumed.
 
-    Each step pivots on the shortest live row, at its column held by the
-    fewest live rows, clears that column from every other row holding it
-    and retires the pivot row. Entries that cancel are dropped at once, so
-    rows and the column index hold nonzeros only. A row is only ever
-    changed by adding multiples of pivot rows, so every row that empties out
-    lies in the span of the pivot rows: they are a maximal independent set
-    of the original rows, and their number is the rank.
+    Each step pivots on the shortest live row, the first of them in the
+    order of ``rows``, at its column held by the fewest live rows, clears
+    that column from every other row holding it and retires the pivot row.
+    Entries that cancel are dropped at once, so rows and the column index
+    hold nonzeros only. A row is only ever changed by adding multiples of
+    pivot rows, so every row that empties out lies in the span of the pivot
+    rows: they are a maximal independent set of the original rows, and their
+    number is the rank.
+
+    The shortest row comes off a heap of (length, position, row) entries:
+    a row changed by a step is pushed again with its new length, and an entry
+    whose row has since been retired or changed length is skipped when it
+    comes off. So a step costs a heap push per row it changes, not a scan of
+    every live row.
     """
     live = {r: cols for r, cols in rows.items() if cols}
+    position = {r: k for k, r in enumerate(live)}
+    heap = [(len(cols), k, r) for k, (r, cols) in enumerate(live.items())]
+    heapify(heap)
     holders = {}
     for r, cols in live.items():
         for c in cols:
@@ -80,8 +91,11 @@ def pivot_rows_sparse(rows, field):
     add, mul, is_zero = field.add, field.mul, field.is_zero
     pivots = []
     while live:
-        r = min(live, key=lambda k: len(live[k]))
-        prow = live.pop(r)
+        length, _, r = heappop(heap)
+        prow = live.get(r)
+        if prow is None or len(prow) != length:
+            continue
+        del live[r]
         pivots.append(r)
         for c in prow:
             holders[c].discard(r)
@@ -103,7 +117,9 @@ def pivot_rows_sparse(rows, field):
                         holders[c].discard(s)
                     else:
                         row[c] = x
-            if not row:
+            if row:
+                heappush(heap, (len(row), position[s], s))
+            else:
                 del live[s]
     return pivots
 

@@ -8,13 +8,28 @@ groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times its
 elementary cobordism block, scattered over the unaffected circles by bit
 arithmetic on the basis indices straight into the differential's rows
 ``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
-zero-free and distinct edges fill disjoint blocks.  A build makes each
-distinct block, and its negative, once, keyed by the plain tuple (kind,
-twist_in, twist_out, phi'd spectators, sign parity), and the index masks of
-each factor placement once.  An anchor flip enters as a toggled twist bit of
-the merge/split it feeds, or as a factor phi for a circle the saddle does
-not touch.  A complex above MAX_CHAIN_DIM generators is refused before it is
-built.
+zero-free and distinct edges fill disjoint blocks.  An anchor flip enters as
+a toggled twist bit of the merge/split it feeds, or as a factor phi for a
+circle the saddle does not touch.  A complex above MAX_CHAIN_DIM generators
+is refused before it is built.
+
+The work is split by what it depends on, as in Bar-Natan's geometric
+formalism, where the cube and its saddles belong to the diagram and the
+theory only evaluates them:
+
+- once per diagram object: the smoothings, the chain groups, the classified
+  edges and, per edge, its degree, block offsets, block key (kind, twist_in,
+  twist_out, phi'd spectators, sign parity) and factor placement.  This cube
+  is kept for the last diagram built, by identity, never by equality: later
+  builds of that object (every theory, every anchor flip) reuse it, and it
+  is dropped before the next diagram is smoothed.  Complexes share its
+  smoothings and groups as read-only views.
+- once per theory: each distinct block, its negative and its phi-padded
+  variants, built on first use and kept, keyed by the theory's value, for
+  the last _THEORY_SLOTS theories built.
+- once per build: the block keys and placements of the edges from or to a
+  state with a flipped anchor, one scatter pass over all edges, the
+  differentials and the d o d = 0 guard, which every build runs.
 
 d o d = 0 is asserted eagerly at build time because it is the one global
 check on the twist convention.  ``_linalg.first_nonzero_composite`` checks
@@ -49,6 +64,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from . import tqft
 from ._linalg import first_nonzero_composite, pivot_rows
@@ -62,8 +78,8 @@ from .tqft import ExactLinearMap, Merge, SingleCycle, Split
 class ChainGroup:
     degree: int
     states: tuple            # lexicographically sorted state strings
-    circles: dict            # state -> its circle keys, in canonical order
-    offsets: dict            # state -> first index of its block
+    circles: MappingProxyType  # state -> its circle keys, in canonical order
+    offsets: MappingProxyType  # state -> first index of its block
     dim: int
 
     @cached_property
@@ -83,9 +99,9 @@ class ChainComplex:
     theory: object
     min_degree: int
     max_degree: int
-    groups: dict             # degree -> ChainGroup
-    differentials: dict      # degree -> ExactLinearMap C^i -> C^(i+1)
-    smoothings: dict
+    groups: MappingProxyType      # degree -> ChainGroup, shared with the cube
+    differentials: dict           # degree -> ExactLinearMap C^i -> C^(i+1)
+    smoothings: MappingProxyType  # state -> Smoothing, shared with the cube
     edges: tuple
 
     @property
@@ -131,6 +147,125 @@ def _cobordism(kind, twist_in, twist_out):
     return SingleCycle()
 
 
+class _Blocks(dict):
+    """The blocks of one theory, each built on first use: the elementary map
+    of a (kind, twist_in, twist_out) saddle, padded with phi on n_phi
+    spectators, and negated for an odd sign parity."""
+
+    def __init__(self, th):
+        super().__init__()
+        self.th, self.phi = th, tqft.phi_matrix(th)
+
+    def __missing__(self, key):
+        kind, twist_in, twist_out, n_phi, negate = key
+        if negate:
+            block = self[(kind, twist_in, twist_out, n_phi, 0)].negated()
+        elif n_phi:
+            block = self[(kind, twist_in, twist_out, n_phi - 1, 0)].kron(self.phi)
+        else:
+            block = tqft.elementary_map(self.th, _cobordism(kind, twist_in, twist_out))
+        self[key] = block
+        return block
+
+
+# The block tables of the last few theories built, least recently used
+# first, keyed by the theory's value: two sweeps that alternate theories
+# (the anchor-flip check alternates two) reuse both tables.
+_THEORY_SLOTS = 4
+_theory_blocks = {}
+
+
+def _blocks_of(th):
+    blocks = _theory_blocks.pop(th, None)
+    if blocks is None:
+        blocks = _Blocks(th)
+        if len(_theory_blocks) >= _THEORY_SLOTS:
+            del _theory_blocks[next(iter(_theory_blocks))]
+    _theory_blocks[th] = blocks
+    return blocks
+
+
+class _Cube:
+    """What a build takes from the diagram alone: the smoothings and the
+    chain groups (as read-only views), the classified edges and, per edge,
+    in parallel lists, its degree, its block's row and column offsets, and
+    how its block is placed without anchor flips: the pair (block key,
+    ``tqft.placement``), shared by the edges that have the same one.
+
+    The smoothings are checked against MAX_CHAIN_DIM before any edge is
+    built."""
+
+    def __init__(self, d):
+        n, n_minus = d.n, d.n_minus
+        self.diagram = d
+        smoothings = all_smoothings(d)
+        self.smoothings = MappingProxyType(smoothings)
+        self.dim = sum(1 << sm.k for sm in smoothings.values())
+        self.refuse_above_cap()
+        by_r = [[] for _ in range(n + 1)]
+        for s, sm in smoothings.items():  # in lexicographic order, kept per group
+            by_r[sm.r].append(s)
+        groups = {}
+        for i in range(-n_minus, n - n_minus + 1):
+            states = tuple(by_r[i + n_minus])
+            offsets, size = {}, 0
+            for s in states:
+                offsets[s] = size
+                size += 1 << smoothings[s].k
+            groups[i] = ChainGroup(
+                i, states, MappingProxyType({s: smoothings[s].keys for s in states}),
+                MappingProxyType(offsets), size)
+        self.groups = MappingProxyType(groups)
+        self.edges = tuple(cube_edges(d, smoothings))
+        self.degree = [sd.from_state.count("1") - n_minus for sd in self.edges]
+        self.row0 = [groups[i + 1].offsets[sd.to_state]
+                     for i, sd in zip(self.degree, self.edges)]
+        self.col0 = [groups[i].offsets[sd.from_state]
+                     for i, sd in zip(self.degree, self.edges)]
+        self._placements = {}  # (in_pos, k_in, out_pos, k_out) -> tqft.placement
+        self._hows = {}        # (block key, placement arguments) -> how
+        self.hows = [self.how(sd) for sd in self.edges]
+
+    def refuse_above_cap(self):
+        _refuse_above_cap(self.diagram.n, self.dim, f"{self.dim:,}")
+
+    @cached_property
+    def incident(self):
+        """state -> the indices of the edges from or to it."""
+        out = {s: [] for s in self.smoothings}
+        for e, sd in enumerate(self.edges):
+            out[sd.from_state].append(e)
+            out[sd.to_state].append(e)
+        return out
+
+    def how(self, sd, flips=()):
+        """(block key, placement) of the edge ``sd`` under the anchor ``flips``."""
+        s, t = sd.from_state, sd.to_state
+        src_keys, tgt_keys = self.smoothings[s].keys, self.smoothings[t].keys
+        bottom, top, twist_in, twist_out = sd.bottom, sd.top, sd.twist_in, sd.twist_out
+        spectators = [k for k in src_keys if k not in bottom]
+        assert spectators == [k for k in tgt_keys if k not in top], \
+            "unaffected circles must match across the edge"
+        phi_keys = ()
+        if flips:
+            # an anchor flip on a consumed circle toggles its twist bit (phi
+            # is an involution); a spectator flipped on one side only is
+            # conjugated by phi once
+            twist_in = tuple(b ^ ((s, k) in flips) for b, k in zip(twist_in, bottom))
+            twist_out = tuple(b ^ ((t, k) in flips) for b, k in zip(twist_out, top))
+            phi_keys = tuple(k for k in spectators if ((s, k) in flips) != ((t, k) in flips))
+        key = (sd.kind, twist_in, twist_out, len(phi_keys), sd.sign_exponent & 1)
+        where = (tuple([src_keys.index(k) for k in bottom + phi_keys]), len(src_keys),
+                 tuple([tgt_keys.index(k) for k in top + phi_keys]), len(tgt_keys))
+        how = self._hows.get((key, where))
+        if how is None:
+            placement = self._placements.get(where)
+            if placement is None:
+                placement = self._placements[where] = tqft.placement(*where)
+            how = self._hows[(key, where)] = (key, placement)
+        return how
+
+
 # The largest total chain dimension (generators over all degrees) a build
 # accepts.  A build and its graded homology cost about 1 KB of memory per
 # generator, ungraded GF(2) homology about 1.8 KB: T(2,12), with 531,444
@@ -144,6 +279,29 @@ def _refuse_above_cap(n, dim, count):
                          f"above the cap MAX_CHAIN_DIM = {MAX_CHAIN_DIM:,}")
 
 
+# The cube of the last diagram built, kept for the next build of that same
+# object (never of an equal one).  It is dropped before another diagram is
+# smoothed, so at most one cube outlives the complexes that use it.
+_last_cube = None
+
+
+def _cube_of(d):
+    """The cube of ``d``, built unless it is the last one, after the bound
+    2^(n+1) is checked against MAX_CHAIN_DIM; a reused cube is checked
+    against it too.  A refused diagram leaves no cube behind."""
+    global _last_cube
+    n = d.n
+    # with a crossing every state has a circle, so the 2^n states give >= 2^(n+1)
+    bound = 2 ** (n + 1)
+    _refuse_above_cap(n, bound, f"at least 2^{n + 1} = {bound:,}")
+    if _last_cube is not None and _last_cube.diagram is d:
+        _last_cube.refuse_above_cap()
+    else:
+        _last_cube = None  # free the old cube before smoothing another diagram
+        _last_cube = _Cube(d)
+    return _last_cube
+
+
 def build_complex(d, th, anchor_flips=(), check=True):
     """Assemble the based chain complex of ``d`` under the theory ``th``.
 
@@ -154,80 +312,31 @@ def build_complex(d, th, anchor_flips=(), check=True):
     (which would signal a twist-convention bug), unless ``check`` is false.
     A complex of more than MAX_CHAIN_DIM generators is refused with an
     InputError: on the lower bound 2^(n+1) before any state is smoothed, and
-    on the exact sum of 2^k(s) before any edge is built.
+    on the exact sum of 2^k(s) before any edge is built.  Builds of the same
+    diagram object share its cube (see the module docstring).
     """
     F = th.field
     n, n_minus = d.n, d.n_minus
-    # with a crossing every state has a circle, so the 2^n states give >= 2^(n+1)
-    bound = 2 ** (n + 1)
-    _refuse_above_cap(n, bound, f"at least 2^{n + 1} = {bound:,}")
-    smoothings = all_smoothings(d)
-    dim = sum(1 << sm.k for sm in smoothings.values())
-    _refuse_above_cap(n, dim, f"{dim:,}")
-    flips = _flip_set(d, smoothings, anchor_flips)
+    cube = _cube_of(d)
+    flips = _flip_set(d, cube.smoothings, anchor_flips)
+    hows = cube.hows
+    if flips:
+        hows = list(hows)
+        for e in {e for s, _ in flips for e in cube.incident[s]}:
+            hows[e] = cube.how(cube.edges[e], flips)
 
-    by_r = [[] for _ in range(n + 1)]
-    for s, sm in smoothings.items():  # in lexicographic order, kept per group
-        by_r[sm.r].append(s)
-    groups = {}
-    for i in range(-n_minus, n - n_minus + 1):
-        states = tuple(by_r[i + n_minus])
-        circles = {s: smoothings[s].keys for s in states}
-        offsets, dim = {}, 0
-        for s in states:
-            offsets[s] = dim
-            dim += 1 << len(circles[s])
-        groups[i] = ChainGroup(i, states, circles, offsets, dim)
-
-    phi = tqft.phi_matrix(th)
-    blocks = {}  # (kind, twist_in, twist_out, phi'd spectators, negated) -> block
-
-    def block_of(key):
-        block = blocks.get(key)
-        if block is None:
-            kind, twist_in, twist_out, n_phi, negate = key
-            if negate:
-                block = block_of((kind, twist_in, twist_out, n_phi, 0)).negated()
-            elif n_phi:
-                block = block_of((kind, twist_in, twist_out, n_phi - 1, 0)).kron(phi)
-            else:
-                block = tqft.elementary_map(th, _cobordism(kind, twist_in, twist_out))
-            blocks[key] = block
-        return block
-
-    edges = cube_edges(d, smoothings)
+    blocks, scatter = _blocks_of(th), tqft.scatter_extended
     rows_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
-    placements = {}  # scatter_extended's memo of factor masks, for this build
-    for sd in edges:
-        s, t = sd.from_state, sd.to_state
-        src_keys, tgt_keys = smoothings[s].keys, smoothings[t].keys
-        bottom, top, twist_in, twist_out = sd.bottom, sd.top, sd.twist_in, sd.twist_out
-        spectators = [k for k in src_keys if k not in bottom]
-        assert spectators == [k for k in tgt_keys if k not in top], \
-            "unaffected circles must match across the edge"
-        phi_keys = ()
-        if flips:
-            # an anchor flip on a consumed circle toggles its twist bit (phi
-            # is an involution); a spectator flipped on one side only is
-            # conjugated by phi once
-            twist_in = tuple(b ^ ((s, k) in flips) for b, k in zip(twist_in, bottom))
-            twist_out = tuple(b ^ ((t, k) in flips) for b, k in zip(twist_out, top))
-            phi_keys = tuple(k for k in spectators if ((s, k) in flips) != ((t, k) in flips))
-        block = block_of((sd.kind, twist_in, twist_out, len(phi_keys), sd.sign_exponent & 1))
-        in_pos = tuple([src_keys.index(k) for k in bottom + phi_keys])
-        out_pos = tuple([tgt_keys.index(k) for k in top + phi_keys])
-        i = s.count("1") - n_minus
-        # distinct edges join distinct state pairs, so their blocks are
-        # disjoint, and a block has no zero entry to filter out
-        tqft.scatter_extended(rows_by_degree[i], block, in_pos, len(src_keys),
-                              out_pos, len(tgt_keys), groups[i + 1].offsets[t],
-                              groups[i].offsets[s], placements)
+    # distinct edges join distinct state pairs, so their blocks are
+    # disjoint, and a block has no zero entry to filter out
+    for i, (key, placement), row0, col0 in zip(cube.degree, hows, cube.row0, cube.col0):
+        scatter(rows_by_degree[i], blocks[key], placement, row0, col0)
 
+    groups = cube.groups
     differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
                      for i, rows in rows_by_degree.items()}
-
-    complex_ = ChainComplex(d, th, -n_minus, n - n_minus, groups,
-                            differentials, smoothings, tuple(edges))
+    complex_ = ChainComplex(d, th, -n_minus, n - n_minus, groups, differentials,
+                            cube.smoothings, cube.edges)
     if check:
         _assert_d_squared_zero(complex_)
     return complex_

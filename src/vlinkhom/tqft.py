@@ -13,7 +13,8 @@ Every matrix is an ``ExactLinearMap``: nonzero scalars stored row-major as
 and elimination all read.  ``scatter_extended`` pads a block with identities
 on the other tensor factors by bit arithmetic on basis indices and writes it
 straight into the rows of a differential; the cube assembly in ``homology``
-scatters every edge through it.
+scatters every edge through it, at a ``placement`` (the index masks of the
+factors) that it computes once per cube.
 """
 
 from __future__ import annotations
@@ -113,38 +114,31 @@ def _factor_masks(positions, k):
     return masks
 
 
-def _placement(in_pos, k_in, out_pos, k_out):
-    """The index bits of a block's rows and columns, and the (row, col)
-    offsets of each spectator index, for ``scatter_extended``."""
+def placement(in_pos, k_in, out_pos, k_out):
+    """Where a block goes in ``scatter_extended``: it maps the factors
+    ``in_pos`` of V^(x)k_in to the factors ``out_pos`` of V^(x)k_out, and the
+    remaining factors are matched up in order.  Returns the index bits of the
+    block's rows and columns, and the row and the column offsets of the
+    spectator indices, in matching order."""
     spectators_in = [p for p in range(k_in) if p not in in_pos]
     spectators_out = [p for p in range(k_out) if p not in out_pos]
     if len(spectators_in) != len(spectators_out):
         raise DimensionMismatch("spectator factor counts differ")
     return (_factor_masks(out_pos, k_out), _factor_masks(in_pos, k_in),
-            list(zip(_factor_masks(spectators_out, k_out),
-                     _factor_masks(spectators_in, k_in))))
+            _factor_masks(spectators_out, k_out), _factor_masks(spectators_in, k_in))
 
 
-def scatter_extended(rows_out, block, in_pos, k_in, out_pos, k_out, row0, col0,
-                     memo=None):
+def scatter_extended(rows_out, block, masks, row0, col0):
     """Write the entries of ``block`` padded with identities, shifted by
     ``row0`` and ``col0``, into the rows ``{row: {col: value}}`` of
-    ``rows_out``: the block maps the factors ``in_pos`` of V^(x)k_in to the
-    factors ``out_pos`` of V^(x)k_out, and the remaining factors are matched
-    up in order.  ``memo`` is a dict the caller keeps for one build: it
-    holds the index masks of each (in_pos, k_in, out_pos, k_out) placement,
-    so that they are computed once per build, not once per edge."""
-    if block.ncols != 1 << len(in_pos) or block.nrows != 1 << len(out_pos):
+    ``rows_out``, at the factor placement ``masks`` (see ``placement``)."""
+    rows, cols, spectator_rows, spectator_cols = masks
+    if block.ncols != len(cols) or block.nrows != len(rows):
         raise DimensionMismatch("block shape does not match its factor positions")
-    key = (tuple(in_pos), k_in, tuple(out_pos), k_out)
-    memo = {} if memo is None else memo
-    if key not in memo:
-        memo[key] = _placement(*key)
-    rows, cols, spectators = memo[key]
     # block and spectator bits are disjoint, so or-ing them is adding them
     placed = [(row0 + rows[r], [(cols[c], v) for c, v in row.items()])
               for r, row in block.rows.items()]
-    for sr, sc in spectators:
+    for sr, sc in zip(spectator_rows, spectator_cols):
         c0 = col0 + sc
         for r, row in placed:
             target = rows_out.get(r + sr)

@@ -148,7 +148,7 @@ def test_odd_prime_field():
 
 @pytest.mark.parametrize("word, field", [
     ([1] * 7, QQ), ([1] * 7, PrimeField(1000003)),
-    ([1, -2] * 5, PrimeField(1000003)),
+    ([1, -2] * 5, QQ), ([1, -2] * 5, PrimeField(1000003)),
 ])
 def test_larger_knots_have_two_lee_generators(word, field):
     # Lee's theorem: the (1,0,1) theory of a knot has rank 2, in degree 0;
@@ -334,6 +334,9 @@ def test_anchor_flip_selectors_must_name_a_circle():
 
 
 def test_each_distinct_block_is_built_once(monkeypatch):
+    # blocks are kept per theory across builds: start from no kept table, so
+    # that every block these builds use is built here, once in total
+    monkeypatch.setattr(H, "_theory_blocks", {})
     calls = []
     real = tqft.elementary_map
 
@@ -344,13 +347,88 @@ def test_each_distinct_block_is_built_once(monkeypatch):
     monkeypatch.setattr(tqft, "elementary_map", counting)
     c = build_complex(braid_closure([1] * 9), preset("f2_row2"), check=False)
     assert len(c.edges) == 2304
-    assert len(calls) == len(set(calls)) <= 17
+    assert 0 < len(calls) == len(set(calls)) <= 17
     d = corpus.load("kishino")
     sms = all_smoothings(d)
     for th in (preset("f2_row5"), q_theory(1, 0, 1)):
         calls.clear()
+        build_complex(d, th)
+        for s in sms:
+            for key in sms[s].circle_keys():
+                build_complex(d, th, anchor_flips=[(s, key)])
         build_complex(d, th, anchor_flips=[(s, sms[s].circles[0].key) for s in sms])
-        assert len(calls) == len(set(calls)) <= 17
+        assert 0 < len(calls) == len(set(calls)) <= 17
+
+
+def counted(calls, name, fn):
+    """``fn``, appending ``name`` to ``calls`` on each call."""
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_flips_reuse_the_cube_of_the_diagram(monkeypatch):
+    calls = []
+    monkeypatch.setattr(H, "all_smoothings", counted(calls, "smooth", all_smoothings))
+    monkeypatch.setattr(H, "cube_edges", counted(calls, "edges", cube_edges))
+    d = corpus.load("cinquefoil")
+    th = preset("f2_row7")
+    base = homology_of(d, th).betti
+    sms = all_smoothings(d)
+    rng = random.Random(7)
+    for _ in range(100):
+        state = rng.choice(sorted(sms))
+        selector = (state, rng.choice(sms[state].circles).key)
+        assert betti_with_reversed_anchor(d, th, selector).betti == base
+    assert calls == ["smooth", "edges"]
+
+
+def test_d_squared_guard_runs_on_every_flipped_build(monkeypatch):
+    calls = []
+    monkeypatch.setattr(H, "cube_edges",
+                        counted(calls, "edges", mutated_cube_edges("twist", "first")))
+    d = corpus.load("trefoil")
+    th = MUTATION_THEORIES["f2_row2"]
+    with pytest.raises(DSquaredNonzero):
+        build_complex(d, th)
+    sms = all_smoothings(d)
+    selectors = [(s, k) for s in sorted(sms) for k in sms[s].circle_keys()]
+    for selector in selectors:
+        with pytest.raises(DSquaredNonzero):
+            build_complex(d, th, anchor_flips=[selector])
+    assert len(selectors) == 14 and calls == ["edges"]
+
+
+def test_equal_diagrams_do_not_share_a_cube(monkeypatch):
+    th = MUTATION_THEORIES["f2_row2"]
+    first = corpus.load("trefoil")
+    with monkeypatch.context() as mp:
+        mp.setattr(H, "cube_edges", mutated_cube_edges("twist", "first"))
+        build_complex(first, th, check=False)
+    # the same object keeps its (broken) cube; an equal one is built afresh
+    with pytest.raises(DSquaredNonzero):
+        build_complex(first, th)
+    second = corpus.load("trefoil")
+    assert second == first
+    build_complex(second, th)  # smoothed and classified afresh: d^2 = 0
+
+
+def test_complexes_share_a_read_only_cube():
+    d = corpus.load("trefoil")
+    plain = build_complex(d, preset("f2_row2"))
+    flipped = build_complex(d, preset("f2_row5"), anchor_flips=[("010", 0)])
+    assert plain.smoothings == flipped.smoothings and plain.groups == flipped.groups
+    assert plain.edges is flipped.edges
+    with pytest.raises(TypeError):
+        plain.smoothings["000"] = None
+    with pytest.raises(TypeError):
+        plain.groups[0] = None
+    with pytest.raises(TypeError):
+        plain.groups[0].offsets["100"] = 0
+    with pytest.raises(TypeError):
+        plain.groups[0].circles["100"] = ()
+    assert build_complex(d, preset("f2_row2")).differentials == plain.differentials
 
 
 def test_fuzz_random_virtual_diagrams():
@@ -557,6 +635,28 @@ def test_size_guard_sums_the_states_before_building_edges(monkeypatch):
         build_complex(trefoil, preset("manturov"))
     assert str(info.value) == ("3 crossings: the chain complex has 30 generators, "
                                "above the cap MAX_CHAIN_DIM = 29")
+
+
+def test_refused_builds_cache_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(H, "all_smoothings", counted(calls, "smooth", all_smoothings))
+    monkeypatch.setattr(H, "cube_edges", counted(calls, "edges", cube_edges))
+    trefoil = corpus.load("trefoil")  # 30 generators
+    monkeypatch.setattr(H, "MAX_CHAIN_DIM", 29)
+    with pytest.raises(InputError):
+        build_complex(trefoil, preset("manturov"))
+    assert calls == ["smooth"]
+    monkeypatch.setattr(H, "MAX_CHAIN_DIM", 30)
+    build_complex(trefoil, preset("manturov"))
+    build_complex(trefoil, preset("manturov"))
+    assert calls == ["smooth", "smooth", "edges"]
+    # the reused cube is checked against the cap too, before its edges are read
+    monkeypatch.setattr(H, "MAX_CHAIN_DIM", 29)
+    with pytest.raises(InputError):
+        build_complex(trefoil, preset("manturov"))
+    with pytest.raises(InputError):
+        build_complex(braid_closure([1, -2] * 11), preset("manturov"))
+    assert calls == ["smooth", "smooth", "edges"]
 
 
 # -- degree-by-degree cancellation ---------------------------------------------

@@ -10,8 +10,9 @@ from vlinkhom.fields import GF2, QQ
 from vlinkhom.tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge,
                            SingleCycle, Split, compose,
                            coproduct_matrix, counit_matrix, elementary_map,
-                           evaluate_closed_surface, phi_matrix, product_matrix,
-                           scatter_extended, theta_matrix, unit_matrix)
+                           evaluate_closed_surface, phi_matrix, placement,
+                           product_matrix, scatter_extended, theta_matrix,
+                           unit_matrix)
 
 Q = QQ.from_int
 
@@ -99,7 +100,7 @@ def test_extended_entries_phi_on_each_of_two():
     phi, ident = phi_matrix(th), ExactLinearMap.identity(GF2, 2)
     for pos, expected in ((0, phi.kron(ident)), (1, ident.kron(phi))):
         ext = {}
-        scatter_extended(ext, phi, (pos,), 2, (pos,), 2, 0, 0)
+        scatter_extended(ext, phi, placement((pos,), 2, (pos,), 2), 0, 0)
         assert ExactLinearMap(GF2, 4, 4, ext) == expected
 
 
@@ -107,7 +108,7 @@ def test_extended_entries_shape_mismatch():
     th = preset("manturov")
     with pytest.raises(DimensionMismatch):
         # a 2 -> 1 block placed as if it acted on one factor
-        scatter_extended({}, product_matrix(th), (0,), 2, (0,), 2, 0, 0)
+        scatter_extended({}, product_matrix(th), placement((0,), 2, (0,), 2), 0, 0)
 
 
 def test_compose_dimension_mismatch():
