@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from vlinkhom import corpus
+from vlinkhom.algebra import PRESET_NAMES
 from vlinkhom.cli import main
 from vlinkhom.diagram import braid_closure
 
@@ -329,3 +330,31 @@ def test_field_matching_an_embedded_field_is_accepted(capsys, selector, field):
     code, out = run(capsys, *argv, f"{spec},field={field}", "--field", field)
     assert code == 0
     assert out == embedded == flagged
+
+
+# verify reports pinned byte for byte: one transcript per format, each run
+# headed by its command line and followed by its exit code.  Regenerate
+# only for an intended change of the report, with verify_transcript.
+VERIFY_SELECTORS = (
+    *(("--theory", name) for name in PRESET_NAMES),
+    ("--triple", "1,0,1"),
+    ("--triple", "1,1,1"),
+    ("--params", "a=1,t=0,lambda=1,mu=1,beta=0,field=f2"),  # klein, theta^2 action
+    ("--params", "a=1,t=1,lambda=0,mu=1,beta=1,field=f2"),  # phi on tensors, theta^3
+    ("--params", "a=2,t=1,lambda=1,mu=0,beta=1"),           # fractional tensor terms
+)
+
+
+def verify_transcript(capsys, fmt):
+    parts = []
+    for selector in VERIFY_SELECTORS:
+        argv = ("verify", *selector, "--format", fmt)
+        code, out = run(capsys, *argv)
+        parts.append(f"$ vlinkhom {' '.join(argv)}\n{out}# exit {code}\n")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_verify_matches_golden(capsys, fmt):
+    expected = (GOLDEN_DIR / f"verify_{fmt}.txt").read_bytes()
+    assert verify_transcript(capsys, fmt).encode("utf-8") == expected
