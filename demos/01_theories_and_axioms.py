@@ -5,9 +5,10 @@ parameters, and runs the axiom and 4-Tu verifiers.  Also shows how the two
 defining constraints reject bad parameter tuples by name.
 """
 
-from vlinkhom.algebra import (all_presets, phi, theory_from_params,
-                              theory_from_triple, theta, verify_4tu,
-                              verify_axioms, x_element)
+from vlinkhom.algebra import (all_presets, format_column, phi_matrix,
+                              theory_from_params, theory_from_triple,
+                              theta_matrix, unit_matrix, verify_4tu,
+                              verify_axioms)
 from vlinkhom.errors import ConstraintViolated
 from vlinkhom.fields import GF2, QQ
 
@@ -17,8 +18,10 @@ print("The eight GF(2) theories (lambda, mu, t, beta -> h, theta, phi(x)):\n")
 for i, th in enumerate(all_presets(), start=1):
     report = verify_axioms(th)
     ok4, _ = verify_4tu(th)
+    theta = format_column(theta_matrix(th).compose(unit_matrix(th)))  # theta*1
+    phi_x = format_column(phi_matrix(th), 1)                           # column of x
     print(f"  f2_row{i}:  lam={th.lam} mu={th.mu} t={th.t} beta={th.beta}"
-          f"   h={th.h}  theta={theta(th)!r:8}  phi(x)={phi(th, x_element(th))!r:10}"
+          f"   h={th.h}  theta={theta:8}  phi(x)={phi_x:10}"
           f"  axioms={'ok' if report.passed else 'FAIL'} 4tu={'ok' if ok4 else 'FAIL'}")
 
 print("\nRow 1 is the theory that kills the one-circle-to-one-circle saddles;")

@@ -1,10 +1,9 @@
 """Exact link homology for virtual links (stable equivalence classes of
 diagrams on surfaces) built from rank-two extended Frobenius algebras."""
 
-from .algebra import (AlgebraElement, AxiomReport, TensorElement, TheoryParams,
-                      all_presets, comultiply, counit, handle_element, multiply,
-                      phi, preset, theory_from_params, theory_from_triple, theta,
-                      unit, verify_4tu, verify_axioms)
+from .algebra import (AxiomReport, TheoryParams, all_presets, preset,
+                      theory_from_params, theory_from_triple, verify_4tu,
+                      verify_axioms)
 from .diagram import (Circle, SaddleDescriptor, Smoothing, VirtualLinkDiagram,
                       apply_r1, apply_r1_inverse, apply_r2, apply_r2_inverse,
                       braid_closure, classify_saddle, cube_edges, parse_gauss,
@@ -14,7 +13,7 @@ from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        build_complex, graded_euler_poly, graded_homology,
                        homology, homology_of)
 from .jones import LaurentPoly, jones_at_one, kauffman_jones
-from .tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge, SingleCycle,
-                   Split, compose, elementary_map, evaluate_closed_surface)
+from .tqft import (ExactLinearMap, Merge, SingleCycle, Split, compose,
+                   elementary_map, evaluate_closed_surface)
 
 __version__ = "0.1.0"

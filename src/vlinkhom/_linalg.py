@@ -1,8 +1,12 @@
 """Exact sparse linear algebra over the supported fields.
 
-Both entry points take matrices row-major as ``{row: {col: nonzero}}``
-dicts, such as a differential's ``rows`` or one q-layer of them, never
-change them, and dispatch on the field.
+``ExactLinearMap`` is the one sparse matrix type: nonzero scalars stored
+row-major as ``{row: {col: value}}``, the layout that the structure maps of
+``algebra``, the cobordism blocks of ``tqft``, the cube assembly, the d o d
+check and elimination all read.  A vector is a one-column map.
+
+The two elimination entry points take such ``rows`` dicts, or one q-layer
+of them, never change them, and dispatch on the field.
 
 ``pivot_rows(rows, field, skip)`` is the one elimination routine. It
 returns the pivot rows of the matrix with the columns ``skip`` removed: the
@@ -31,14 +35,105 @@ difference over GF(2) and as plain Python ints otherwise.
 
 from __future__ import annotations
 
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 from math import lcm
 from operator import or_
 
+from .errors import DimensionMismatch
 from .fields import PrimeField
 
+
+# ---------------------------------------------------------------------------
+# sparse exact matrices
+
+@dataclass(frozen=True)
+class ExactLinearMap:
+    """A linear map stored row-major as a sparse {row: {col: scalar}} table."""
+
+    field: object
+    nrows: int
+    ncols: int
+    rows: dict  # row -> {col: scalar}, zeros and empty rows omitted
+
+    @staticmethod
+    def make(field, nrows, ncols, entry_map):
+        rows = {}
+        for (r, c), v in entry_map.items():
+            if not field.is_zero(v):
+                rows.setdefault(r, {})[c] = v
+        return ExactLinearMap(field, nrows, ncols, rows)
+
+    @staticmethod
+    def identity(field, n):
+        return ExactLinearMap.make(field, n, n, {(i, i): field.one for i in range(n)})
+
+    @cached_property
+    def entries(self):
+        """The nonzero ((row, col), scalar) entries, sorted row-major."""
+        return tuple(((r, c), row[c]) for r, row in sorted(self.rows.items())
+                     for c in sorted(row))
+
+    def entry(self, r, c):
+        """The scalar at (r, c), zero where none is stored."""
+        return self.rows.get(r, {}).get(c, self.field.zero)
+
+    def entry_map(self):
+        return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
+
+    def compose(self, other):
+        """self o other (apply ``other`` first)."""
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(
+                f"compose: {self.nrows}x{self.ncols} after {other.nrows}x{other.ncols}")
+        F = self.field
+        out = {}
+        for r, row in self.rows.items():
+            for mid, w in row.items():
+                for c, v in other.rows.get(mid, {}).items():
+                    out[(r, c)] = F.add(out.get((r, c), F.zero), F.mul(w, v))
+        return ExactLinearMap.make(F, self.nrows, other.ncols, out)
+
+    def kron(self, other):
+        """Tensor product of maps (self on the first factor)."""
+        F = self.field
+        out = {}
+        for (r1, c1), v1 in self.entry_map().items():
+            for (r2, c2), v2 in other.entry_map().items():
+                out[(r1 * other.nrows + r2, c1 * other.ncols + c2)] = F.mul(v1, v2)
+        return ExactLinearMap.make(F, self.nrows * other.nrows,
+                                   self.ncols * other.ncols, out)
+
+    def add(self, other):
+        """The entrywise sum self + other, zero-free."""
+        F = self.field
+        out = self.entry_map()
+        for key, v in other.entry_map().items():
+            out[key] = F.add(out.get(key, F.zero), v)
+        return ExactLinearMap.make(F, self.nrows, self.ncols, out)
+
+    def negated(self):
+        """The map -self, zero-free like self."""
+        F = self.field
+        return ExactLinearMap(F, self.nrows, self.ncols, {
+            r: {c: F.neg(v) for c, v in row.items()} for r, row in self.rows.items()})
+
+    def is_zero(self):
+        return not self.rows
+
+
+def compose(*maps):
+    """compose(f, g, h) = f o g o h."""
+    out = maps[0]
+    for m in maps[1:]:
+        out = out.compose(m)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# elimination
 
 def _is_gf2(field):
     return isinstance(field, PrimeField) and field.p == 2

@@ -14,136 +14,28 @@ subject to the defining constraints
     (eq1)  mu*beta = 0 and lambda*beta = 0,
     (eq2)  2*a*lambda*mu - a^2*mu^2*lambda^2 - a^2*mu^4*t = 2.
 
-Every operation takes the theory explicitly; elements are immutable.
+Each structure map is written down once, as an ``ExactLinearMap`` read
+straight off these formulas: ``product_matrix`` (m), ``coproduct_matrix``
+(Delta), ``unit_matrix`` (i), ``counit_matrix`` (eps), ``phi_matrix`` and
+``theta_matrix`` (multiplication by theta).  The basis of V is (1, x) and
+tensor factors are big-endian: the basis vector b_1(x)...(x)b_n of V^(x)n
+has index sum(b_k * 2^(n-k)), with 1 -> 0 and x -> 1.  An element of V^(x)n
+is a one-column map, and ``format_column`` renders it.
+
+``verify_axioms`` and ``verify_4tu`` check the axioms as identities between
+composites of these matrices; a failed identity is reported with its first
+differing column, as a human-readable witness.  ``tqft`` builds the
+cobordism blocks and the surface values from the same matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
+from ._linalg import ExactLinearMap, compose
 from .errors import ConstraintViolated, NotInvertible, UnknownPreset
 from .fields import GF2, QQ
-
-
-# ---------------------------------------------------------------------------
-# elements
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element c1*1 + cx*x of V, with exact coefficients."""
-
-    field: object
-    c1: object
-    cx: object
-
-    def __add__(self, other):
-        F = self.field
-        return AlgebraElement(F, F.add(self.c1, other.c1), F.add(self.cx, other.cx))
-
-    def __sub__(self, other):
-        F = self.field
-        return AlgebraElement(F, F.sub(self.c1, other.c1), F.sub(self.cx, other.cx))
-
-    def scale(self, scalar):
-        F = self.field
-        return AlgebraElement(F, F.mul(scalar, self.c1), F.mul(scalar, self.cx))
-
-    def is_zero(self):
-        return self.field.is_zero(self.c1) and self.field.is_zero(self.cx)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        F = self.field
-        return (F.is_zero(F.sub(self.c1, other.c1))
-                and F.is_zero(F.sub(self.cx, other.cx)))
-
-    def __hash__(self):
-        return hash((self.field, self.c1, self.cx))
-
-    def __repr__(self):
-        F = self.field
-        parts = []
-        if not F.is_zero(self.c1):
-            parts.append(f"{F.to_str(self.c1)}*1")
-        if not F.is_zero(self.cx):
-            parts.append(f"{F.to_str(self.cx)}*x")
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """An element of V^(x)rank, stored as a map from index tuples to scalars.
-
-    Index 0 stands for the basis vector 1 and index 1 for x.  Zero
-    coefficients are never stored; rank-0 tensors are scalars.
-    """
-
-    field: object
-    rank: int
-    terms: tuple  # sorted tuple of (index-tuple, scalar)
-
-    @staticmethod
-    def make(field, rank, term_map):
-        terms = tuple(sorted((idx, c) for idx, c in term_map.items()
-                             if not field.is_zero(c)))
-        return TensorElement(field, rank, terms)
-
-    def term_map(self):
-        return dict(self.terms)
-
-    def __add__(self, other):
-        assert self.rank == other.rank
-        F = self.field
-        out = self.term_map()
-        for idx, c in other.terms:
-            out[idx] = F.add(out.get(idx, F.zero), c)
-        return TensorElement.make(F, self.rank, out)
-
-    def scale(self, scalar):
-        F = self.field
-        return TensorElement.make(
-            F, self.rank, {idx: F.mul(scalar, c) for idx, c in self.terms})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, self.terms))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = {0: "1", 1: "x"}
-        bits = []
-        for idx, c in self.terms:
-            word = "(x)".join(names[i] for i in idx) if idx else "scalar"
-            coeff = self.field.to_str(c)
-            bits.append(word if coeff == "1" else f"{coeff}*{word}")
-        return " + ".join(bits)
-
-
-def tensor_of(*elements):
-    """Tensor product of AlgebraElements, as a TensorElement."""
-    F = elements[0].field
-    out = {(): F.one}
-    for e in elements:
-        nxt = {}
-        for idx, c in out.items():
-            for i, coeff in ((0, e.c1), (1, e.cx)):
-                if F.is_zero(coeff):
-                    continue
-                key = idx + (i,)
-                nxt[key] = F.add(nxt.get(key, F.zero), F.mul(c, coeff))
-        out = nxt
-    return TensorElement.make(F, len(elements), out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +54,6 @@ class TheoryParams:
     f: object = dc_field(repr=False, default=None)
     h: object = dc_field(repr=False, default=None)
     name: str = dc_field(default="", compare=False)
-
-    def basis(self):
-        return (unit(self), x_element(self))
-
-    def describe(self):
-        F = self.field
-        vals = {k: F.to_str(getattr(self, k)) for k in ("a", "t", "lam", "mu", "beta")}
-        return {"field": F.name, "params": vals, **({"preset": self.name} if self.name else {})}
 
 
 def _derive(field, a, t, lam, mu, beta):
@@ -271,97 +155,57 @@ def all_presets():
 # ---------------------------------------------------------------------------
 # structure maps
 
-def unit(th):
-    return AlgebraElement(th.field, th.field.one, th.field.zero)
+def product_matrix(th):
+    """m: V(x)V -> V, with 1 the unit and x*x = t*1 + h*x."""
+    one = th.field.one
+    return ExactLinearMap.make(th.field, 2, 4, {
+        (0, 0): one, (1, 1): one, (1, 2): one, (0, 3): th.t, (1, 3): th.h})
 
 
-def x_element(th):
-    return AlgebraElement(th.field, th.field.zero, th.field.one)
+def coproduct_matrix(th):
+    """Delta: V -> V(x)V."""
+    F, f = th.field, th.f
+    return ExactLinearMap.make(F, 4, 2, {
+        (0, 0): F.neg(F.mul(th.h, f)), (1, 0): f, (2, 0): f,
+        (0, 1): F.mul(f, th.t), (3, 1): f})
 
 
-def multiply(th, u, v):
-    """Bilinear product: 1 is the unit and x*x = h*x + t*1."""
-    F = th.field
-    xx = F.mul(u.cx, v.cx)
-    c1 = F.add(F.mul(u.c1, v.c1), F.mul(th.t, xx))
-    cx = F.add(F.add(F.mul(u.c1, v.cx), F.mul(u.cx, v.c1)), F.mul(th.h, xx))
-    return AlgebraElement(F, c1, cx)
+def unit_matrix(th):
+    """i: R -> V, 1 -> 1."""
+    return ExactLinearMap.make(th.field, 2, 1, {(0, 0): th.field.one})
 
 
-def comultiply(th, v):
-    """Coproduct as a rank-2 tensor."""
-    F = th.field
-    terms = {}
-
-    def put(idx, c):
-        if not F.is_zero(c):
-            terms[idx] = F.add(terms.get(idx, F.zero), c)
-
-    # Delta(1) = f(1(x)x + x(x)1) - h f 1(x)1
-    put((0, 1), F.mul(v.c1, th.f))
-    put((1, 0), F.mul(v.c1, th.f))
-    put((0, 0), F.neg(F.mul(v.c1, F.mul(th.h, th.f))))
-    # Delta(x) = f x(x)x + f t 1(x)1
-    put((1, 1), F.mul(v.cx, th.f))
-    put((0, 0), F.mul(v.cx, F.mul(th.f, th.t)))
-    return TensorElement.make(F, 2, terms)
+def counit_matrix(th):
+    """eps: V -> R, 1 -> 0 and x -> a."""
+    return ExactLinearMap.make(th.field, 1, 2, {(0, 1): th.a})
 
 
-def counit(th, v):
-    """eps(c1*1 + cx*x) = cx * a."""
-    return th.field.mul(v.cx, th.a)
-
-
-def phi(th, v):
+def phi_matrix(th):
     """The flip involution: 1 -> 1, x -> beta*1 + x."""
+    one = th.field.one
+    return ExactLinearMap.make(th.field, 2, 2, {(0, 0): one, (0, 1): th.beta, (1, 1): one})
+
+
+def theta_matrix(th):
+    """Multiplication by the crosscap element theta = lambda*1 + mu*x."""
     F = th.field
-    return AlgebraElement(F, F.add(v.c1, F.mul(th.beta, v.cx)), v.cx)
+    return ExactLinearMap.make(F, 2, 2, {
+        (0, 0): th.lam, (1, 0): th.mu,
+        (0, 1): F.mul(th.mu, th.t), (1, 1): F.add(th.lam, F.mul(th.mu, th.h))})
 
 
-def theta(th):
-    """The crosscap element lambda*1 + mu*x."""
-    return AlgebraElement(th.field, th.lam, th.mu)
-
-
-def handle_element(th):
-    """H = m(Delta(1)), the value of adding a handle: 2f*x - h*f*1."""
-    return multiply_tensor2(th, comultiply(th, unit(th)))
-
-
-def multiply_tensor2(th, tensor):
-    """Apply m to a rank-2 tensor."""
-    assert tensor.rank == 2
-    F = th.field
-    basis = (unit(th), x_element(th))
-    out = AlgebraElement(F, F.zero, F.zero)
-    for (i, j), c in tensor.terms:
-        out = out + multiply(th, basis[i], basis[j]).scale(c)
-    return out
-
-
-def tensor_apply(tensor, position, linear_map):
-    """Apply a map V -> V (given on basis elements) to one tensor factor."""
-    F = tensor.field
-    out = {}
-    for idx, c in tensor.terms:
-        image = linear_map[idx[position]]
-        for k, coeff in ((0, image.c1), (1, image.cx)):
-            if F.is_zero(coeff):
-                continue
-            key = idx[:position] + (k,) + idx[position + 1:]
-            out[key] = F.add(out.get(key, F.zero), F.mul(c, coeff))
-    return TensorElement.make(F, tensor.rank, out)
-
-
-def phi_on_factor(th, tensor, position):
-    return tensor_apply(tensor, position, (phi(th, unit(th)), phi(th, x_element(th))))
-
-
-def element_power(th, v, n):
-    out = unit(th)
-    for _ in range(n):
-        out = multiply(th, out, v)
-    return out
+def format_column(m, col=0):
+    """Column ``col`` of ``m``, a vector of V^(x)n where m.nrows = 2^n, as
+    text in basis order: ``c*1 + c*x`` for n = 1, ``1(x)x + 3/2*x(x)1``
+    for n >= 2 (a coefficient 1 left out), and ``0`` for the zero vector."""
+    F, n = m.field, m.nrows.bit_length() - 1
+    terms = []
+    for r in sorted(m.rows):
+        if col in m.rows[r]:
+            word = "(x)".join("1x"[r >> (n - 1 - k) & 1] for k in range(n))
+            coeff = F.to_str(m.rows[r][col])
+            terms.append(word if n > 1 and coeff == "1" else f"{coeff}*{word}")
+    return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -393,131 +237,95 @@ class AxiomReport:
 
 
 def verify_axioms(th):
-    """Check the extended-Frobenius axioms by evaluation on the basis.
+    """Check the extended-Frobenius axioms as identities between matrices.
 
     Failures are recorded with witnesses instead of raising, so that
-    classification experiments get full diagnostics.
+    classification experiments get full diagnostics.  The witness of a
+    failed identity comes from its first differing column: the first basis
+    vector, or pair of them, on which the two sides disagree.
     """
     F = th.field
-    one, x = th.basis()
-    basis = (one, x)
-    th_el = theta(th)
+    m, delta, phi = product_matrix(th), coproduct_matrix(th), phi_matrix(th)
+    eps, unit, theta = counit_matrix(th), unit_matrix(th), theta_matrix(th)
+    ident = ExactLinearMap.identity(F, 2)
+    basis = [format_column(ident, j) for j in (0, 1)]
     checks = []
 
-    def check(name, ok, witness=""):
-        checks.append(AxiomCheck(name, bool(ok), witness))
+    def check(name, lhs, rhs, witness):
+        """lhs = rhs.  Where they differ, ``witness`` is formatted at their
+        first differing column: {v} names its basis vector (``1*x``, or
+        ``1*x*1*x`` for x(x)x) and {l} and {r} are the two sides' columns."""
+        diff = lhs.add(rhs.negated())
+        j = min((c for row in diff.rows.values() for c in row), default=None)
+        if j is None:
+            checks.append(AxiomCheck(name, True))
+            return
+        k = lhs.ncols.bit_length() - 1
+        v = "*".join(basis[j >> (k - 1 - i) & 1] for i in range(k))
+        checks.append(AxiomCheck(name, False, witness.format(
+            v=v, l=format_column(lhs, j), r=format_column(rhs, j))))
 
-    for v in basis:
-        w = phi(th, phi(th, v))
-        if w != v:
-            check("phi_involution", False, f"phi(phi({v})) = {w}")
-            break
-    else:
-        check("phi_involution", True)
+    check("phi_involution", compose(phi, phi), ident, "phi(phi({v})) = {l}")
+    check("phi_product", compose(phi, m), compose(m, phi.kron(phi)),
+          "phi({v}): {l} != {r}")
+    check("phi_coproduct", compose(phi.kron(phi), delta), compose(delta, phi),
+          "(phi(x)phi)Delta({v}) = {l} != Delta(phi) = {r}")
+    check("phi_counit", compose(eps, phi), eps, "eps(phi({v})) != eps({v})")
+    check("phi_unit", compose(phi, unit), unit, "phi(1) != 1")
+    check("extended_axiom_theta", compose(phi, theta), theta, "phi(theta*{v}) = {l} != {r}")
+    klein, theta_sq = compose(m, phi.kron(ident), delta), compose(theta, theta)
+    check("extended_axiom_klein", compose(klein, unit), compose(theta_sq, unit),
+          "m(phi(x)Id)Delta(1) = {l} != theta^2 = {r}")
+    check("theta_square_action", klein, theta_sq,
+          "m(phi(x)Id)Delta({v}) = {l} != theta^2*{v} = {r}")
+    check("theta_cube", compose(m, delta, theta, unit), compose(theta, theta_sq, unit),
+          "m(Delta(theta)) = {l} != theta^3 = {r}")
 
-    bad = None
-    for u, v in itertools.product(basis, repeat=2):
-        lhs = phi(th, multiply(th, u, v))
-        rhs = multiply(th, phi(th, u), phi(th, v))
-        if lhs != rhs:
-            bad = f"phi({u}*{v}): {lhs} != {rhs}"
-            break
-    check("phi_product", bad is None, bad or "")
-
-    bad = None
-    for v in basis:
-        lhs = phi_on_factor(th, phi_on_factor(th, comultiply(th, v), 0), 1)
-        rhs = comultiply(th, phi(th, v))
-        if lhs != rhs:
-            bad = f"(phi(x)phi)Delta({v}) = {lhs} != Delta(phi) = {rhs}"
-            break
-    check("phi_coproduct", bad is None, bad or "")
-
-    bad = None
-    for v in basis:
-        if not F.is_zero(F.sub(counit(th, phi(th, v)), counit(th, v))):
-            bad = f"eps(phi({v})) != eps({v})"
-            break
-    check("phi_counit", bad is None, bad or "")
-
-    check("phi_unit", phi(th, one) == one, "phi(1) != 1")
-
-    bad = None
-    for v in basis:
-        tv = multiply(th, th_el, v)
-        if phi(th, tv) != tv:
-            bad = f"phi(theta*{v}) = {phi(th, tv)} != {tv}"
-            break
-    check("extended_axiom_theta", bad is None, bad or "")
-
-    klein = multiply_tensor2(th, phi_on_factor(th, comultiply(th, one), 0))
-    theta_sq = multiply(th, th_el, th_el)
-    check("extended_axiom_klein", klein == theta_sq,
-          f"m(phi(x)Id)Delta(1) = {klein} != theta^2 = {theta_sq}")
-
-    bad = None
-    for v in basis:
-        lhs = multiply_tensor2(th, phi_on_factor(th, comultiply(th, v), 0))
-        rhs = multiply(th, theta_sq, v)
-        if lhs != rhs:
-            bad = f"m(phi(x)Id)Delta({v}) = {lhs} != theta^2*{v} = {rhs}"
-            break
-    check("theta_square_action", bad is None, bad or "")
-
-    cube_lhs = multiply_tensor2(th, comultiply(th, th_el))
-    cube_rhs = element_power(th, th_el, 3)
-    check("theta_cube", cube_lhs == cube_rhs,
-          f"m(Delta(theta)) = {cube_lhs} != theta^3 = {cube_rhs}")
+    def scalar(name, value, witness):
+        checks.append(AxiomCheck(name, bool(value), witness))
 
     res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
     r1a, r1b = res["eq1"]
-    check("eq1", F.is_zero(r1a) and F.is_zero(r1b),
-          f"mu*beta = {F.to_str(r1a)}, lambda*beta = {F.to_str(r1b)}")
-    check("eq2", F.is_zero(res["eq2"]), f"residual {F.to_str(res['eq2'])}")
+    scalar("eq1", F.is_zero(r1a) and F.is_zero(r1b),
+           f"mu*beta = {F.to_str(r1a)}, lambda*beta = {F.to_str(r1b)}")
+    scalar("eq2", F.is_zero(res["eq2"]), f"residual {F.to_str(res['eq2'])}")
 
     # Gram matrix [[eps(1*1), eps(1*x)], [eps(x*1), eps(x*x)]]; det = -a^2
-    g = [[counit(th, multiply(th, u, v)) for v in basis] for u in basis]
-    det = F.sub(F.mul(g[0][0], g[1][1]), F.mul(g[0][1], g[1][0]))
-    check("counit_nondegenerate", not F.is_zero(det),
-          f"Gram determinant {F.to_str(det)}")
+    gram = compose(eps, m)
+    det = F.sub(F.mul(gram.entry(0, 0), gram.entry(0, 3)),
+                F.mul(gram.entry(0, 1), gram.entry(0, 2)))
+    scalar("counit_nondegenerate", not F.is_zero(det), f"Gram determinant {F.to_str(det)}")
 
-    check("aspherical", F.is_zero(counit(th, one)),
-          f"eps(i(1)) = {F.to_str(counit(th, one))}")
+    sphere = compose(eps, unit).entry(0, 0)
+    scalar("aspherical", F.is_zero(sphere), f"eps(i(1)) = {F.to_str(sphere)}")
 
     return AxiomReport(tuple(checks))
 
 
 def four_tube_sides(delta1):
-    """The two rank-4 tensors compared by the 4-Tu identity.
+    """The two vectors of V^(x)4 compared by the 4-Tu identity.
 
-    Writing Delta(1) = sum a'(x)a'', the identity is
+    ``delta1`` is the column of Delta(1) = sum a'(x)a''; the identity is
 
         sum a'(x)a''(x)1(x)1 + sum 1(x)1(x)a'(x)a''
           = sum a'(x)1(x)a''(x)1 + sum 1(x)a'(x)1(x)a''.
     """
-    F = delta1.field
-
     def embed(p, q):
-        terms = {}
-        for (i, j), c in delta1.terms:
-            idx = [0, 0, 0, 0]
-            idx[p], idx[q] = i, j
-            key = tuple(idx)
-            terms[key] = F.add(terms.get(key, F.zero), c)
-        return TensorElement.make(F, 4, terms)
+        # a' on factor p and a'' on factor q, 1 on the other two
+        return ExactLinearMap.make(delta1.field, 16, 1, {
+            ((r >> 1) << (3 - p) | (r & 1) << (3 - q), 0): row[0]
+            for r, row in delta1.rows.items()})
 
-    lhs = embed(0, 1) + embed(2, 3)
-    rhs = embed(0, 2) + embed(1, 3)
-    return lhs, rhs
+    return embed(0, 1).add(embed(2, 3)), embed(0, 2).add(embed(1, 3))
 
 
 def verify_4tu(th):
     """Check the 4-Tu relation for this theory; returns (passed, witness)."""
-    lhs, rhs = four_tube_sides(comultiply(th, unit(th)))
-    if lhs == rhs:
+    lhs, rhs = four_tube_sides(compose(coproduct_matrix(th), unit_matrix(th)))
+    diff = lhs.add(rhs.negated())
+    if diff.is_zero():
         return True, ""
-    diff = lhs + rhs.scale(th.field.neg(th.field.one))
-    return False, f"lhs - rhs = {diff}"
+    return False, f"lhs - rhs = {format_column(diff)}"
 
 
 # ---------------------------------------------------------------------------

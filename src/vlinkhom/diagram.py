@@ -275,20 +275,18 @@ def load_diagram(path):
 
 @dataclass(frozen=True, slots=True)
 class Circle:
-    """One circle of a smoothing: a cyclic list of directed arcs.
+    """One circle of a smoothing: a cyclic list of arcs.
 
-    ``steps`` holds (arc, direction) pairs; direction +1 traverses the arc
-    from tail to head.  ``key`` is the minimal half-edge (2*arc for a
-    forward traversal, 2*arc+1 backward), which identifies the circle and
-    anchors its canonical orientation.  Free loops (components with no
-    crossings) have no steps and carry a key beyond every half-edge.
+    ``arcs`` lists the arcs in traversal order; the direction in which the
+    circle runs through each is a bit of ``Smoothing.forward``.  ``key`` is
+    the minimal half-edge (2*arc for a forward traversal, 2*arc+1 backward),
+    which identifies the circle and anchors its canonical orientation.  Free
+    loops (components with no crossings) have no arcs and carry a key beyond
+    every half-edge.
     """
 
-    steps: tuple
+    arcs: tuple
     key: int
-
-    def arcs(self):
-        return [a for a, _ in self.steps]
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +296,7 @@ class Smoothing:
     ``state`` is the 0/1 string of the bits, ``keys`` the circle keys in
     canonical order, ``arc_circle`` the index of each arc's circle and
     ``forward`` a bitmask of the arcs whose circle traverses them from tail
-    to head (the direction +1 of ``Circle.steps``).
+    to head.
     """
 
     diagram: VirtualLinkDiagram
@@ -369,10 +367,10 @@ def _smooth(d, bits, state):
     for start in range(d.total_arcs):
         if arc_circle[start] >= 0:
             continue
-        idx, steps = len(circles), []
+        idx, arcs = len(circles), []
         arc, fwd = start, 1
         while True:
-            steps.append((arc, 2 * fwd - 1))
+            arcs.append(arc)
             arc_circle[arc] = idx
             forward |= fwd << arc
             enter_end = pairing[2 * arc + fwd]  # leave by the head going forward
@@ -380,7 +378,7 @@ def _smooth(d, bits, state):
             if arc == start:
                 assert fwd, "circle closed against its own direction"
                 break
-        circles.append(Circle(tuple(steps), 2 * start))
+        circles.append(Circle(tuple(arcs), 2 * start))
     for ci, comp in enumerate(d.components):
         if not comp:
             circles.append(Circle((), 2 * d.total_arcs + ci))

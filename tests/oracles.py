@@ -9,6 +9,7 @@ elimination for ranks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from vlinkhom.diagram import splice_pairing
 
@@ -61,22 +62,33 @@ def rank_f2_dense(rows):
 
 
 def rank_qq_dense(rows):
-    """Rank over QQ of a dense Fraction matrix, full reduced echelon form."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rows = [r for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
+    """Rank over QQ of a dense matrix of rationals.
+
+    Each row is scaled by the lcm of its denominators to integers, and the
+    integer matrix is reduced by fraction-free (Bareiss) elimination: after
+    k pivots every entry below them is a (k+1)-minor of the integer matrix,
+    so each division by the previous pivot is exact and entries stay as
+    small as those minors.
+    """
+    ints = []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        scale = lcm(*(x.denominator for x in r))
+        if any(r):
+            ints.append([x.numerator * (scale // x.denominator) for x in r])
+    ncols = len(ints[0]) if ints else 0
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(ints)) if ints[i][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        ints[rank], ints[pivot] = ints[pivot], ints[rank]
+        top = ints[rank]
+        p = top[col]
+        for i in range(rank + 1, len(ints)):
+            f = ints[i][col]
+            ints[i] = [(p * a - f * b) // prev for a, b in zip(ints[i], top)]
+        prev = p
         rank += 1
     return rank
 

@@ -11,11 +11,12 @@ import time
 
 from oracles import classical_khovanov_f2_betti, dense_betti_qq
 from vlinkhom import corpus
-from vlinkhom.algebra import (all_presets, constraint_residuals, counit,
-                              comultiply, element_power, handle_element,
-                              multiply, multiply_tensor2, phi, phi_on_factor,
-                              preset, random_rational_triples, theory_from_params,
-                              theory_from_triple, theta, unit, verify_4tu,
+from vlinkhom._linalg import ExactLinearMap, compose
+from vlinkhom.algebra import (all_presets, constraint_residuals,
+                              coproduct_matrix, counit_matrix, phi_matrix,
+                              preset, product_matrix, random_rational_triples,
+                              theory_from_params, theory_from_triple,
+                              theta_matrix, unit_matrix, verify_4tu,
                               verify_axioms)
 from vlinkhom.diagram import all_smoothings, random_moves
 from vlinkhom.errors import ConstraintViolated
@@ -98,17 +99,17 @@ def test_criterion_03_identity_suite():
             for a, l, m in random_rational_triples(25, seed=3)]
         for th in theories:
             F = th.field
-            th_el = theta(th)
-            theta_sq = multiply(th, th_el, th_el)
-            for v in th.basis():
-                assert phi(th, phi(th, v)) == v
-                tv = multiply(th, th_el, v)
-                assert phi(th, tv) == tv
-            assert multiply_tensor2(
-                th, phi_on_factor(th, comultiply(th, unit(th)), 0)) == theta_sq
-            assert multiply_tensor2(th, comultiply(th, th_el)) == \
-                element_power(th, th_el, 3)
-            assert counit(th, handle_element(th)) == F.from_int(2)
+            ident = ExactLinearMap.identity(F, 2)
+            m, delta, phi = product_matrix(th), coproduct_matrix(th), phi_matrix(th)
+            tmat, unit = theta_matrix(th), unit_matrix(th)
+            th_el = compose(tmat, unit)
+            theta_sq = compose(tmat, th_el)
+            # phi o phi = Id and phi o theta = theta, on both basis vectors
+            assert compose(phi, phi) == ident
+            assert compose(phi, tmat) == tmat
+            assert compose(m, phi.kron(ident), delta, unit) == theta_sq
+            assert compose(m, delta, th_el) == compose(tmat, theta_sq)
+            assert compose(counit_matrix(th), m, delta, unit).entry(0, 0) == F.from_int(2)
             if F.characteristic != 2:
                 disc = F.add(F.mul(th.h, th.h),
                              F.mul(F.from_int(4), th.t))

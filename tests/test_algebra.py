@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlinkhom.algebra import (AlgebraElement, all_presets, comultiply,
-                              constraint_residuals, counit, element_power,
-                              four_tube_sides, handle_element, multiply, phi,
-                              phi_on_factor, preset, multiply_tensor2,
-                              random_rational_triples, tensor_of,
-                              theory_from_params, theory_from_triple, theta,
-                              unit, verify_4tu, verify_axioms, x_element,
-                              TensorElement)
+from vlinkhom._linalg import ExactLinearMap, compose
+from vlinkhom.algebra import (all_presets, constraint_residuals,
+                              coproduct_matrix, counit_matrix,
+                              four_tube_sides, phi_matrix, preset,
+                              product_matrix, random_rational_triples,
+                              theory_from_params, theory_from_triple,
+                              theta_matrix, unit_matrix, verify_4tu,
+                              verify_axioms)
 from vlinkhom.errors import (ConstraintViolated, InputError, NotInvertible,
                              UnknownPreset)
 from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
@@ -23,6 +23,22 @@ Q = QQ.from_int
 
 def q_theory(a=1, lam=0, mu=1):
     return theory_from_triple(Q(a), Q(lam), Q(mu))
+
+
+def element(F, c1, cx):
+    """c1*1 + cx*x as a column."""
+    return ExactLinearMap.make(F, 2, 1, {(0, 0): c1, (1, 0): cx})
+
+
+def basis(th):
+    """The columns of 1 and x."""
+    F = th.field
+    return element(F, F.one, F.zero), element(F, F.zero, F.one)
+
+
+def theta(th):
+    """The crosscap element, as the column theta*1."""
+    return compose(theta_matrix(th), unit_matrix(th))
 
 
 # -- theory_from_params --------------------------------------------------------
@@ -106,8 +122,8 @@ def test_preset_table(name):
     th = preset(name)
     assert (th.lam, th.mu, th.t, th.beta) == (lam, mu, t, beta)
     assert th.h == h
-    assert theta(th) == AlgebraElement(GF2, *th_el)
-    assert phi(th, x_element(th)) == AlgebraElement(GF2, *phix)
+    assert theta(th) == element(GF2, *th_el)
+    assert compose(phi_matrix(th), basis(th)[1]) == element(GF2, *phix)
 
 
 def test_preset_manturov_alias():
@@ -126,65 +142,65 @@ def test_preset_unknown():
 
 def test_multiply_row7_xx_is_zero():
     th = preset("f2_row7")
-    x = x_element(th)
-    assert multiply(th, x, x).is_zero()
+    x = basis(th)[1]
+    assert compose(product_matrix(th), x.kron(x)).is_zero()
 
 
 def test_multiply_unit_law():
+    # m o (i (x) Id) = Id = m o (Id (x) i)
     for th in all_presets() + [q_theory(2, 1, 1)]:
-        for v in (unit(th), x_element(th)):
-            assert multiply(th, unit(th), v) == v
-            assert multiply(th, v, unit(th)) == v
+        ident = ExactLinearMap.identity(th.field, 2)
+        m, unit = product_matrix(th), unit_matrix(th)
+        assert compose(m, unit.kron(ident)) == ident
+        assert compose(m, ident.kron(unit)) == ident
 
 
 def test_multiply_qq_xx():
     th = q_theory(1, 0, 1)
-    x = x_element(th)
-    assert multiply(th, x, x) == AlgebraElement(QQ, Q(-2), Q(2))
+    x = basis(th)[1]
+    assert compose(product_matrix(th), x.kron(x)) == element(QQ, Q(-2), Q(2))
 
 
 def test_comultiply_row1():
     th = preset("manturov")
-    one, x = th.basis()
-    assert comultiply(th, one) == TensorElement.make(GF2, 2, {(0, 1): 1, (1, 0): 1})
-    assert comultiply(th, x) == TensorElement.make(GF2, 2, {(1, 1): 1})
+    one, x = basis(th)
+    delta = coproduct_matrix(th)
+    assert compose(delta, one) == ExactLinearMap.make(GF2, 4, 1, {(1, 0): 1, (2, 0): 1})
+    assert compose(delta, x) == ExactLinearMap.make(GF2, 4, 1, {(3, 0): 1})
 
 
 def test_counit_law_all_presets():
-    # (eps (x) id) Delta = id = (id (x) eps) Delta on the basis
+    # (eps (x) Id) Delta = Id = (Id (x) eps) Delta
     for th in all_presets() + [q_theory(1, 2, 1)]:
-        F = th.field
-        for v in th.basis():
-            delta = comultiply(th, v)
-            left = AlgebraElement(F, F.zero, F.zero)
-            right = AlgebraElement(F, F.zero, F.zero)
-            basis = th.basis()
-            for (i, j), c in delta.terms:
-                left = left + basis[j].scale(F.mul(c, counit(th, basis[i])))
-                right = right + basis[i].scale(F.mul(c, counit(th, basis[j])))
-            assert left == v and right == v
+        ident = ExactLinearMap.identity(th.field, 2)
+        delta, eps = coproduct_matrix(th), counit_matrix(th)
+        assert compose(eps.kron(ident), delta) == ident
+        assert compose(ident.kron(eps), delta) == ident
 
 
 def test_counit_values():
     th = q_theory(1, 0, 1)
-    assert counit(th, x_element(th)) == Q(1)
-    assert counit(th, unit(th)) == Q(0)
-    assert counit(th, x_element(th).scale(Q(3))) == Q(3)
+    one, x = basis(th)
+    eps = counit_matrix(th)
+    assert compose(eps, x).entry(0, 0) == Q(1)
+    assert compose(eps, one).entry(0, 0) == Q(0)
+    assert compose(eps, element(QQ, Q(0), Q(3))).entry(0, 0) == Q(3)
 
 
 def test_phi_row2_and_row7():
-    assert phi(preset("f2_row2"), x_element(preset("f2_row2"))) == \
-        AlgebraElement(GF2, 1, 1)
-    assert phi(preset("f2_row7"), x_element(preset("f2_row7"))) == \
-        AlgebraElement(GF2, 0, 1)
+    for name, phix in (("f2_row2", (1, 1)), ("f2_row7", (0, 1))):
+        th = preset(name)
+        assert compose(phi_matrix(th), basis(th)[1]) == element(GF2, *phix)
 
 
 def test_theta_and_handle():
-    assert theta(preset("f2_row7")) == AlgebraElement(GF2, 0, 1)
+    assert theta(preset("f2_row7")) == element(GF2, 0, 1)
     assert theta(preset("manturov")).is_zero()
     for th in all_presets() + [q_theory(3, 1, 2)]:
         F = th.field
-        assert counit(th, handle_element(th)) == F.from_int(2)
+        handle = compose(counit_matrix(th), product_matrix(th), coproduct_matrix(th),
+                         unit_matrix(th))
+        assert handle.entry(0, 0) == F.from_int(2)
 
 
 # -- Frobenius identities and extended axioms ----------------------------------
@@ -195,50 +211,34 @@ def _random_elements(th, count, seed):
     F = th.field
     out = []
     for _ in range(count):
-        out.append(AlgebraElement(F, F.from_int(rng.randint(-9, 9)),
-                                  F.from_int(rng.randint(-9, 9))))
+        out.append(element(F, F.from_int(rng.randint(-9, 9)),
+                           F.from_int(rng.randint(-9, 9))))
     return out
 
 
 @pytest.mark.parametrize("th", all_presets() + [q_theory(1, 0, 1), q_theory(2, -1, 3)],
                          ids=lambda t: t.name or "qq")
 def test_extended_identities(th):
-    th_el = theta(th)
-    theta_sq = multiply(th, th_el, th_el)
-    for v in list(th.basis()) + _random_elements(th, 10, seed=f"{th.name}-ids"):
-        assert phi(th, phi(th, v)) == v
-        tv = multiply(th, th_el, v)
-        assert phi(th, tv) == tv
-        assert multiply_tensor2(th, phi_on_factor(th, comultiply(th, v), 0)) == \
-            multiply(th, theta_sq, v)
-    assert multiply_tensor2(th, comultiply(th, th_el)) == element_power(th, th_el, 3)
+    m, delta, phi = product_matrix(th), coproduct_matrix(th), phi_matrix(th)
+    tmat = theta_matrix(th)
+    klein = compose(m, phi.kron(ExactLinearMap.identity(th.field, 2)), delta)
+    for v in list(basis(th)) + _random_elements(th, 10, seed=f"{th.name}-ids"):
+        assert compose(phi, phi, v) == v
+        tv = compose(tmat, v)
+        assert compose(phi, tv) == tv
+        assert compose(klein, v) == compose(tmat, tmat, v)
+    assert compose(m, delta, theta(th)) == compose(tmat, tmat, theta(th))
 
 
 @pytest.mark.parametrize("th", all_presets() + [q_theory(1, 1, 2)],
                          ids=lambda t: t.name or "qq")
 def test_frobenius_identities(th):
-    # (Id (x) m)(Delta (x) Id) = Delta o m = (m (x) Id)(Id (x) Delta) on the basis
-    F = th.field
-    basis = th.basis()
-    for u in basis:
-        for v in basis:
-            middle = comultiply(th, multiply(th, u, v))
-            left = {}
-            for (i, j), c in comultiply(th, u).terms:
-                prod = multiply(th, basis[j], v)
-                for kk, coeff in ((0, prod.c1), (1, prod.cx)):
-                    if not F.is_zero(coeff):
-                        key = (i, kk)
-                        left[key] = F.add(left.get(key, F.zero), F.mul(c, coeff))
-            right = {}
-            for (i, j), c in comultiply(th, v).terms:
-                prod = multiply(th, u, basis[i])
-                for kk, coeff in ((0, prod.c1), (1, prod.cx)):
-                    if not F.is_zero(coeff):
-                        key = (kk, j)
-                        right[key] = F.add(right.get(key, F.zero), F.mul(c, coeff))
-            assert TensorElement.make(F, 2, left) == middle
-            assert TensorElement.make(F, 2, right) == middle
+    # (Id (x) m)(Delta (x) Id) = Delta o m = (m (x) Id)(Id (x) Delta)
+    ident = ExactLinearMap.identity(th.field, 2)
+    m, delta = product_matrix(th), coproduct_matrix(th)
+    middle = compose(delta, m)
+    assert compose(ident.kron(m), delta.kron(ident)) == middle
+    assert compose(m.kron(ident), ident.kron(delta)) == middle
 
 
 @settings(max_examples=50, deadline=None)
@@ -310,35 +310,29 @@ def test_invalid_params_fail_eq2_with_residual():
 def test_gram_determinant_is_minus_a_squared():
     for th in all_presets() + [q_theory(3, 0, 1)]:
         F = th.field
-        basis = th.basis()
-        g = [[counit(th, multiply(th, u, v)) for v in basis] for u in basis]
+        gram = compose(counit_matrix(th), product_matrix(th))  # eps(u*v) at 2u + v
+        g = [[gram.entry(0, 2 * u + v) for v in (0, 1)] for u in (0, 1)]
         det = F.sub(F.mul(g[0][0], g[1][1]), F.mul(g[0][1], g[1][0]))
         assert det == F.neg(F.mul(th.a, th.a))
 
 
 def test_4tu_row1_explicit_expansion():
     th = preset("manturov")
-    lhs, rhs = four_tube_sides(comultiply(th, unit(th)))
-    expected = TensorElement.make(GF2, 4, {
-        (0, 1, 0, 0): 1, (1, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 1})
+    lhs, rhs = four_tube_sides(compose(coproduct_matrix(th), unit_matrix(th)))
+    # 1(x)x(x)1(x)1 + x(x)1(x)1(x)1 + 1(x)1(x)1(x)x + 1(x)1(x)x(x)1
+    expected = ExactLinearMap.make(GF2, 16, 1, {
+        (0b0100, 0): 1, (0b1000, 0): 1, (0b0001, 0): 1, (0b0010, 0): 1})
     assert lhs == expected and rhs == expected
 
 
 def test_4tu_catches_corrupted_coproduct():
     # an asymmetric corruption Delta(1) := 1(x)x makes the two sides differ
     # over QQ (a fully symmetric corruption such as 1(x)1 would not)
-    corrupted = TensorElement.make(QQ, 2, {(0, 1): Q(1)})
+    corrupted = ExactLinearMap.make(QQ, 4, 1, {(1, 0): Q(1)})
     lhs, rhs = four_tube_sides(corrupted)
     assert lhs != rhs
-    diff = lhs + rhs.scale(Q(-1))
-    assert diff.terms  # concrete witness tensor
-
-
-def test_random_tensor_embedding_roundtrip():
-    th = q_theory(1, 0, 1)
-    one, x = th.basis()
-    t = tensor_of(one + x.scale(Q(2)), x)
-    assert t.rank == 2 and t.term_map() == {(0, 1): Q(1), (1, 1): Q(2)}
+    diff = lhs.add(rhs.negated())
+    assert not diff.is_zero()  # concrete witness vector
 
 
 def test_random_rational_triples_deterministic():

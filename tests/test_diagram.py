@@ -16,7 +16,7 @@ from vlinkhom.diagram import (all_smoothings,
                               apply_r2_inverse, braid_closure, classify_saddle,
                               cube_edges, parse_gauss,
                               r1_inverse_sites, r2_inverse_sites, random_moves,
-                              smooth, diagram_from_json_obj)
+                              smooth, splice_pairing, diagram_from_json_obj)
 from vlinkhom.errors import (BadSyntax, DuplicateRole, LengthMismatch,
                              MissingPassage, NotCubeEdge, PatternNotFound,
                              SignMismatch)
@@ -132,14 +132,11 @@ def test_arcs_partition_into_circles():
     for name in ("trefoil", "kishino", "virtual_trefoil", "figure_eight"):
         d = corpus.load(name)
         for sm in all_smoothings(d).values():
-            seen = [a for c in sm.circles for a in c.arcs()]
+            seen = [a for c in sm.circles for a in c.arcs]
             assert sorted(seen) == list(range(d.total_arcs))
-            # every half-edge (directed arc) appears exactly once
-            steps = [s for c in sm.circles for s in c.steps]
-            assert len({(a, dr) for a, dr in steps}) == len(steps) == d.total_arcs
             # each circle starts at its minimal half-edge, which is its key
             for c in sm.circles:
-                half = [2 * a + (dr < 0) for a, dr in c.steps]
+                half = [2 * a + 1 - (sm.forward >> a & 1) for a in c.arcs]
                 assert half[0] == min(half) == c.key
 
 
@@ -153,9 +150,14 @@ def assert_smoothing_tables(d):
         assert sm.r == sum(sm.bits)
         assert sm.circle_keys() == tuple(c.key for c in sm.circles)
         assert sm.forward >> d.total_arcs == 0
+        # each circle leaves an arc by its far end, in the direction it runs,
+        # and enters the next arc, in traversal order, at its near end
+        pairing = splice_pairing(d, sm.bits)
         for c in sm.circles:
-            for arc in c.arcs():
-                assert bool(sm.forward >> arc & 1) == ((arc, 1) in c.steps)
+            ends = [(2 * a + (sm.forward >> a & 1), 2 * a + 1 - (sm.forward >> a & 1))
+                    for a in c.arcs]
+            for (leave, _), (_, enter) in zip(ends, ends[1:] + ends[:1]):
+                assert pairing[leave] == enter
         assert smooth(d, state) == sm
 
 

@@ -7,8 +7,7 @@ import pytest
 from vlinkhom.algebra import all_presets, preset, theory_from_triple
 from vlinkhom.errors import DimensionMismatch
 from vlinkhom.fields import GF2, QQ
-from vlinkhom.tqft import (Cap, Cup, Cylinder, ExactLinearMap, Merge,
-                           SingleCycle, Split, compose,
+from vlinkhom.tqft import (ExactLinearMap, Merge, SingleCycle, Split, compose,
                            coproduct_matrix, counit_matrix, elementary_map,
                            evaluate_closed_surface, phi_matrix, placement,
                            product_matrix, scatter_extended, theta_matrix,
@@ -28,9 +27,9 @@ def test_merge_row1_matrix():
 
 
 def test_structure_matrices_follow_the_formulas():
-    # the matrices are derived from algebra.py; pin their big-endian layout
-    # against the defining formulas on a theory where every constant is
-    # distinct (theta = -1*1 + 2*x)
+    # pin the big-endian layout of algebra.py's matrices against the
+    # defining formulas on a theory where every constant is distinct
+    # (theta = -1*1 + 2*x)
     th = theory_from_triple(Q(2), Q(-1), Q(2))
     f, h, t = th.f, th.h, th.t
     assert product_matrix(th).entry_map() == {
@@ -82,17 +81,14 @@ def test_global_twist_flip_is_invisible():
 
 
 def test_cylinder_composition_is_identity():
+    # the twisted cylinder is phi, and phi o phi = id
     for th in all_presets():
-        c = elementary_map(th, Cylinder())
-        assert compose(c, c) == ExactLinearMap.identity(th.field, 2)
-        tw = elementary_map(th, Cylinder(twist=1))
-        assert compose(tw, tw) == ExactLinearMap.identity(th.field, 2)
+        assert compose(phi_matrix(th), phi_matrix(th)) == ExactLinearMap.identity(th.field, 2)
 
 
 def test_cup_cap_sphere():
     for th in all_presets() + [q_theory()]:
-        sphere = compose(elementary_map(th, Cup()), elementary_map(th, Cap()))
-        assert sphere.is_zero()
+        assert compose(counit_matrix(th), unit_matrix(th)).is_zero()
 
 
 def test_extended_entries_phi_on_each_of_two():
@@ -118,18 +114,16 @@ def test_compose_dimension_mismatch():
 
 
 def test_torus_from_elementary_pieces_any_twists():
-    # cup o merge o split o cap evaluates to 2 for every twist assignment
+    # eps o merge o split o i evaluates to 2 for every twist assignment
     for th in all_presets() + [q_theory(1, 1, 1)]:
-        F = th.field
-        two = F.from_int(2)
+        two = th.field.from_int(2)
         for ti, to in itertools.product(itertools.product((0, 1), repeat=2), repeat=2):
             torus = compose(
-                elementary_map(th, Cup()),
+                counit_matrix(th),
                 elementary_map(th, Merge(twist_in=ti, twist_out=0)),
                 elementary_map(th, Split(twist_in=0, twist_out=to)),
-                elementary_map(th, Cap()))
-            value = torus.entry_map().get((0, 0), F.zero)
-            assert value == two
+                unit_matrix(th))
+            assert torus.entry(0, 0) == two
 
 
 # -- closed surfaces -----------------------------------------------------------
@@ -159,12 +153,12 @@ def test_crosscap_normalization():
 
 def test_klein_bottle_two_routes():
     # eps(theta^2) computed directly and through m(phi (x) Id)Delta(1)
-    from vlinkhom.algebra import comultiply, counit, multiply_tensor2, phi_on_factor, unit
     for th in all_presets() + [q_theory(1, 2, 1)]:
         direct = evaluate_closed_surface(th, 0, 2)
-        klein = counit(th, multiply_tensor2(
-            th, phi_on_factor(th, comultiply(th, unit(th)), 0)))
-        assert direct == klein
+        klein = compose(counit_matrix(th), product_matrix(th),
+                        phi_matrix(th).kron(ExactLinearMap.identity(th.field, 2)),
+                        coproduct_matrix(th), unit_matrix(th))
+        assert direct == klein.entry(0, 0)
 
 
 def test_counit_unit_matrices():
