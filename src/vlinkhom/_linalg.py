@@ -2,7 +2,7 @@
 
 ``ExactLinearMap`` is the one sparse matrix type: nonzero scalars stored
 row-major as ``{row: {col: value}}``, the layout that the structure maps of
-``algebra``, the cobordism blocks of ``tqft``, the cube assembly, the d o d
+``algebra``, the saddle blocks of ``tqft``, the cube assembly, the d o d
 check and elimination all read.  A vector is a one-column map.
 
 The two elimination entry points take such ``rows`` dicts, or one q-layer

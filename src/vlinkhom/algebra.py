@@ -25,7 +25,7 @@ is a one-column map, and ``format_column`` renders it.
 ``verify_axioms`` and ``verify_4tu`` check the axioms as identities between
 composites of these matrices; a failed identity is reported with its first
 differing column, as a human-readable witness.  ``tqft`` builds the
-cobordism blocks and the surface values from the same matrices.
+saddle blocks and the surface values from the same matrices.
 """
 
 from __future__ import annotations

@@ -299,24 +299,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return EXIT_INPUT
-    except (MismatchError,) as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return EXIT_MISMATCH
-    except VlinkhomError as exc:
-        from .errors import DSquaredNonzero
-        kind = type(exc).__name__
+    except (VlinkhomError, OSError) as exc:
+        kind = type(exc).__name__ if isinstance(exc, VlinkhomError) else "OSError"
         sys.stdout.write(json.dumps(
             {"error": {"kind": kind, "message": str(exc)}}) + "\n")
-        return EXIT_MISMATCH if isinstance(exc, DSquaredNonzero) else EXIT_COMPUTE
-    except OSError as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"kind": "OSError", "message": str(exc)}}) + "\n")
-        return EXIT_INPUT
+        if isinstance(exc, (InputError, OSError)):
+            return EXIT_INPUT
+        return EXIT_MISMATCH if isinstance(exc, MismatchError) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

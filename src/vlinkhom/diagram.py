@@ -318,12 +318,6 @@ class Smoothing:
     def k(self):
         return len(self.circles)
 
-    def circle_of_arc(self, arc):
-        return self.arc_circle[arc]
-
-    def circle_keys(self):
-        return self.keys
-
 
 def coerce_state(d, state):
     if isinstance(state, str):

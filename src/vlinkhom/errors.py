@@ -94,7 +94,7 @@ class DimensionMismatch(VlinkhomError):
         super().__init__(message)
 
 
-class DSquaredNonzero(VlinkhomError):
+class DSquaredNonzero(MismatchError):
     """d∘d has a nonzero entry; signals a twist-convention bug.
 
     Carries a witness: (degree, source label, target label, value).

@@ -4,8 +4,8 @@ Chain groups live in homological degrees i = r(s) - n_minus.  The group at
 degree i is the direct sum over states s with r(s) = i + n_minus of
 V^(x)k(s), with states in lexicographic order, circles in canonical order
 and decorations ordered with the unit before x; one pass over the smoothings
-groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times its
-elementary cobordism block, scattered over the unaffected circles by bit
+groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times the
+block of its saddle, scattered over the unaffected circles by bit
 arithmetic on the basis indices straight into the differential's rows
 ``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
 zero-free and distinct edges fill disjoint blocks.  An anchor flip enters as
@@ -24,9 +24,10 @@ theory only evaluates them:
   builds of that object (every theory, every anchor flip) reuse it, and it
   is dropped before the next diagram is smoothed.  Complexes share its
   smoothings and groups as read-only views.
-- once per theory: each distinct block, its negative and its phi-padded
-  variants, built on first use and kept, keyed by the theory's value, for
-  the last _THEORY_SLOTS theories built.
+- once per theory: each distinct block, named by its saddle's (kind,
+  twist_in, twist_out), its negative and its phi-padded variants, built on
+  first use into one table per theory.  The tables of the last 4 theories
+  built are kept, keyed by the theory's value.
 - once per build: the block keys and placements of the edges from or to a
   state with a flipped anchor, one scatter pass over all edges, the
   differentials and the d o d = 0 guard, which every build runs.
@@ -63,15 +64,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import tqft
-from ._linalg import first_nonzero_composite, pivot_rows
+from ._linalg import ExactLinearMap, first_nonzero_composite, pivot_rows
 from .diagram import all_smoothings, coerce_state, cube_edges
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
-from .tqft import ExactLinearMap, Merge, SingleCycle, Split
 
 
 @dataclass(frozen=True)
@@ -131,26 +131,16 @@ def _flip_set(d, smoothings, anchor_flips):
     flips = set()
     for state, key in anchor_flips:
         bits = "".join(str(b) for b in coerce_state(d, state))
-        if key not in smoothings[bits].circle_keys():
+        if key not in smoothings[bits].keys:
             raise InputError(f"anchor flip: state {bits} has no circle {key!r}")
         flips.add((bits, key))
     return flips
 
 
-def _cobordism(kind, twist_in, twist_out):
-    """The elementary cobordism of a saddle with these (flip-toggled) twist
-    bits; the single-cycle piece is twist-agnostic."""
-    if kind == "merge":
-        return Merge(twist_in=twist_in, twist_out=twist_out[0])
-    if kind == "split":
-        return Split(twist_in=twist_in[0], twist_out=twist_out)
-    return SingleCycle()
-
-
 class _Blocks(dict):
-    """The blocks of one theory, each built on first use: the elementary map
-    of a (kind, twist_in, twist_out) saddle, padded with phi on n_phi
-    spectators, and negated for an odd sign parity."""
+    """The blocks of one theory, each built on first use: the block of a
+    (kind, twist_in, twist_out) saddle, padded with phi on n_phi spectators,
+    and negated for an odd sign parity."""
 
     def __init__(self, th):
         super().__init__()
@@ -163,26 +153,15 @@ class _Blocks(dict):
         elif n_phi:
             block = self[(kind, twist_in, twist_out, n_phi - 1, 0)].kron(self.phi)
         else:
-            block = tqft.elementary_map(self.th, _cobordism(kind, twist_in, twist_out))
+            block = tqft.elementary_map(self.th, kind, twist_in, twist_out)
         self[key] = block
         return block
 
 
-# The block tables of the last few theories built, least recently used
-# first, keyed by the theory's value: two sweeps that alternate theories
-# (the anchor-flip check alternates two) reuse both tables.
-_THEORY_SLOTS = 4
-_theory_blocks = {}
-
-
-def _blocks_of(th):
-    blocks = _theory_blocks.pop(th, None)
-    if blocks is None:
-        blocks = _Blocks(th)
-        if len(_theory_blocks) >= _THEORY_SLOTS:
-            del _theory_blocks[next(iter(_theory_blocks))]
-    _theory_blocks[th] = blocks
-    return blocks
+# The block tables of the last 4 theories built, keyed by the theory's
+# value: two sweeps that alternate theories (the anchor-flip check
+# alternates two) reuse both tables.
+_blocks_of = lru_cache(maxsize=4)(_Blocks)
 
 
 class _Cube:

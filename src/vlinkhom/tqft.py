@@ -1,14 +1,15 @@
-"""Evaluation rules of the unoriented TQFT on elementary cobordisms and
-closed surfaces.
+"""Evaluation rules of the unoriented TQFT on saddles and closed surfaces.
 
 Every map is an ``ExactLinearMap`` (see ``_linalg``) composed from the
-structure matrices of ``algebra``.  Orientable pieces evaluate through the
-Frobenius algebra, with the flip involution phi inserted wherever a
-boundary identification disagrees with the reference orientation of its
-circle (the twist bits).  The nonorientable one-circle-to-one-circle piece
-acts by multiplication with the crosscap element theta; by the axiom
-phi(theta*v) = theta*v this needs no twist data.  A closed surface
-evaluates as eps o (m o Delta)^genus o theta^crosscaps o i.
+structure matrices of ``algebra``.  A saddle's block is read straight off
+its kind and twist bits, the fields of a ``diagram.SaddleDescriptor``.  A
+merge or a split evaluates through the Frobenius algebra, with the flip
+involution phi on each circle whose twist bit is set, i.e. whose boundary
+identification disagrees with the circle's reference orientation.  A
+single-cycle saddle acts by multiplication with the crosscap element theta;
+by the axiom phi(theta*v) = theta*v it needs no twist bits.  A closed
+surface evaluates as eps o (m o Delta)^genus o theta^crosscaps o i, with
+both powers taken by repeated squaring.
 
 ``scatter_extended`` pads a block with identities on the other tensor
 factors by bit arithmetic on basis indices and writes it straight into the
@@ -18,8 +19,6 @@ computes once per cube.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ._linalg import ExactLinearMap, compose
 from .algebra import (coproduct_matrix, counit_matrix, phi_matrix, product_matrix,
@@ -76,46 +75,47 @@ def scatter_extended(rows_out, block, masks, row0, col0):
 
 
 # ---------------------------------------------------------------------------
-# elementary cobordisms
+# saddles
 
-@dataclass(frozen=True)
-class Merge:
-    """Two circles fuse into one; twists flag orientation mismatches."""
-    twist_in: tuple = (0, 0)
-    twist_out: int = 0
-
-
-@dataclass(frozen=True)
-class Split:
-    """One circle splits into two."""
-    twist_in: int = 0
-    twist_out: tuple = (0, 0)
-
-
-@dataclass(frozen=True)
-class SingleCycle:
-    """One circle to one circle through a twice-punctured projective plane."""
-
-
-def _phi_power(th, n):
-    return phi_matrix(th) if n % 2 else ExactLinearMap.identity(th.field, 2)
-
-
-def elementary_map(th, cob):
-    """The matrix of an elementary cobordism on its affected tensor factors."""
-    if isinstance(cob, Merge):
-        pre = _phi_power(th, cob.twist_in[0]).kron(_phi_power(th, cob.twist_in[1]))
-        return compose(_phi_power(th, cob.twist_out), product_matrix(th), pre)
-    if isinstance(cob, Split):
-        post = _phi_power(th, cob.twist_out[0]).kron(_phi_power(th, cob.twist_out[1]))
-        return compose(post, coproduct_matrix(th), _phi_power(th, cob.twist_in))
-    if isinstance(cob, SingleCycle):
+def elementary_map(th, kind, twist_in, twist_out):
+    """The block of a saddle of ``kind`` ("merge", "split" or
+    "single_cycle") with one twist bit per affected circle, as in
+    ``diagram.SaddleDescriptor``: phi^out o m o (phi^a (x) phi^b) for a
+    merge, (phi^a (x) phi^b) o Delta o phi^in for a split, and theta for a
+    single-cycle saddle, which needs no twist bits."""
+    if kind == "single_cycle":
         return theta_matrix(th)
-    raise TypeError(f"not an elementary cobordism: {cob!r}")
+    phi, ident = phi_matrix(th), ExactLinearMap.identity(th.field, 2)
+    pre = [phi if b else ident for b in twist_in]
+    post = [phi if b else ident for b in twist_out]
+    if kind == "merge":
+        return compose(post[0], product_matrix(th), pre[0].kron(pre[1]))
+    if kind == "split":
+        return compose(post[0].kron(post[1]), coproduct_matrix(th), pre[0])
+    raise ValueError(f"not a saddle kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # closed surfaces
+
+# The largest genus, and the largest crosscap count, that
+# ``evaluate_closed_surface`` accepts.  Over Q an entry of (m o Delta)^g can
+# have about g bits (H = 2(x - 1) for the triple 1,0,1), so an unbounded
+# count could exhaust memory; at the cap a value takes well under a second.
+MAX_SURFACE_COUNT = 1 << 20
+
+
+def _power(m, n):
+    """m^n for a square map m and n >= 0, by repeated squaring."""
+    out = ExactLinearMap.identity(m.field, m.nrows)
+    while n:
+        if n & 1:
+            out = out.compose(m)
+        n >>= 1
+        if n:
+            m = m.compose(m)
+    return out
+
 
 def evaluate_closed_surface(th, genus, crosscaps):
     """Evaluate the closed surface with the given genus and crosscap count.
@@ -124,15 +124,15 @@ def evaluate_closed_surface(th, genus, crosscaps):
     the surface is nonorientable with ``crosscaps`` crosscaps and ``genus``
     extra handles.  The value is eps o (m o Delta)^genus o theta^crosscaps o i:
     a disc, then each crosscap multiplies by theta and each handle by
-    m(Delta(1)), and a disc closes the surface.
+    m(Delta(1)), and a disc closes the surface.  A negative count, or one
+    above MAX_SURFACE_COUNT, is an InputError.
     """
     if genus < 0 or crosscaps < 0:
         raise InputError(f"genus and crosscaps must be nonnegative, got "
                          f"genus={genus}, crosscaps={crosscaps}")
-    handle, theta = compose(product_matrix(th), coproduct_matrix(th)), theta_matrix(th)
-    v = unit_matrix(th)
-    for _ in range(crosscaps):
-        v = theta.compose(v)
-    for _ in range(genus):
-        v = handle.compose(v)
-    return counit_matrix(th).compose(v).entry(0, 0)
+    if max(genus, crosscaps) > MAX_SURFACE_COUNT:
+        raise InputError(f"genus and crosscaps must be at most MAX_SURFACE_COUNT = "
+                         f"{MAX_SURFACE_COUNT:,}, got genus={genus}, crosscaps={crosscaps}")
+    handle = compose(product_matrix(th), coproduct_matrix(th))
+    return compose(counit_matrix(th), _power(handle, genus),
+                   _power(theta_matrix(th), crosscaps), unit_matrix(th)).entry(0, 0)

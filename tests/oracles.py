@@ -232,12 +232,12 @@ def classical_khovanov_f2_betti(d, smoothings):
                 t = "".join(map(str, tbits))
                 st = smoothings[t]
                 ends = d.crossing_ends(j + 1)
-                bottom = sorted({ss.circle_of_arc(e >> 1) for e in ends})
-                top = sorted({st.circle_of_arc(e >> 1) for e in ends})
+                bottom = sorted({ss.arc_circle[e >> 1] for e in ends})
+                top = sorted({st.arc_circle[e >> 1] for e in ends})
                 assert {len(bottom), len(top)} == {1, 2}, \
                     "classical oracle needs planar (merge/split) saddles"
-                src_keys = ss.circle_keys()
-                tgt_keys = st.circle_keys()
+                src_keys = ss.keys
+                tgt_keys = st.keys
                 for src_idx in range(1 << ss.k):
                     dec = decorations(s, src_idx)
                     spect = {src_keys[i]: dec[i] for i in range(ss.k)

@@ -11,6 +11,7 @@ from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES
 from vlinkhom.cli import main
 from vlinkhom.diagram import braid_closure
+from vlinkhom.tqft import MAX_SURFACE_COUNT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -221,9 +222,13 @@ def test_malformed_prime_field_is_input_error(capsys, field):
 
 
 def test_surface_negative_genus_is_input_error(capsys):
-    code, out = run(capsys, "surface", "--genus", "-1", "--theory", "manturov")
-    assert code == 3
-    assert "genus=-1" in json.loads(out)["error"]["message"]
+    cap = MAX_SURFACE_COUNT + 1
+    for counts, named in ((("--genus", "-1"), "genus=-1"),
+                          (("--genus", str(cap)), "MAX_SURFACE_COUNT = 1,048,576"),
+                          (("--genus", "0", "--crosscaps", str(cap)), f"crosscaps={cap}")):
+        code, out = run(capsys, "surface", *counts, "--theory", "manturov")
+        assert code == 3
+        assert named in json.loads(out)["error"]["message"]
 
 
 # compute reports pinned byte for byte; regenerate only for an intended

@@ -148,7 +148,7 @@ def assert_smoothing_tables(d):
     for state, sm in sms.items():
         assert sm.state == state == "".join(map(str, sm.bits))
         assert sm.r == sum(sm.bits)
-        assert sm.circle_keys() == tuple(c.key for c in sm.circles)
+        assert sm.keys == tuple(c.key for c in sm.circles)
         assert sm.forward >> d.total_arcs == 0
         # each circle leaves an arc by its far end, in the direction it runs,
         # and enters the next arc, in traversal order, at its near end

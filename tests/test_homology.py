@@ -305,7 +305,7 @@ def test_anchor_flips_conjugate_the_differentials():
             d = corpus.load(name)
             plain = build_complex(d, th)
             selectors = [(s, k) for s in sorted(plain.smoothings)
-                         for k in plain.smoothings[s].circle_keys()]
+                         for k in plain.smoothings[s].keys]
             for flips in [[sel] for sel in selectors] + [selectors[::3]]:
                 for e in plain.edges:
                     for s, k in flips:
@@ -336,13 +336,13 @@ def test_anchor_flip_selectors_must_name_a_circle():
 def test_each_distinct_block_is_built_once(monkeypatch):
     # blocks are kept per theory across builds: start from no kept table, so
     # that every block these builds use is built here, once in total
-    monkeypatch.setattr(H, "_theory_blocks", {})
+    H._blocks_of.cache_clear()
     calls = []
     real = tqft.elementary_map
 
-    def counting(th, cob):
-        calls.append(cob)
-        return real(th, cob)
+    def counting(th, *saddle):
+        calls.append(saddle)
+        return real(th, *saddle)
 
     monkeypatch.setattr(tqft, "elementary_map", counting)
     c = build_complex(braid_closure([1] * 9), preset("f2_row2"), check=False)
@@ -354,7 +354,7 @@ def test_each_distinct_block_is_built_once(monkeypatch):
         calls.clear()
         build_complex(d, th)
         for s in sms:
-            for key in sms[s].circle_keys():
+            for key in sms[s].keys:
                 build_complex(d, th, anchor_flips=[(s, key)])
         build_complex(d, th, anchor_flips=[(s, sms[s].circles[0].key) for s in sms])
         assert 0 < len(calls) == len(set(calls)) <= 17
@@ -393,7 +393,7 @@ def test_d_squared_guard_runs_on_every_flipped_build(monkeypatch):
     with pytest.raises(DSquaredNonzero):
         build_complex(d, th)
     sms = all_smoothings(d)
-    selectors = [(s, k) for s in sorted(sms) for k in sms[s].circle_keys()]
+    selectors = [(s, k) for s in sorted(sms) for k in sms[s].keys]
     for selector in selectors:
         with pytest.raises(DSquaredNonzero):
             build_complex(d, th, anchor_flips=[selector])

@@ -1,4 +1,4 @@
-"""Elementary cobordism maps, tensor extension and surface evaluation."""
+"""Saddle blocks, tensor extension and surface evaluation."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import pytest
 from vlinkhom.algebra import all_presets, preset, theory_from_triple
 from vlinkhom.errors import DimensionMismatch
 from vlinkhom.fields import GF2, QQ
-from vlinkhom.tqft import (ExactLinearMap, Merge, SingleCycle, Split, compose,
+from vlinkhom.tqft import (MAX_SURFACE_COUNT, ExactLinearMap, compose,
                            coproduct_matrix, counit_matrix, elementary_map,
                            evaluate_closed_surface, phi_matrix, placement,
                            product_matrix, scatter_extended, theta_matrix,
@@ -22,7 +22,7 @@ def q_theory(a=1, lam=0, mu=1):
 
 def test_merge_row1_matrix():
     # x*x = 0 in row 1
-    m = elementary_map(preset("manturov"), Merge())
+    m = elementary_map(preset("manturov"), "merge", (0, 0), (0,))
     assert m.entry_map() == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
 
 
@@ -44,8 +44,8 @@ def test_structure_matrices_follow_the_formulas():
 
 
 def test_single_cycle_row1_zero_row7_theta():
-    assert elementary_map(preset("manturov"), SingleCycle()).is_zero()
-    m = elementary_map(preset("f2_row7"), SingleCycle())
+    assert elementary_map(preset("manturov"), "single_cycle", (), ()).is_zero()
+    m = elementary_map(preset("f2_row7"), "single_cycle", (), ())
     # theta = x, h = t = 0: 1 -> x, x -> x*x = 0
     assert m.entry_map() == {(1, 0): 1}
 
@@ -61,23 +61,24 @@ def test_single_cycle_twist_agnostic():
 def test_merge_double_twist_collapses():
     # phi o m o (phi (x) phi) = m
     for th in all_presets():
-        assert elementary_map(th, Merge(twist_in=(1, 1), twist_out=1)) == \
-            elementary_map(th, Merge())
+        assert elementary_map(th, "merge", (1, 1), (1,)) == \
+            elementary_map(th, "merge", (0, 0), (0,))
 
 
 def test_global_twist_flip_is_invisible():
     # flipping every twist bit leaves the matrix unchanged
     for th in all_presets():
-        for ti in itertools.product((0, 1), repeat=2):
-            for to in (0, 1):
-                flipped = Merge(twist_in=(1 - ti[0], 1 - ti[1]), twist_out=1 - to)
-                assert elementary_map(th, Merge(twist_in=ti, twist_out=to)) == \
-                    elementary_map(th, flipped)
-        for ti in (0, 1):
-            for to in itertools.product((0, 1), repeat=2):
-                flipped = Split(twist_in=1 - ti, twist_out=(1 - to[0], 1 - to[1]))
-                assert elementary_map(th, Split(twist_in=ti, twist_out=to)) == \
-                    elementary_map(th, flipped)
+        for kind, n_in, n_out in (("merge", 2, 1), ("split", 1, 2)):
+            for ti in itertools.product((0, 1), repeat=n_in):
+                for to in itertools.product((0, 1), repeat=n_out):
+                    flipped = (tuple(1 - b for b in ti), tuple(1 - b for b in to))
+                    assert elementary_map(th, kind, ti, to) == \
+                        elementary_map(th, kind, *flipped)
+
+
+def test_unknown_saddle_kind_raises():
+    with pytest.raises(ValueError, match="cylinder"):
+        elementary_map(preset("manturov"), "cylinder", (0,), (0,))
 
 
 def test_cylinder_composition_is_identity():
@@ -120,8 +121,8 @@ def test_torus_from_elementary_pieces_any_twists():
         for ti, to in itertools.product(itertools.product((0, 1), repeat=2), repeat=2):
             torus = compose(
                 counit_matrix(th),
-                elementary_map(th, Merge(twist_in=ti, twist_out=0)),
-                elementary_map(th, Split(twist_in=0, twist_out=to)),
+                elementary_map(th, "merge", ti, (0,)),
+                elementary_map(th, "split", (0,), to),
                 unit_matrix(th))
             assert torus.entry(0, 0) == two
 
@@ -149,6 +150,30 @@ def test_crosscap_normalization():
             for g in range(0, 4):
                 assert evaluate_closed_surface(th, g, k) == \
                     evaluate_closed_surface(th, g + 1, k - 2), (th.name, g, k)
+
+
+def test_surface_powers_match_one_piece_at_a_time():
+    # repeated squaring against eps o H o ... o H o theta o ... o theta o i,
+    # one handle or crosscap at a time
+    for th in all_presets() + [q_theory(1, 0, 1), q_theory(2, 1, 1)]:
+        handle = compose(product_matrix(th), coproduct_matrix(th))
+        for k in range(4):
+            v = unit_matrix(th)
+            for _ in range(k):
+                v = theta_matrix(th).compose(v)
+            for g in range(20):
+                assert evaluate_closed_surface(th, g, k) == \
+                    counit_matrix(th).compose(v).entry(0, 0), (th.name, g, k)
+                v = handle.compose(v)
+
+
+def test_surface_values_at_the_cap():
+    # H = 2(x - 1) with (x - 1)^2 = -1, so eps(H^g(1)) is -2^g for g = 3
+    # mod 4 and 0 for g = 0 mod 4, the cap itself
+    th = q_theory(1, 0, 1)
+    assert evaluate_closed_surface(th, MAX_SURFACE_COUNT - 1, 0) == \
+        -2 ** (MAX_SURFACE_COUNT - 1)
+    assert evaluate_closed_surface(th, MAX_SURFACE_COUNT, 0) == 0
 
 
 def test_klein_bottle_two_routes():
