@@ -337,6 +337,19 @@ def test_random_moves_bounded_and_deterministic():
     assert m1.n <= 7
 
 
+def test_random_moves_match_pinned_walks():
+    # 50-move walks from every corpus diagram, seeds 0-9, at 6 and 8
+    # crossings: the final code and the whole trail of each.
+    pinned = json.loads((Path(__file__).parent / "golden" / "moves.json").read_text())
+    assert len(pinned) == 2 * 10 * len(corpus.all_names())
+    for entry in pinned:
+        name, seed = entry["name"], entry["seed"]
+        moved, trail = random_moves(corpus.load(name), 50, random.Random(f"{seed}:{name}"),
+                                    entry["max_crossings"])
+        assert (moved.serialize(), trail) == (entry["final"], entry["trail"]), \
+            (name, seed, entry["max_crossings"])
+
+
 # -- braid closures ---------------------------------------------------------------
 
 def test_braid_closure_trefoil():
