@@ -56,11 +56,16 @@ class TheoryParams:
     name: str = dc_field(default="", compare=False)
 
 
-def _derive(field, a, t, lam, mu, beta):
+def _inverse(field, name, value):
+    """1/value in ``field``; NotInvertible names the parameter if it is 0."""
     try:
-        f = field.inv(a)
+        return field.inv(value)
     except NotInvertible:
-        raise NotInvertible("a", a) from None
+        raise NotInvertible(name, value) from None
+
+
+def _derive(field, a, t, lam, mu, beta):
+    f = _inverse(field, "a", a)
     # h = beta - a*lam^2 - a*mu^2*t
     h = field.sub(field.sub(beta, field.mul(a, field.mul(lam, lam))),
                   field.mul(a, field.mul(field.mul(mu, mu), t)))
@@ -101,23 +106,12 @@ def theory_from_triple(a, lam, mu, field=None, name=""):
     Requires a and mu invertible; works over any field.
     """
     F = field if field is not None else QQ
-    try:
-        F.inv(a)
-    except NotInvertible:
-        raise NotInvertible("a", a) from None
-    try:
-        mu_inv = F.inv(mu)
-    except NotInvertible:
-        raise NotInvertible("mu", mu) from None
-    a_inv = F.inv(a)
-    # t = (2*a*lam*mu - a^2*lam^2*mu^2 - 2) / (a^2*mu^4)
-    num = F.sub(
-        F.sub(F.mul(F.from_int(2), F.mul(a, F.mul(lam, mu))),
-              F.mul(F.mul(a, a), F.mul(F.mul(lam, lam), F.mul(mu, mu)))),
-        F.from_int(2))
-    den_inv = F.mul(F.mul(a_inv, a_inv), F.mul(F.mul(mu_inv, mu_inv),
-                                               F.mul(mu_inv, mu_inv)))
-    t = F.mul(num, den_inv)
+    a_inv = _inverse(F, "a", a)
+    mu_inv = _inverse(F, "mu", mu)
+    # eq2's residual is r(0) - a^2*mu^4*t, so t = r(0) / (a*mu^2)^2
+    r0 = constraint_residuals(F, a, F.zero, lam, mu, F.zero)["eq2"]
+    den_inv = F.mul(a_inv, F.mul(mu_inv, mu_inv))
+    t = F.mul(r0, F.mul(den_inv, den_inv))
     return theory_from_params(a, t, lam, F.mul(mu, F.one), F.zero, field=F, name=name)
 
 

@@ -16,6 +16,14 @@ orientable kinds the saddle square orients the four corner arcs, and each
 twist bit compares that orientation with the circle's canonical direction on
 one corner arc where the circle meets the crossing, read from the smoothing's
 direction bitmask.
+
+A Reidemeister move is a finder, a rewrite and an entry in ``random_moves``'s
+table.  One finder per inverse pattern (``_kink``, ``_r2_pair``) returns the
+crossing labels it finds at a site, or None; the site lists and the inverse
+moves call only these, and an inverse move raises ``PatternNotFound`` when
+its finder returns None.  The rewrites are one insert (``_inserted``) and one
+removal (``_without``, which drops every passage of the given crossings and
+relabels the rest 1..n).
 """
 
 from __future__ import annotations
@@ -51,47 +59,37 @@ class VirtualLinkDiagram:
         self.components = tuple(tuple(Passage(*p) for p in comp) for comp in components)
         self.name = name
         self.classical = bool(classical)
-        self._validate()
         self._index()
 
-    def _validate(self):
-        seen = {}
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp):
-                if p.crossing < 1:
-                    raise BadSyntax((ci, pi), "crossing labels must be positive")
-                if p.sign not in (1, -1):
-                    raise BadSyntax((ci, pi), "sign must be +1 or -1")
-                rec = seen.setdefault(p.crossing, {})
-                role = "over" if p.over else "under"
-                if role in rec:
-                    raise DuplicateRole(p.crossing, role)
-                rec[role] = (ci, pi, p.sign)
-        n = len(seen)
-        for label in range(1, n + 1):
-            if label not in seen:
-                raise MissingPassage(label)
-        for label, rec in seen.items():
-            if "over" not in rec or "under" not in rec:
-                raise MissingPassage(label)
-            if rec["over"][2] != rec["under"][2]:
-                raise SignMismatch(label)
-        self._seen = seen
-
     def _index(self):
+        """Validate the code and index its crossings, in one pass."""
         self._offsets = []
-        total = 0
-        for comp in self.components:
-            self._offsets.append(total)
-            total += len(comp)
-        self.total_arcs = total
+        self.total_arcs = 0
+        ends = {}  # label -> [over, under] as (component, position, sign)
+        for ci, comp in enumerate(self.components):
+            self._offsets.append(self.total_arcs)
+            self.total_arcs += len(comp)
+            for pi, (label, over, sign) in enumerate(comp):
+                if label < 1:
+                    raise BadSyntax((ci, pi), "crossing labels must be positive")
+                if sign not in (1, -1):
+                    raise BadSyntax((ci, pi), "sign must be +1 or -1")
+                rec = ends.setdefault(label, [None, None])
+                slot = 0 if over else 1
+                if rec[slot] is not None:
+                    raise DuplicateRole(label, "over" if over else "under")
+                rec[slot] = (ci, pi, sign)
+        self.n = len(ends)
+        for label in range(1, self.n + 1):
+            if label not in ends:
+                raise MissingPassage(label)
         self.crossings = {}
-        for label, rec in self._seen.items():
-            ci, pi, sign = rec["over"]
-            cj, pj, _ = rec["under"]
-            self.crossings[label] = _Crossing(sign, (ci, pi), (cj, pj))
-        del self._seen
-        self.n = len(self.crossings)
+        for label, (over, under) in ends.items():
+            if over is None or under is None:
+                raise MissingPassage(label)
+            if over[2] != under[2]:
+                raise SignMismatch(label)
+            self.crossings[label] = _Crossing(over[2], over[:2], under[:2])
         self.n_plus = sum(1 for c in self.crossings.values() if c.sign > 0)
         self.n_minus = self.n - self.n_plus
 
@@ -498,51 +496,98 @@ def r1_sites(d):
             for pos in range(max(len(comp), 1))]
 
 
+def r2_site_pairs(d):
+    return list(itertools.permutations(r1_sites(d), 2))
+
+
+def r1_inverse_sites(d):
+    return [site for site in r1_sites(d) if _kink(d, site)]
+
+
+def r2_inverse_sites(d):
+    """Sites (component, position) of removable R2 over-pairs."""
+    return [site for site in r1_sites(d) if _r2_pair(d, site)]
+
+
+def _kink(d, site):
+    """The label of the kink whose two passages start at ``site``, as a
+    1-tuple, or None.  Both positions of a two-passage component name the
+    same kink, so there it is found at position 0 only."""
+    ci, pos = site
+    comp = d.components[ci]
+    m = len(comp)
+    if not 0 <= pos < (m if m > 2 else m - 1):
+        return None
+    label = comp[pos].crossing
+    return (label,) if comp[(pos + 1) % m].crossing == label else None
+
+
+def _r2_pair(d, site):
+    """The labels of the R2 bigon whose adjacent over-passages start at
+    ``site``, or None: its two crossings carry opposite signs and their
+    under-passages are cyclically adjacent on one component."""
+    ci, pos = site
+    comp = d.components[ci]
+    m = len(comp)
+    if not 0 <= pos < m:
+        return None
+    p1, p2 = comp[pos], comp[(pos + 1) % m]
+    if not (p1.over and p2.over) or p1.sign == p2.sign:
+        return None
+    uc, u1 = d.crossings[p1.crossing].under
+    vc, u2 = d.crossings[p2.crossing].under
+    mu = len(d.components[uc])
+    if uc != vc or (u1 - u2) % mu not in (1, mu - 1):
+        return None
+    return p1.crossing, p2.crossing
+
+
+def _found(finder, d, site):
+    """The labels ``finder`` returns at ``site``; PatternNotFound if None."""
+    labels = finder(d, site)
+    if labels is None:
+        raise PatternNotFound(f"no move pattern at site {site}")
+    return labels
+
+
+def _inserted(d, inserts):
+    """``d`` with each (component, position, passages) of ``inserts`` spliced
+    in before that position of the original code, taken modulo the
+    component's length; of two inserts at one position the later lands
+    first."""
+    comps = [list(c) for c in d.components]
+    at = [(ci, pos % len(comps[ci]) if comps[ci] else 0, passages)
+          for ci, pos, passages in inserts]
+    for ci, pos, passages in sorted(at, key=lambda ins: ins[1], reverse=True):
+        comps[ci][pos:pos] = passages
+    return VirtualLinkDiagram(comps, d.name, d.classical)
+
+
+def _without(d, labels):
+    """``d`` without any passage of the crossings ``labels``; the others
+    are relabelled 1..n in their old order."""
+    kept = [c for c in range(1, d.n + 1) if c not in labels]
+    relabel = {old: new for new, old in enumerate(kept, start=1)}
+    comps = [[Passage(relabel[p.crossing], p.over, p.sign) for p in comp
+              if p.crossing in relabel] for comp in d.components]
+    return VirtualLinkDiagram(comps, d.name, d.classical)
+
+
 def apply_r1(d, site, variant):
     """Insert a kink (new crossing n+1) at ``site`` = (component, position).
 
     ``variant`` indexes R1_VARIANTS: kink sign and whether the over or the
     under passage comes first.
     """
-    sign, order = R1_VARIANTS[variant % 4] if isinstance(variant, int) else variant
-    ci, pos = (0, site) if isinstance(site, int) else site
-    comps = [list(c) for c in d.components]
-    m = len(comps[ci])
-    pos = pos % m if m else 0
-    label = d.n + 1
-    pair = [Passage(label, True, sign), Passage(label, False, sign)]
-    if order == "uo":
-        pair.reverse()
-    comps[ci][pos:pos] = pair
-    return VirtualLinkDiagram(comps, d.name, d.classical)
-
-
-def r1_inverse_sites(d):
-    out = []
-    for ci, comp in enumerate(d.components):
-        m = len(comp)
-        for pos in range(m if m > 2 else (1 if m == 2 else 0)):
-            if comp[pos].crossing == comp[(pos + 1) % m].crossing:
-                out.append((ci, pos))
-    return out
+    sign, order = R1_VARIANTS[variant % 4]
+    pair = [Passage(d.n + 1, True, sign), Passage(d.n + 1, False, sign)]
+    ci, pos = site
+    return _inserted(d, [(ci, pos, pair if order == "ou" else pair[::-1])])
 
 
 def apply_r1_inverse(d, site):
     """Remove the kink whose first passage sits at ``site``."""
-    ci, pos = site
-    comp = d.components[ci]
-    m = len(comp)
-    if m < 2 or comp[pos].crossing != comp[(pos + 1) % m].crossing:
-        raise PatternNotFound(f"no kink at component {ci} position {pos}")
-    label = comp[pos].crossing
-    comps = [list(c) for c in d.components]
-    comps[ci] = [p for i, p in enumerate(comp) if i not in (pos, (pos + 1) % m)]
-    return _relabel_after_removal(comps, {label}, d)
-
-
-def r2_site_pairs(d):
-    sites = r1_sites(d)
-    return [(a, b) for a in sites for b in sites if a != b]
+    return _without(d, _found(_kink, d, site))
 
 
 def apply_r2(d, sites, variant):
@@ -554,8 +599,6 @@ def apply_r2(d, sites, variant):
     "antiparallel" (under-passages reversed).  The two new crossings always
     carry opposite signs.
     """
-    if isinstance(variant, int):
-        variant = R2_VARIANTS[variant % 2]
     (ca, pa), (cb, pb) = sites
     if (ca, pa) == (cb, pb):
         raise PatternNotFound("r2 sites must be distinct")
@@ -566,77 +609,16 @@ def apply_r2(d, sites, variant):
     else:
         block_a = [Passage(c1, True, -1), Passage(c2, True, 1)]
         block_b = [Passage(c2, False, 1), Passage(c1, False, -1)]
-    comps = [list(c) for c in d.components]
-    pa = pa % len(comps[ca]) if comps[ca] else 0
-    pb = pb % len(comps[cb]) if comps[cb] else 0
-    if ca == cb:
-        first, second = ((pa, block_a), (pb, block_b))
-        if pa < pb:
-            first, second = ((pb, block_b), (pa, block_a))
-        comps[ca][first[0]:first[0]] = first[1]
-        comps[ca][second[0]:second[0]] = second[1]
-    else:
-        comps[ca][pa:pa] = block_a
-        comps[cb][pb:pb] = block_b
-    return VirtualLinkDiagram(comps, d.name, d.classical)
-
-
-def r2_inverse_sites(d):
-    """Sites (component, position) of removable R2 over-pairs."""
-    out = []
-    for ci, comp in enumerate(d.components):
-        m = len(comp)
-        for pos in range(m):
-            p1, p2 = comp[pos], comp[(pos + 1) % m]
-            if not (p1.over and p2.over):
-                continue
-            if p1.crossing == p2.crossing or p1.sign == p2.sign:
-                continue
-            if _find_under_pair(d, p1.crossing, p2.crossing) is not None:
-                out.append((ci, pos))
-    return out
-
-
-def _find_under_pair(d, c1, c2):
-    for ci, comp in enumerate(d.components):
-        m = len(comp)
-        for pos in range(m):
-            q1, q2 = comp[pos], comp[(pos + 1) % m]
-            if q1.over or q2.over:
-                continue
-            if {q1.crossing, q2.crossing} == {c1, c2}:
-                return ci, pos
-    return None
+    return _inserted(d, [(ca, pa, block_a), (cb, pb, block_b)])
 
 
 def apply_r2_inverse(d, site):
     """Remove the R2 pair whose adjacent over-passages start at ``site``."""
-    ci, pos = site
-    comp = d.components[ci]
-    m = len(comp)
-    if m < 2:
-        raise PatternNotFound("component too short for an R2 pattern")
-    p1, p2 = comp[pos], comp[(pos + 1) % m]
-    if not (p1.over and p2.over) or p1.crossing == p2.crossing or p1.sign == p2.sign:
-        raise PatternNotFound(f"no R2 over-pair at component {ci} position {pos}")
-    under = _find_under_pair(d, p1.crossing, p2.crossing)
-    if under is None:
-        raise PatternNotFound(
-            f"under-passages of crossings {p1.crossing}, {p2.crossing} not adjacent")
-    uc, upos = under
-    drop = {(ci, pos), (ci, (pos + 1) % m),
-            (uc, upos), (uc, (upos + 1) % len(d.components[uc]))}
-    comps = [[p for i, p in enumerate(comp_) if (cidx, i) not in drop]
-             for cidx, comp_ in enumerate(d.components)]
-    return _relabel_after_removal(comps, {p1.crossing, p2.crossing}, d)
+    return _without(d, _found(_r2_pair, d, site))
 
 
-def _relabel_after_removal(comps, removed, d):
-    surviving = sorted(set(range(1, d.n + 1)) - removed)
-    relabel = {old: new for new, old in enumerate(surviving, start=1)}
-    comps = [[Passage(relabel[p.crossing], p.over, p.sign) for p in comp]
-             for comp in comps]
-    return VirtualLinkDiagram(comps, d.name, d.classical)
+_MOVES = {"r1": apply_r1, "r2": apply_r2,
+          "r1inv": apply_r1_inverse, "r2inv": apply_r2_inverse}
 
 
 def random_moves(d, count, rng, max_crossings=8):
@@ -649,33 +631,22 @@ def random_moves(d, count, rng, max_crossings=8):
     trail = []
     current = d
     for step in range(count):
+        # (kind, site) for an inverse move, (kind, site, variant) otherwise
         candidates = []
         if current.n + 1 <= max_crossings:
-            for site in r1_sites(current):
-                for v in range(4):
-                    candidates.append(("r1", site, v))
+            candidates += [("r1", site, v) for site in r1_sites(current) for v in range(4)]
         if current.n + 2 <= max_crossings:
-            for pair in r2_site_pairs(current):
-                for v in R2_VARIANTS:
-                    candidates.append(("r2", pair, v))
-        for site in r1_inverse_sites(current):
-            candidates.append(("r1inv", site, None))
-        for site in r2_inverse_sites(current):
-            candidates.append(("r2inv", site, None))
+            candidates += [("r2", pair, v) for pair in r2_site_pairs(current)
+                           for v in R2_VARIANTS]
+        candidates += [("r1inv", site) for site in r1_inverse_sites(current)]
+        candidates += [("r2inv", site) for site in r2_inverse_sites(current)]
         if not candidates:
             trail.append("stuck: no moves available")
             break
-        kind, site, variant = rng.choice(candidates)
-        if kind == "r1":
-            current = apply_r1(current, site, variant)
-        elif kind == "r2":
-            current = apply_r2(current, site, variant)
-        elif kind == "r1inv":
-            current = apply_r1_inverse(current, site)
-        else:
-            current = apply_r2_inverse(current, site)
-        trail.append(f"{step}: {kind} at {site}"
-                     + (f" variant {variant}" if variant is not None else ""))
+        kind, *args = rng.choice(candidates)
+        current = _MOVES[kind](current, *args)
+        trail.append(f"{step}: {kind} at {args[0]}"
+                     + (f" variant {args[1]}" if len(args) > 1 else ""))
     return current, trail
 
 

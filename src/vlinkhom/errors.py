@@ -90,8 +90,7 @@ class NotCubeEdge(VlinkhomError):
 
 
 class DimensionMismatch(VlinkhomError):
-    def __init__(self, message):
-        super().__init__(message)
+    """Maps or blocks whose shapes do not fit together."""
 
 
 class DSquaredNonzero(MismatchError):
@@ -117,6 +116,5 @@ class NotGraded(VlinkhomError):
 # -- moves -------------------------------------------------------------------
 
 class PatternNotFound(InputError):
-    def __init__(self, message):
-        super().__init__(message)
+    """A move's pattern is not at the given site."""
 

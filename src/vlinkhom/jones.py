@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .diagram import all_smoothings
 
@@ -29,10 +30,6 @@ class LaurentPoly:
     def make(term_map):
         return LaurentPoly(tuple(sorted(
             (e, c) for e, c in term_map.items() if c)))
-
-    @staticmethod
-    def q_power(exponent, coefficient=1):
-        return LaurentPoly.make({exponent: coefficient})
 
     @staticmethod
     def zero():
@@ -63,15 +60,6 @@ class LaurentPoly:
             for e2, c2 in other.terms:
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.make(out)
-
-    def scaled(self, c):
-        return LaurentPoly.make({e: c * v for e, v in self.terms})
-
-    def power(self, n):
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def at_one(self):
         return sum(c for _, c in self.terms)
@@ -112,13 +100,18 @@ def _state_counts(d, smoothings):
 
 
 def kauffman_jones(d, smoothings=None):
-    """The unnormalised Jones polynomial of a virtual link diagram."""
-    total = LaurentPoly.zero()
+    """The unnormalised Jones polynomial of a virtual link diagram.
+
+    Each (r, k) adds (-1)^(n_minus + r) * count * q^(shift + r) * (q + 1/q)^k,
+    with shift = n_plus - 2*n_minus, expanded binomially: the j-th term of
+    (q + 1/q)^k is C(k, j) * q^(k - 2j)."""
+    shift = d.n_plus - 2 * d.n_minus
+    terms = Counter()
     for (r, k), count in _state_counts(d, smoothings).items():
-        term = CIRCLE_POLY.power(k).scaled((-1) ** r * count)
-        total = total + term * LaurentPoly.q_power(r)
-    shift = LaurentPoly.q_power(d.n_plus - 2 * d.n_minus, (-1) ** d.n_minus)
-    return shift * total
+        c = (-1) ** (d.n_minus + r) * count
+        for j in range(k + 1):
+            terms[shift + r + k - 2 * j] += c * comb(k, j)
+    return LaurentPoly.make(terms)
 
 
 def jones_at_one(d, smoothings=None):

@@ -64,6 +64,8 @@ def test_parse_missing_passage():
         parse_gauss("O1+,U1+,O2+,U3+,U2+,O3+".replace("U3+,", "").replace("O3+", "O3+,U4+,O4+"))
     with pytest.raises(MissingPassage):
         parse_gauss("O2+,U2+")  # labels must start at 1
+    with pytest.raises(MissingPassage):
+        parse_gauss("O1+,U1-,O3+,U3+")  # the gap in the labels is found first
 
 
 def test_parse_bad_syntax():
@@ -277,6 +279,8 @@ def test_r1_on_unknot():
     d = apply_r1(parse_gauss(""), (0, 0), 0)
     assert d.serialize() == "O1+,U1+"
     assert d.n_plus == 1
+    # any position on an empty component inserts at 0
+    assert apply_r1(parse_gauss(";"), (1, 4), 3).serialize() == ";U1-,O1-"
 
 
 def test_r1_variants_counts():
@@ -293,11 +297,41 @@ def test_r1_roundtrip():
     sites = r1_inverse_sites(d1)
     assert (0, 2) in sites
     assert apply_r1_inverse(d1, (0, 2)) == d
+    # positions wrap around the component
+    assert apply_r1(d, (0, 8), 1) == apply_r1(d, (0, 2), 1)
+    d2 = apply_r1(d, (0, 6), 2)
+    assert d2.serialize() == "O4-,U4-,O1+,U2+,O3+,U1+,O2+,U3+"
+    assert apply_r1_inverse(d2, (0, 0)) == d
+
+
+def assert_inverse_applies_exactly_at_its_sites(sites_of, apply, removed):
+    # the corpus and 20-move walks from it; a site is any component and
+    # any position from -1 to one past the end
+    diagrams = [corpus.load(name) for name in corpus.all_names()]
+    diagrams += [random_moves(d, 20, random.Random(f"sites:{d.name}"), 8)[0]
+                 for d in list(diagrams)]
+    found = 0
+    for d in diagrams:
+        sites = sites_of(d)
+        found += len(sites)
+        for ci, comp in enumerate(d.components):
+            for pos in range(-1, len(comp) + 2):
+                if (ci, pos) in sites:
+                    assert apply(d, (ci, pos)).n == d.n - removed
+                else:
+                    with pytest.raises(PatternNotFound):
+                        apply(d, (ci, pos))
+    assert found >= 10
 
 
 def test_r1_inverse_pattern_not_found():
     with pytest.raises(PatternNotFound):
         apply_r1_inverse(parse_gauss(TREFOIL), (0, 0))
+    # a two-passage kink component has its kink at position 0 only
+    assert r1_inverse_sites(parse_gauss("O1+,U1+")) == [(0, 0)]
+    with pytest.raises(PatternNotFound):
+        apply_r1_inverse(parse_gauss("O1+,U1+"), (0, 1))
+    assert_inverse_applies_exactly_at_its_sites(r1_inverse_sites, apply_r1_inverse, 1)
 
 
 def test_r2_roundtrip_same_component():
@@ -309,6 +343,15 @@ def test_r2_roundtrip_same_component():
         sites = r2_inverse_sites(d2)
         assert sites, "inserted R2 pattern must be detectable"
         assert any(apply_r2_inverse(d2, s) == d for s in sites)
+    # positions are reduced modulo the length before either block goes in;
+    # of two blocks at one position the second lands first
+    for sites, variant, expected in (
+            (((0, 7), (0, 3)), "parallel", "O1+,O4+,O5-,U2+,O3+,U4+,U5-,U1+,O2+,U3+"),
+            (((0, 4), (0, 9)), "antiparallel", "O1+,U2+,O3+,U5+,U4-,U1+,O4-,O5+,O2+,U3+"),
+            (((0, 1), (0, 7)), "parallel", "O1+,U4+,U5-,O4+,O5-,U2+,O3+,U1+,O2+,U3+")):
+        d2 = apply_r2(d, sites, variant)
+        assert d2.serialize() == expected
+        assert any(apply_r2_inverse(d2, s) == d for s in r2_inverse_sites(d2))
 
 
 def test_r2_roundtrip_two_components():
@@ -317,6 +360,12 @@ def test_r2_roundtrip_two_components():
     assert d2.n == 2 and len(d2.components) == 2
     back = apply_r2_inverse(d2, r2_inverse_sites(d2)[0])
     assert back == d
+    # any position on an empty component inserts at 0
+    d3 = apply_r2(parse_gauss("O1+,U1+;"), ((1, 3), (0, 5)), "antiparallel")
+    assert d3.serialize() == "O1+,U3+,U2-,U1+;O2-,O3+"
+    d4 = apply_r2(d, ((1, 3), (1, 0)), "parallel")
+    assert d4.serialize() == ";U1+,U2-,O1+,O2-"
+    assert apply_r2_inverse(d4, r2_inverse_sites(d4)[0]) == d
 
 
 def test_r2_rejects_equal_sites():
@@ -327,6 +376,7 @@ def test_r2_rejects_equal_sites():
 def test_r2_inverse_pattern_not_found():
     with pytest.raises(PatternNotFound):
         apply_r2_inverse(parse_gauss(TREFOIL), (0, 0))
+    assert_inverse_applies_exactly_at_its_sites(r2_inverse_sites, apply_r2_inverse, 2)
 
 
 def test_random_moves_bounded_and_deterministic():

@@ -693,13 +693,13 @@ def assert_cancellation_lemma(d, theory):
         (graded_homology if theory == "manturov" else homology)(c)
     [(field, rows, pivots)] = calls
     assert set(pivots) == {(i, q) for i, by_q in rows.items() for q in by_q}
+    rank = {(i, q): oracle_rank(field, rows[i][q]) for i, q in pivots}
     for (i, q), found in pivots.items():
-        layer, above = rows[i][q], rows.get(i + 1, {}).get(q)
-        rank = oracle_rank(field, layer)
-        assert len(set(found)) == len(found) == rank, (i, q)
-        assert oracle_rank(field, {r: layer[r] for r in found}) == rank, (i, q)
-        if above is not None:
-            assert oracle_rank(field, above, found) == oracle_rank(field, above), (i, q)
+        layer = rows[i][q]
+        assert len(set(found)) == len(found) == rank[i, q], (i, q)
+        assert oracle_rank(field, {r: layer[r] for r in found}) == rank[i, q], (i, q)
+        if (i + 1, q) in rank:
+            assert oracle_rank(field, rows[i + 1][q], found) == rank[i + 1, q], (i, q)
 
 
 @pytest.mark.parametrize("theory", CANCELLATION_THEORIES)
