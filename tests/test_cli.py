@@ -9,7 +9,7 @@ import pytest
 
 from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES
-from vlinkhom.cli import main
+from vlinkhom.cli import build_parser, main
 from vlinkhom.diagram import braid_closure
 from vlinkhom.tqft import MAX_SURFACE_COUNT
 
@@ -175,6 +175,38 @@ def test_invariance_deterministic_output(capsys):
                       "--theory", "f2_row5")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_invariance_counts_each_mismatch(capsys, monkeypatch):
+    # every walk ends on unlink2 and the one R3 pair is trefoil/unknot, so
+    # the trefoil walk and the pair are the two mismatches
+    load = corpus.load
+    monkeypatch.setattr(corpus, "load_corpus", lambda: [load("trefoil"), load("unlink2")])
+    monkeypatch.setattr(corpus, "load_r3_pairs", lambda: [(load("trefoil"), load("unknot"))])
+    monkeypatch.setattr(importlib.import_module("vlinkhom.cli"), "random_moves",
+                        lambda d, count, rng: (load("unlink2"), ["0: r1inv at (0, 0)"]))
+    code, out = run(capsys, "invariance", "--theory", "manturov")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["mismatches"] == 2
+    assert [(r["match"], r.get("trail")) for r in payload["diagrams"]] == [
+        (False, ["0: r1inv at (0, 0)"]), (True, None)]
+    assert payload["r3_pairs"] == [{"pair": ["trefoil", "unknot"], "match": False,
+                                    "betti": [{"0": 2, "2": 2, "3": 2}, {"0": 2}]}]
+    code, out = run(capsys, "invariance", "--theory", "manturov", "--format", "text")
+    assert code == 2
+    assert out == ("trefoil: 1 moves, n=0, betti CHANGED\n"
+                   "unlink2: 1 moves, n=0, betti unchanged\n"
+                   "pair trefoil/unknot: betti DIFFER\n"
+                   "mismatches: 2\n")
+
+
+def test_compute_euler_jones_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("vlinkhom.cli"), "jones_at_one",
+                        lambda d, smoothings: 0)
+    code, out = run(capsys, "compute", "--theory", "manturov", "--format", "text")
+    assert code == 2
+    assert out.startswith("unknot: dims=[2] betti={'0': 2} euler=2 jones(1)=0 match=False\n")
 
 
 def test_graded_on_inhomogeneous_theory_is_computation_error(capsys):
@@ -363,3 +395,68 @@ def verify_transcript(capsys, fmt):
 def test_verify_matches_golden(capsys, fmt):
     expected = (GOLDEN_DIR / f"verify_{fmt}.txt").read_bytes()
     assert verify_transcript(capsys, fmt).encode("utf-8") == expected
+
+
+# text compute reports and invariance reports, pinned byte for byte like
+# the compute goldens above; the argv is the whole command line.
+CLI_GOLDEN = {
+    "compute_manturov_graded.txt": (
+        "compute", "--theory", "manturov", "--graded", "--format", "text"),
+    "compute_triple_101_q.txt": (
+        "compute", "--triple", "1,0,1", "--field", "q", "--format", "text"),
+    **{f"invariance_{name}.{ext}": ("invariance", "--seed", "42", *selector,
+                                    "--format", fmt)
+       for name, selector in (
+           ("manturov", ("--theory", "manturov")),
+           ("triple_101_fp1000003", ("--triple", "1,0,1", "--field", "fp:1000003")))
+       for fmt, ext in (("json", "json"), ("text", "txt"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_matches_golden(capsys, name):
+    code, out = run(capsys, *CLI_GOLDEN[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+_SELECTORS = {"theory": None, "params": None, "triple": None, "field": None}
+_OUTPUT = {"out": None, "format": "json"}
+_EVERY_SHARED_FLAG = ("--theory", "T", "--params", "P", "--triple", "X",
+                      "--field", "F", "--out", "O", "--format", "text")
+_SHARED_SET = {"theory": "T", "params": "P", "triple": "X", "field": "F",
+               "out": "O", "format": "text"}
+
+# every option of every command with its default, and with every option set
+PARSED = [
+    (("compute",), {"command": "compute", "diagram": None, "graded": False,
+                    **_SELECTORS, **_OUTPUT}),
+    (("compute", "--diagram", "a", "--diagram", "b", "--graded", *_EVERY_SHARED_FLAG),
+     {"command": "compute", "diagram": ["a", "b"], "graded": True, **_SHARED_SET}),
+    (("verify",), {"command": "verify", **_SELECTORS, **_OUTPUT}),
+    (("verify", *_EVERY_SHARED_FLAG), {"command": "verify", **_SHARED_SET}),
+    (("invariance",), {"command": "invariance", "diagram": None, "moves": 50,
+                       "seed": 42, **_SELECTORS, **_OUTPUT}),
+    (("invariance", "--diagram", "a", "--moves", "3", "--seed", "-7", *_EVERY_SHARED_FLAG),
+     {"command": "invariance", "diagram": ["a"], "moves": 3, "seed": -7, **_SHARED_SET}),
+    (("surface", "--genus", "1"), {"command": "surface", "genus": 1, "crosscaps": 0,
+                                   **_SELECTORS, **_OUTPUT}),
+    (("surface", "--genus", "2", "--crosscaps", "3", *_EVERY_SHARED_FLAG),
+     {"command": "surface", "genus": 2, "crosscaps": 3, **_SHARED_SET}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[" ".join(a) for a, _ in PARSED])
+def test_parser_options_and_defaults(argv, expected):
+    parsed = vars(build_parser().parse_args(list(argv)))
+    del parsed["func"]
+    assert parsed == expected
+
+
+@pytest.mark.parametrize("argv", [("compute", "--format", "xml"), ("surface",),
+                                  ("verify", "--graded"), ("invariance", "--seed", "x")],
+                         ids=" ".join)
+def test_parser_rejects_bad_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    assert exc.value.code == 2
