@@ -22,6 +22,11 @@ tensor factors are big-endian: the basis vector b_1(x)...(x)b_n of V^(x)n
 has index sum(b_k * 2^(n-k)), with 1 -> 0 and x -> 1.  An element of V^(x)n
 is a one-column map, and ``format_column`` renders it.
 
+A theory is a ``TheoryParams``: a field and (a, t, lambda, mu, beta) in
+it.  It derives f and h itself when it is built, so no theory carries an f
+or h that disagrees with its parameters; ``theory_from_params``,
+``theory_from_triple`` and ``preset`` also check eq1 and eq2.
+
 ``verify_axioms`` and ``verify_4tu`` check the axioms as identities between
 composites of these matrices; a failed identity is reported with its first
 differing column, as a human-readable witness.  ``tqft`` builds the
@@ -43,7 +48,12 @@ from .fields import GF2, QQ
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """The validated tuple (a, t, lambda, mu, beta) with derived f and h."""
+    """The tuple (a, t, lambda, mu, beta) with f and h derived from it.
+
+    f = 1/a and h = beta - a*lambda^2 - a*mu^2*t are set on construction,
+    which raises NotInvertible if a = 0; eq1 and eq2 are not checked here
+    (``theory_from_params`` checks them).
+    """
 
     field: object
     a: object
@@ -51,9 +61,17 @@ class TheoryParams:
     lam: object
     mu: object
     beta: object
-    f: object = dc_field(repr=False, default=None)
-    h: object = dc_field(repr=False, default=None)
+    f: object = dc_field(init=False, repr=False)
+    h: object = dc_field(init=False, repr=False)
     name: str = dc_field(default="", compare=False)
+
+    def __post_init__(self):
+        F = self.field
+        object.__setattr__(self, "f", _inverse(F, "a", self.a))
+        # h = beta - a*lam^2 - a*mu^2*t
+        object.__setattr__(self, "h", F.sub(
+            F.sub(self.beta, F.mul(self.a, F.mul(self.lam, self.lam))),
+            F.mul(self.a, F.mul(F.mul(self.mu, self.mu), self.t))))
 
 
 def _inverse(field, name, value):
@@ -62,14 +80,6 @@ def _inverse(field, name, value):
         return field.inv(value)
     except NotInvertible:
         raise NotInvertible(name, value) from None
-
-
-def _derive(field, a, t, lam, mu, beta):
-    f = _inverse(field, "a", a)
-    # h = beta - a*lam^2 - a*mu^2*t
-    h = field.sub(field.sub(beta, field.mul(a, field.mul(lam, lam))),
-                  field.mul(a, field.mul(field.mul(mu, mu), t)))
-    return f, h
 
 
 def constraint_residuals(field, a, t, lam, mu, beta):
@@ -90,17 +100,17 @@ def constraint_residuals(field, a, t, lam, mu, beta):
 def theory_from_params(a, t, lam, mu, beta, field=None, name=""):
     """Build and validate a theory from the full 5-tuple of parameters."""
     F = field if field is not None else QQ
-    f, h = _derive(F, a, t, lam, mu, beta)
+    th = TheoryParams(F, a, t, lam, mu, beta, name)
     res = constraint_residuals(F, a, t, lam, mu, beta)
     r1a, r1b = res["eq1"]
     if not (F.is_zero(r1a) and F.is_zero(r1b)):
         raise ConstraintViolated("eq1", r1a if not F.is_zero(r1a) else r1b)
     if not F.is_zero(res["eq2"]):
         raise ConstraintViolated("eq2", res["eq2"])
-    return TheoryParams(F, a, t, lam, mu, beta, f, h, name)
+    return th
 
 
-def theory_from_triple(a, lam, mu, field=None, name=""):
+def theory_from_triple(a, lam, mu, field=None):
     """Build the theory with beta = 0, solving eq2 for t.
 
     Requires a and mu invertible; works over any field.
@@ -112,7 +122,7 @@ def theory_from_triple(a, lam, mu, field=None, name=""):
     r0 = constraint_residuals(F, a, F.zero, lam, mu, F.zero)["eq2"]
     den_inv = F.mul(a_inv, F.mul(mu_inv, mu_inv))
     t = F.mul(r0, F.mul(den_inv, den_inv))
-    return theory_from_params(a, t, lam, F.mul(mu, F.one), F.zero, field=F, name=name)
+    return theory_from_params(a, t, lam, F.mul(mu, F.one), F.zero, field=F)
 
 
 # the eight GF(2) theories, rows of (lambda, mu, t, beta)
@@ -223,12 +233,6 @@ class AxiomReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def __repr__(self):
-        lines = [f"[{'ok' if c.passed else 'FAIL'}] {c.name}"
-                 + (f"  ({c.witness})" if c.witness and not c.passed else "")
-                 for c in self.checks]
-        return "\n".join(lines)
-
 
 def verify_axioms(th):
     """Check the extended-Frobenius axioms as identities between matrices.
@@ -325,14 +329,15 @@ def verify_4tu(th):
 # ---------------------------------------------------------------------------
 # sampling helpers (used by tests and the verification harness)
 
-def random_rational_triples(count, seed, bound=6):
-    """Deterministic stream of (a, lam, mu) over QQ with a, mu nonzero."""
+def random_rational_triples(count, seed):
+    """Deterministic stream of (a, lam, mu) over QQ, integers in -6..6 with
+    a, mu nonzero."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        a = rng.randint(-bound, bound)
-        lam = rng.randint(-bound, bound)
-        mu = rng.randint(-bound, bound)
+        a = rng.randint(-6, 6)
+        lam = rng.randint(-6, 6)
+        mu = rng.randint(-6, 6)
         if a == 0 or mu == 0:
             continue
         out.append((QQ.from_int(a), QQ.from_int(lam), QQ.from_int(mu)))

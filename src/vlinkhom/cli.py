@@ -6,6 +6,11 @@ Commands:
   invariance  randomized R1/R2 harness and the R3-pair corpus check
   surface     closed-surface evaluation
 
+Every command takes the six shared flags (--theory/--params/--triple/--field
+and --out/--format) from one parent parser, and returns its report as
+(JSON payload, text lines, ok); ``main`` writes the report in the chosen
+format and maps ok to exit code 0 or 2.
+
 Exit codes: 0 all checks pass, 1 computation error, 2 assertion or
 mismatch, 3 input error.
 """
@@ -18,7 +23,7 @@ import random
 import sys
 
 from . import corpus
-from .algebra import (TheoryParams, _derive, preset, theory_from_params,
+from .algebra import (TheoryParams, preset, theory_from_params,
                       theory_from_triple, verify_4tu, verify_axioms)
 from .diagram import load_diagram, random_moves
 from .errors import InputError, MismatchError, VlinkhomError
@@ -32,18 +37,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_MISMATCH = 2
 EXIT_INPUT = 3
-
-
-def _add_theory_flags(p):
-    p.add_argument("--theory", help="preset name (f2_row1..f2_row8, manturov)")
-    p.add_argument("--params", help="explicit a=..,t=..,lambda=..,mu=..,beta=..[,field=..]")
-    p.add_argument("--triple", help="a,lambda,mu[,field=..] with beta = 0 and t solved")
-    p.add_argument("--field", default=None, help="q | f2 | fp:P (default q)")
-
-
-def _add_output_flags(p):
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _split_kv(text):
@@ -97,7 +90,7 @@ def resolve_theory(args, check_constraints=True):
             raise InputError(f"unknown --params keys {sorted(keyed)}")
         params = tuple(vals.values())  # a, t, lambda, mu, beta
         th = (theory_from_params(*params, field=fld) if check_constraints
-              else TheoryParams(fld, *params, *_derive(fld, *params)))
+              else TheoryParams(fld, *params))
         return th, {"params": {k: fld.to_str(v) for k, v in vals.items()},
                     "field": fld.name}
     plain, keyed = _split_kv(args.triple)
@@ -134,20 +127,14 @@ def _betti_json(result):
     return {str(i): b for i, b in sorted(result.betti.items())}
 
 
-def _qtable_json(result):
-    return {f"{i},{q}": v for (i, q), v in sorted(result.qtable.items())}
-
-
 def cmd_compute(args):
     th, echo = resolve_theory(args)
     reports, lines = [], []
-    all_ok = True
     for d in _load_diagrams(args):
         c = build_complex(d, th)
         res = graded_homology(c) if args.graded else homology(c)
         j1 = jones_at_one(d, c.smoothings)
         ok = res.euler == j1
-        all_ok = all_ok and ok
         rep = {
             "diagram": d.name or d.serialize(),
             "theory": echo,
@@ -158,7 +145,7 @@ def cmd_compute(args):
             "euler_matches_jones": ok,
         }
         if args.graded:
-            rep["qtable"] = _qtable_json(res)
+            rep["qtable"] = {f"{i},{q}": v for (i, q), v in sorted(res.qtable.items())}
             rep["graded_euler"] = graded_euler_poly(res).to_json()
             rep["kauffman_jones"] = kauffman_jones(d, c.smoothings).to_json()
         reports.append(rep)
@@ -166,8 +153,7 @@ def cmd_compute(args):
                      f"euler={res.euler} jones(1)={j1} match={ok}")
         if args.graded:
             lines.append(f"  qtable={rep['qtable']}")
-    _emit(args, reports, lines)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return reports, lines, all(r["euler_matches_jones"] for r in reports)
 
 
 def cmd_verify(args):
@@ -188,70 +174,63 @@ def cmd_verify(args):
         "passed": report.passed and ok4,
     }
     lines = [f"theory {json.dumps(echo, sort_keys=True)}"]
-    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}"
-              + (f"  {c.witness}" if c.witness and not c.passed else "")
-              for c in report.checks]
-    lines.append(f"  [{'ok' if ok4 else 'FAIL'}] four_tu"
-                 + (f"  {witness4}" if not ok4 else ""))
-    _emit(args, payload, lines)
-    return EXIT_OK if payload["passed"] else EXIT_MISMATCH
+    for check in (*payload["axioms"], {"name": "four_tu", **payload["four_tu"]}):
+        lines.append(f"  [{'ok' if check['passed'] else 'FAIL'}] {check['name']}"
+                     + (f"  {check['witness']}" if "witness" in check else ""))
+    return payload, lines, payload["passed"]
 
 
 def cmd_invariance(args):
     th, echo = resolve_theory(args)
-    diagrams = _load_diagrams(args)
-    use_builtin_pairs = not args.diagram
-    reports, lines = [], []
-    mismatches = 0
-    for d in diagrams:
-        rng = random.Random(f"{args.seed}:{d.name or d.serialize()}")
-        before = homology(build_complex(d, th))
+
+    def betti(d):
+        return _betti_json(homology(build_complex(d, th)))
+
+    reports, pair_reports, lines = [], [], []
+    for d in _load_diagrams(args):
+        name = d.name or d.serialize()
+        before = betti(d)
+        rng = random.Random(f"{args.seed}:{name}")
         moved, trail = random_moves(d, args.moves, rng)
-        after = homology(build_complex(moved, th))
-        ok = before.betti == after.betti
-        mismatches += 0 if ok else 1
+        after = betti(moved)
+        ok = before == after
         reports.append({
-            "diagram": d.name or d.serialize(),
+            "diagram": name,
             "moves_applied": len(trail),
             "final_crossings": moved.n,
-            "betti_before": _betti_json(before),
-            "betti_after": _betti_json(after),
+            "betti_before": before,
+            "betti_after": after,
             "match": ok,
             **({} if ok else {"trail": trail}),
         })
-        lines.append(f"{d.name or d.serialize()}: {len(trail)} moves, "
+        lines.append(f"{name}: {len(trail)} moves, "
                      f"n={moved.n}, betti {'unchanged' if ok else 'CHANGED'}")
-    pair_reports = []
-    if use_builtin_pairs:
-        for da, db in corpus.load_r3_pairs():
-            ba = homology(build_complex(da, th))
-            bb = homology(build_complex(db, th))
-            ok = ba.betti == bb.betti
-            mismatches += 0 if ok else 1
-            pair_reports.append({
-                "pair": [da.name, db.name],
-                "betti": [_betti_json(ba), _betti_json(bb)],
-                "match": ok,
-            })
-            lines.append(f"pair {da.name}/{db.name}: betti "
-                         f"{'equal' if ok else 'DIFFER'}")
+    # the built-in R3 pairs are checked only on the default input
+    for da, db in [] if args.diagram else corpus.load_r3_pairs():
+        pair = [betti(da), betti(db)]
+        ok = pair[0] == pair[1]
+        pair_reports.append({
+            "pair": [da.name, db.name],
+            "betti": pair,
+            "match": ok,
+        })
+        lines.append(f"pair {da.name}/{db.name}: betti "
+                     f"{'equal' if ok else 'DIFFER'}")
+    mismatches = sum(not r["match"] for r in reports + pair_reports)
+    lines.append(f"mismatches: {mismatches}")
     payload = {"theory": echo, "seed": args.seed, "moves": args.moves,
                "diagrams": reports, "r3_pairs": pair_reports,
                "mismatches": mismatches}
-    lines.append(f"mismatches: {mismatches}")
-    _emit(args, payload, lines)
-    return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    return payload, lines, mismatches == 0
 
 
 def cmd_surface(args):
     th, echo = resolve_theory(args)
-    value = evaluate_closed_surface(th, args.genus, args.crosscaps)
+    value = th.field.to_str(evaluate_closed_surface(th, args.genus, args.crosscaps))
     payload = {"theory": echo, "genus": args.genus, "crosscaps": args.crosscaps,
-               "value": th.field.to_str(value)}
-    _emit(args, payload,
-          [f"surface genus={args.genus} crosscaps={args.crosscaps}: "
-           f"{th.field.to_str(value)}"])
-    return EXIT_OK
+               "value": value}
+    lines = [f"surface genus={args.genus} crosscaps={args.crosscaps}: {value}"]
+    return payload, lines, True
 
 
 def build_parser():
@@ -259,46 +238,47 @@ def build_parser():
         prog="vlinkhom",
         description="Exact link homology for virtual links from rank-two "
                     "extended Frobenius algebras.")
+    # the theory selector and output flags that every command accepts
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--theory", help="preset name (f2_row1..f2_row8, manturov)")
+    shared.add_argument("--params", help="explicit a=..,t=..,lambda=..,mu=..,beta=..[,field=..]")
+    shared.add_argument("--triple", help="a,lambda,mu[,field=..] with beta = 0 and t solved")
+    shared.add_argument("--field", default=None, help="q | f2 | fp:P (default q)")
+    shared.add_argument("--out", help="write the report to this path instead of stdout")
+    shared.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="homology and the Euler/Jones cross-check")
+    p = sub.add_parser("compute", parents=[shared],
+                       help="homology and the Euler/Jones cross-check")
     p.add_argument("--diagram", action="append",
                    help="diagram file (text or JSON); repeatable; "
                         "defaults to the built-in corpus")
-    _add_theory_flags(p)
     p.add_argument("--graded", action="store_true",
                    help="quantum-graded homology (manturov-compatible theories)")
-    _add_output_flags(p)
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("verify", help="axiom report and 4-Tu check")
-    _add_theory_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("verify", parents=[shared], help="axiom report and 4-Tu check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("invariance", help="randomized R1/R2 harness")
+    p = sub.add_parser("invariance", parents=[shared], help="randomized R1/R2 harness")
     p.add_argument("--diagram", action="append",
                    help="diagram file; repeatable; defaults to the corpus plus R3 pairs")
-    _add_theory_flags(p)
     p.add_argument("--moves", type=int, default=50)
     p.add_argument("--seed", type=int, default=42)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("surface", help="evaluate a closed surface")
+    p = sub.add_parser("surface", parents=[shared], help="evaluate a closed surface")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--crosscaps", type=int, default=0)
-    _add_theory_flags(p)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_surface)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, ok = args.func(args)
+        _emit(args, payload, lines)
     except (VlinkhomError, OSError) as exc:
         kind = type(exc).__name__ if isinstance(exc, VlinkhomError) else "OSError"
         sys.stdout.write(json.dumps(
@@ -306,6 +286,7 @@ def main(argv=None):
         if isinstance(exc, (InputError, OSError)):
             return EXIT_INPUT
         return EXIT_MISMATCH if isinstance(exc, MismatchError) else EXIT_COMPUTE
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

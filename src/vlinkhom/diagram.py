@@ -579,7 +579,9 @@ def apply_r1(d, site, variant):
     ``variant`` indexes R1_VARIANTS: kink sign and whether the over or the
     under passage comes first.
     """
-    sign, order = R1_VARIANTS[variant % 4]
+    if variant not in range(len(R1_VARIANTS)):
+        raise ValueError(f"not an R1 variant: {variant!r} (0, 1, 2 or 3)")
+    sign, order = R1_VARIANTS[variant]
     pair = [Passage(d.n + 1, True, sign), Passage(d.n + 1, False, sign)]
     ci, pos = site
     return _inserted(d, [(ci, pos, pair if order == "ou" else pair[::-1])])
@@ -599,6 +601,8 @@ def apply_r2(d, sites, variant):
     "antiparallel" (under-passages reversed).  The two new crossings always
     carry opposite signs.
     """
+    if variant not in R2_VARIANTS:
+        raise ValueError(f"not an R2 variant: {variant!r} (parallel or antiparallel)")
     (ca, pa), (cb, pb) = sites
     if (ca, pa) == (cb, pb):
         raise PatternNotFound("r2 sites must be distinct")
@@ -653,7 +657,7 @@ def random_moves(d, count, rng, max_crossings=8):
 # ---------------------------------------------------------------------------
 # braid closures (used to build the shipped corpus and test diagrams)
 
-def braid_closure(word, strands=None, name="", classical=True):
+def braid_closure(word, name="", classical=True):
     """Close a braid word into a diagram.
 
     ``word`` lists generators: +i crosses the strand in position i over
@@ -662,14 +666,12 @@ def braid_closure(word, strands=None, name="", classical=True):
     """
     if not word:
         return VirtualLinkDiagram([[]], name, classical)
-    k = strands if strands is not None else max(abs(w) for w in word) + 1
+    k = max(abs(w) for w in word) + 1
     position_of = list(range(k))   # strand token at each position
     records = [[] for _ in range(k)]
     ends_at = list(range(k))
     for idx, w in enumerate(word, start=1):
         i = abs(w) - 1
-        if i + 1 >= k:
-            raise BadSyntax(idx, f"generator {w} needs more strands")
         sa, sb = position_of[i], position_of[i + 1]
         sign = 1 if w > 0 else -1
         over_token = sa if w > 0 else sb

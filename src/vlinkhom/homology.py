@@ -47,15 +47,11 @@ hands each row of a differential, by reference, to the q-layer of its row,
 which the differential preserves, so its Betti numbers sum over q to the
 ungraded ones.  Rank never changes the complex's rows.
 
-The degrees are cancelled in turn, upward, by the Gaussian-elimination
-lemma of Bar-Natan, *Fast Khovanov homology computations* (J. Knot Theory
-Ramifications, 2007, arXiv:math/0606318, section 3).  The pivot rows R that
-eliminating d^i finds are a maximal independent set of its rows, i.e.
-generators of C^(i+1).  Each e_r, r in R, equals a vector of im d^i up to
-terms off R, so d^(i+1) e_r lies in the span of d^(i+1) on the other
-columns: d^(i+1) with the columns R removed has the same rank, with no
-correction term.  So d^(i+1) is eliminated without them, per q-layer on the
-graded path, where the pivot rows of layer q of d^i are columns of layer q
+The degrees are cancelled in turn, upward: d^(i+1) is eliminated without
+the pivot rows of d^i as columns, which keeps its rank by Bar-Natan's
+Gaussian-elimination lemma (stated and argued in the ``_linalg`` docstring,
+where ``pivot_rows`` applies the ``skip``).  On the graded path this is done
+per q-layer, where the pivot rows of layer q of d^i are columns of layer q
 of d^(i+1).
 """
 
@@ -430,10 +426,9 @@ def graded_euler_poly(result):
     return LaurentPoly.make(terms)
 
 
-def homology_of(d, th, graded=False, anchor_flips=()):
-    """Convenience: build the complex and take (optionally graded) homology."""
-    c = build_complex(d, th, anchor_flips=anchor_flips)
-    return graded_homology(c) if graded else homology(c)
+def homology_of(d, th, anchor_flips=()):
+    """Convenience: build the complex and take its homology."""
+    return homology(build_complex(d, th, anchor_flips=anchor_flips))
 
 
 def betti_with_reversed_anchor(d, th, selector):

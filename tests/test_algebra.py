@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlinkhom._linalg import ExactLinearMap, compose
-from vlinkhom.algebra import (all_presets, constraint_residuals,
+from vlinkhom.algebra import (TheoryParams, all_presets, constraint_residuals,
                               coproduct_matrix, counit_matrix,
                               four_tube_sides, phi_matrix, preset,
                               product_matrix, random_rational_triples,
@@ -69,6 +69,18 @@ def test_params_eq2_rejected_over_qq():
 def test_params_not_invertible():
     with pytest.raises(NotInvertible):
         theory_from_params(Q(0), Q(0), Q(0), Q(1), Q(0))
+
+
+def test_theory_derives_f_and_h_from_its_parameters():
+    # (a, t, lambda, mu, beta) = (2, 1, 1, 0, 1), unchecked: eq1 fails
+    th = TheoryParams(QQ, Q(2), Q(1), Q(1), Q(0), Q(1))
+    assert th.f == Fraction(1, 2)
+    assert th.h == Fraction(-1)   # beta - a*lambda^2 - a*mu^2*t = 1 - 2 - 0
+    with pytest.raises(TypeError):
+        TheoryParams(QQ, Q(2), Q(1), Q(1), Q(0), Q(1), Q(5), Q(0))
+    with pytest.raises(NotInvertible) as exc:
+        TheoryParams(QQ, Q(0), Q(1), Q(1), Q(0), Q(1))
+    assert exc.value.name == "a"
 
 
 # -- theory_from_triple ----------------------------------------------------------

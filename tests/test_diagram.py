@@ -373,6 +373,18 @@ def test_r2_rejects_equal_sites():
         apply_r2(parse_gauss(""), ((0, 0), (0, 0)), "parallel")
 
 
+@pytest.mark.parametrize("variant", [4, -1, "0"], ids=repr)
+def test_r1_rejects_unknown_variant(variant):
+    with pytest.raises(ValueError, match="0, 1, 2 or 3"):
+        apply_r1(parse_gauss(TREFOIL), (0, 2), variant)
+
+
+@pytest.mark.parametrize("variant", ["Parallel", 0, None], ids=repr)
+def test_r2_rejects_unknown_variant(variant):
+    with pytest.raises(ValueError, match="parallel or antiparallel"):
+        apply_r2(parse_gauss(TREFOIL), ((0, 1), (0, 4)), variant)
+
+
 def test_r2_inverse_pattern_not_found():
     with pytest.raises(PatternNotFound):
         apply_r2_inverse(parse_gauss(TREFOIL), (0, 0))
@@ -420,7 +432,7 @@ def test_braid_closure_figure_eight():
 def test_braid_closure_component_count():
     assert len(braid_closure([1, 2, 1]).components) == 2   # permutation (13)
     assert len(braid_closure([1]).components) == 1
-    assert len(braid_closure([], strands=None).components) == 1
+    assert len(braid_closure([]).components) == 1
 
 
 @settings(max_examples=40, deadline=None)
