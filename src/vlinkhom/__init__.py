@@ -7,8 +7,7 @@ from .algebra import (AxiomReport, TheoryParams, all_presets, preset,
                       verify_axioms)
 from .diagram import (Circle, SaddleDescriptor, Smoothing, VirtualLinkDiagram,
                       apply_r1, apply_r1_inverse, apply_r2, apply_r2_inverse,
-                      braid_closure, classify_saddle, cube_edges, parse_gauss,
-                      smooth)
+                      braid_closure, cube_edges, parse_gauss, smooth)
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
 from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        build_complex, graded_euler_poly, graded_homology,

@@ -43,7 +43,6 @@ from math import lcm
 from operator import or_
 
 from .errors import DimensionMismatch
-from .fields import PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +134,6 @@ def compose(*maps):
 # ---------------------------------------------------------------------------
 # elimination
 
-def _is_gf2(field):
-    return isinstance(field, PrimeField) and field.p == 2
-
-
 def pivot_rows_gf2(rows):
     """The pivot rows of a GF(2) matrix given as ``(key, bitmask)`` pairs:
     the keys of the rows that did not reduce to zero against the earlier
@@ -225,7 +220,7 @@ def pivot_rows(rows, field, skip=()):
     number is its rank. XOR bitsets over GF(2), sparse elimination of a
     copy otherwise."""
     skip = set(skip)
-    if _is_gf2(field):
+    if field.characteristic == 2:
         # or-ing big ints is much cheaper than adding them
         return pivot_rows_gf2(
             (r, reduce(or_, map((1).__lshift__, filterfalse(skip.__contains__, cols)), 0))
@@ -307,6 +302,6 @@ def first_nonzero_composite(maps, field):
     is exact because f_{j+1} o f_j vanishes exactly when
     (L_{j+1} f_{j+1}) o (L_j f_j) does; the witness is divided back.
     """
-    if _is_gf2(field):
+    if field.characteristic == 2:
         return _first_nonzero_gf2(maps)
     return _first_nonzero_int(maps, field)

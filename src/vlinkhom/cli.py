@@ -181,6 +181,8 @@ def cmd_verify(args):
 
 
 def cmd_invariance(args):
+    if args.moves < 0:
+        raise InputError(f"--moves must be at least 0, got {args.moves}")
     th, echo = resolve_theory(args)
 
     def betti(d):

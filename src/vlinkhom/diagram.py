@@ -5,10 +5,12 @@ A diagram is a list of components, each a cyclic sequence of passages
 crossing according to its bit and sign, and the resulting circles are traced
 with a canonical orientation (start at the minimal half-edge, forward).  The
 four arc ends of every crossing are computed once per diagram, on first use;
-each smoothing stores its state string, its circle keys and the direction in
-which its circles traverse every arc (one bitmask) when it is built.
+each smoothing stores its state string, its circle keys, the circle of every
+arc and the direction in which its circles traverse every arc (one bitmask)
+when it is built.  A circle is its key: its arcs are the ones mapped to it.
 
-Saddles between adjacent states are classified from the crossing alone.
+Saddles between adjacent states are classified from the crossing alone, and
+only as the edges of the whole cube (``cube_edges``).
 The circle counts give the kind: a saddle that changes the count by one is a
 pair of pants (merge or split), and one that takes one circle to one circle
 is a punctured Moebius band, the nonorientable single-cycle saddle.  For the
@@ -34,7 +36,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (BadSyntax, DuplicateRole, LengthMismatch, MissingPassage,
-                     NotCubeEdge, PatternNotFound, SignMismatch)
+                     PatternNotFound, SignMismatch)
 
 
 class Passage(NamedTuple):
@@ -273,17 +275,16 @@ def load_diagram(path):
 
 @dataclass(frozen=True, slots=True)
 class Circle:
-    """One circle of a smoothing: a cyclic list of arcs.
+    """One circle of a smoothing, named by its key.
 
-    ``arcs`` lists the arcs in traversal order; the direction in which the
-    circle runs through each is a bit of ``Smoothing.forward``.  ``key`` is
-    the minimal half-edge (2*arc for a forward traversal, 2*arc+1 backward),
-    which identifies the circle and anchors its canonical orientation.  Free
-    loops (components with no crossings) have no arcs and carry a key beyond
-    every half-edge.
+    Its arcs are those that ``Smoothing.arc_circle`` maps to it, and the
+    direction in which it runs through each is a bit of ``Smoothing.forward``.
+    ``key`` is the minimal half-edge over its arcs (2*arc for a forward
+    traversal, 2*arc+1 backward), which identifies the circle and anchors its
+    canonical orientation.  Free loops (components with no crossings) have no
+    arcs and carry a key beyond every half-edge.
     """
 
-    arcs: tuple
     key: int
 
 
@@ -318,18 +319,14 @@ class Smoothing:
 
 
 def coerce_state(d, state):
-    if isinstance(state, str):
-        text = state.strip()
-        if any(ch not in "01" for ch in text):
-            raise BadSyntax(0, f"state must be a 0/1 string, got {state!r}")
-        bits = tuple(1 if ch == "1" else 0 for ch in text)
-    else:
-        bits = tuple(int(b) for b in state)
-        if any(b not in (0, 1) for b in bits):
-            raise BadSyntax(0, f"state bits must be 0/1, got {state!r}")
-    if len(bits) != d.n:
-        raise LengthMismatch(d.n, len(bits))
-    return bits
+    """``state``, a 0/1 string, stripped; BadSyntax for anything else and
+    LengthMismatch unless it has one bit per crossing of ``d``."""
+    text = state.strip() if isinstance(state, str) else None
+    if text is None or any(ch not in "01" for ch in text):
+        raise BadSyntax(0, f"state must be a 0/1 string, got {state!r}")
+    if len(text) != d.n:
+        raise LengthMismatch(d.n, len(text))
+    return text
 
 
 def splice_pairing(d, bits):
@@ -345,8 +342,8 @@ def splice_pairing(d, bits):
 
 def smooth(d, state):
     """Smooth every crossing of ``d`` according to ``state`` and trace circles."""
-    bits = coerce_state(d, state)
-    return _smooth(d, bits, "".join(map(str, bits)))
+    state = coerce_state(d, state)
+    return _smooth(d, tuple(map(int, state)), state)
 
 
 def _smooth(d, bits, state):
@@ -359,10 +356,9 @@ def _smooth(d, bits, state):
     for start in range(d.total_arcs):
         if arc_circle[start] >= 0:
             continue
-        idx, arcs = len(circles), []
+        idx = len(circles)
         arc, fwd = start, 1
         while True:
-            arcs.append(arc)
             arc_circle[arc] = idx
             forward |= fwd << arc
             enter_end = pairing[2 * arc + fwd]  # leave by the head going forward
@@ -370,10 +366,10 @@ def _smooth(d, bits, state):
             if arc == start:
                 assert fwd, "circle closed against its own direction"
                 break
-        circles.append(Circle(tuple(arcs), 2 * start))
+        circles.append(Circle(2 * start))
     for ci, comp in enumerate(d.components):
         if not comp:
-            circles.append(Circle((), 2 * d.total_arcs + ci))
+            circles.append(Circle(2 * d.total_arcs + ci))
     return Smoothing(d, state, tuple(circles), tuple(c.key for c in circles),
                      tuple(arc_circle), forward)
 
@@ -410,16 +406,6 @@ class SaddleDescriptor:
     twist_in: tuple
     twist_out: tuple
     sign_exponent: int
-
-
-def classify_saddle(d, s, t):
-    """Classify the cube edge s -> t (states differing by one 0 -> 1 flip)."""
-    sb = coerce_state(d, s)
-    tb = coerce_state(d, t)
-    flips = [i for i in range(d.n) if sb[i] != tb[i]]
-    if len(flips) != 1 or sb[flips[0]] != 0:
-        raise NotCubeEdge(s, t)
-    return _classify(smooth(d, sb), smooth(d, tb), flips[0])
 
 
 # A saddle is connected (every affected circle meets the crossing) and has
@@ -662,7 +648,8 @@ def braid_closure(word, name="", classical=True):
 
     ``word`` lists generators: +i crosses the strand in position i over
     position i+1, -i crosses it under.  All strands are oriented the same
-    way, so +i yields a positive crossing and -i a negative one.
+    way, so +i yields a positive crossing and -i a negative one.  A
+    generator 0 is refused with BadSyntax at its index in ``word``.
     """
     if not word:
         return VirtualLinkDiagram([[]], name, classical)
@@ -671,6 +658,8 @@ def braid_closure(word, name="", classical=True):
     records = [[] for _ in range(k)]
     ends_at = list(range(k))
     for idx, w in enumerate(word, start=1):
+        if w == 0:
+            raise BadSyntax(idx - 1, "braid generators are nonzero, got 0")
         i = abs(w) - 1
         sa, sb = position_of[i], position_of[i + 1]
         sign = 1 if w > 0 else -1

@@ -84,11 +84,6 @@ class LengthMismatch(InputError):
         super().__init__(f"state length {got} does not match crossing count {expected}")
 
 
-class NotCubeEdge(VlinkhomError):
-    def __init__(self, s, t):
-        super().__init__(f"{s!r} -> {t!r} is not a cube edge (need one 0->1 flip)")
-
-
 class DimensionMismatch(VlinkhomError):
     """Maps or blocks whose shapes do not fit together."""
 

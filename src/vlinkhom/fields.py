@@ -12,7 +12,25 @@ from fractions import Fraction
 from .errors import InputError, NotInvertible
 
 
-class RationalField:
+class _Field:
+    """What every field derives from its primitives ``add``, ``neg``,
+    ``mul`` and ``inv``; two fields are equal when they have the same type
+    and characteristic."""
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.characteristic == self.characteristic
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.characteristic))
+
+
+class RationalField(_Field):
     """The field of rationals; elements are ``Fraction`` in lowest terms."""
 
     characteristic = 0
@@ -27,9 +45,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -40,9 +55,6 @@ class RationalField:
         if a == 0:
             raise NotInvertible("element", a)
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a * self.inv(b)
 
     def is_zero(self, a):
         return a == 0
@@ -55,12 +67,6 @@ class RationalField:
 
     def to_str(self, a):
         return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
 
     def __repr__(self):
         return "QQ"
@@ -96,7 +102,7 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
+class PrimeField(_Field):
     """GF(p) for a prime p; elements are ints in ``[0, p)``."""
 
     def __init__(self, p):
@@ -117,9 +123,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -131,30 +134,22 @@ class PrimeField:
             raise NotInvertible("element", a)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
     def parse(self, text):
+        top, slash, bot = text.strip().partition("/")
         try:
-            num = text.strip()
-            if "/" in num:
-                top, bot = num.split("/")
-                return self.div(int(top) % self.p, int(bot) % self.p)
-            return int(num) % self.p
+            num, den = int(top), int(bot) if slash else 1
         except ValueError as exc:
             raise InputError(f"cannot parse GF({self.p}) element {text!r}") from exc
+        if den % self.p == 0:
+            raise InputError(f"cannot parse GF({self.p}) element {text!r}: "
+                             f"its denominator is 0 mod {self.p}")
+        return self.div(num % self.p, den % self.p)
 
     def to_str(self, a):
         return str(a % self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -114,9 +114,6 @@ class HomologyResult:
     euler: int
     qtable: dict = None      # (degree, qdegree) -> dimension, graded runs only
 
-    def total_rank(self):
-        return sum(self.betti.values())
-
 
 def _flip_set(d, smoothings, anchor_flips):
     """The anchor flips as a set of (state string, circle key) pairs.
@@ -126,10 +123,10 @@ def _flip_set(d, smoothings, anchor_flips):
     """
     flips = set()
     for state, key in anchor_flips:
-        bits = "".join(str(b) for b in coerce_state(d, state))
-        if key not in smoothings[bits].keys:
-            raise InputError(f"anchor flip: state {bits} has no circle {key!r}")
-        flips.add((bits, key))
+        state = coerce_state(d, state)
+        if key not in smoothings[state].keys:
+            raise InputError(f"anchor flip: state {state} has no circle {key!r}")
+        flips.add((state, key))
     return flips
 
 
@@ -280,9 +277,10 @@ def _cube_of(d):
 def build_complex(d, th, anchor_flips=(), check=True):
     """Assemble the based chain complex of ``d`` under the theory ``th``.
 
-    ``anchor_flips`` is a collection of (state, circle_key) pairs whose
-    canonical orientation is reversed before building maps; the build is
-    otherwise canonical, and a pair that names no circle is an InputError.
+    ``anchor_flips`` is a collection of (state, circle_key) pairs, each
+    state a 0/1 string, whose circle's canonical orientation is reversed
+    before building maps; the build is otherwise canonical, and a pair that
+    names no circle is an InputError.
     Raises DSquaredNonzero if the differential fails to square to zero
     (which would signal a twist-convention bug), unless ``check`` is false.
     A complex of more than MAX_CHAIN_DIM generators is refused with an

@@ -8,7 +8,8 @@ The normalization follows the Khovanov q-convention (unknot -> q + 1/q):
 which makes the graded Euler characteristic identity with the
 Manturov-preset homology hold verbatim.  The sum depends on each state only
 through (r(s), k(s)), so the states are counted by that pair first and each
-pair adds one term.
+pair adds one term.  The chain-level Euler characteristic J(1) is read off
+this polynomial at q = 1.
 """
 
 from __future__ import annotations
@@ -30,29 +31,6 @@ class LaurentPoly:
     def make(term_map):
         return LaurentPoly(tuple(sorted(
             (e, c) for e, c in term_map.items() if c)))
-
-    @staticmethod
-    def zero():
-        return LaurentPoly(())
-
-    @staticmethod
-    def one():
-        return LaurentPoly.make({0: 1})
-
-    def term_map(self):
-        return dict(self.terms)
-
-    def __add__(self, other):
-        out = self.term_map()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly.make(out)
-
-    def __neg__(self):
-        return LaurentPoly.make({e: -c for e, c in self.terms})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -92,22 +70,16 @@ class LaurentPoly:
 CIRCLE_POLY = LaurentPoly.make({1: 1, -1: 1})
 
 
-def _state_counts(d, smoothings):
-    """How many states have each (r(s), k(s)): the state sums depend on
-    nothing else."""
-    sms = smoothings if smoothings is not None else all_smoothings(d)
-    return Counter((sm.r, sm.k) for sm in sms.values())
-
-
 def kauffman_jones(d, smoothings=None):
     """The unnormalised Jones polynomial of a virtual link diagram.
 
     Each (r, k) adds (-1)^(n_minus + r) * count * q^(shift + r) * (q + 1/q)^k,
     with shift = n_plus - 2*n_minus, expanded binomially: the j-th term of
     (q + 1/q)^k is C(k, j) * q^(k - 2j)."""
+    sms = smoothings if smoothings is not None else all_smoothings(d)
     shift = d.n_plus - 2 * d.n_minus
     terms = Counter()
-    for (r, k), count in _state_counts(d, smoothings).items():
+    for (r, k), count in Counter((sm.r, sm.k) for sm in sms.values()).items():
         c = (-1) ** (d.n_minus + r) * count
         for j in range(k + 1):
             terms[shift + r + k - 2 * j] += c * comb(k, j)
@@ -115,10 +87,6 @@ def kauffman_jones(d, smoothings=None):
 
 
 def jones_at_one(d, smoothings=None):
-    """The chain-level Euler characteristic sum over smoothings.
-
-    Computed directly as sum_s (-1)^(r(s) - n_minus) * 2^k(s); equals
-    kauffman_jones(d) evaluated at q = 1.
-    """
-    return sum((-1 if (r - d.n_minus) % 2 else 1) * (count << k)
-               for (r, k), count in _state_counts(d, smoothings).items())
+    """The chain-level Euler characteristic sum_s (-1)^(r(s) - n_minus) *
+    2^k(s): ``kauffman_jones(d)`` at q = 1."""
+    return kauffman_jones(d, smoothings).at_one()

@@ -168,6 +168,13 @@ def test_invariance_zero_moves(capsys):
     assert all(p["match"] for p in payload["r3_pairs"])
 
 
+def test_invariance_negative_moves_is_input_error(capsys):
+    code, out = run(capsys, "invariance", "--theory", "manturov", "--moves", "-3")
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert "--moves" in message and "-3" in message
+
+
 def test_invariance_deterministic_output(capsys):
     code1, out1 = run(capsys, "invariance", "--moves", "6", "--seed", "9",
                       "--theory", "f2_row5")
@@ -251,6 +258,16 @@ def test_malformed_prime_field_is_input_error(capsys, field):
     code, out = run(capsys, "compute", "--triple", "1,0,1", "--field", field)
     assert code == 3
     assert repr(field) in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--triple", "1/0,0,1", "--field", "fp:7"), "GF(7) element '1/0'"),
+    (("--params", "a=1,t=0,lambda=0,mu=0,beta=1/2,field=f2"), "GF(2) element '1/2'"),
+])
+def test_zero_denominator_in_a_prime_field_is_input_error(capsys, argv, named):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 3
+    assert f"cannot parse {named}" in json.loads(out)["error"]["message"]
 
 
 def test_surface_negative_genus_is_input_error(capsys):

@@ -13,13 +13,12 @@ from oracles import circle_count
 from vlinkhom import corpus
 from vlinkhom.diagram import (all_smoothings,
                               apply_r1, apply_r1_inverse, apply_r2,
-                              apply_r2_inverse, braid_closure, classify_saddle,
+                              apply_r2_inverse, braid_closure,
                               cube_edges, parse_gauss,
                               r1_inverse_sites, r2_inverse_sites, random_moves,
                               smooth, splice_pairing, diagram_from_json_obj)
 from vlinkhom.errors import (BadSyntax, DuplicateRole, LengthMismatch,
-                             MissingPassage, NotCubeEdge, PatternNotFound,
-                             SignMismatch)
+                             MissingPassage, PatternNotFound, SignMismatch)
 
 TREFOIL = "O1+,U2+,O3+,U1+,O2+,U3+"
 VTREFOIL = "O1+,O2+,U1+,U2+"
@@ -134,12 +133,14 @@ def test_arcs_partition_into_circles():
     for name in ("trefoil", "kishino", "virtual_trefoil", "figure_eight"):
         d = corpus.load(name)
         for sm in all_smoothings(d).values():
-            seen = [a for c in sm.circles for a in c.arcs]
-            assert sorted(seen) == list(range(d.total_arcs))
-            # each circle starts at its minimal half-edge, which is its key
-            for c in sm.circles:
-                half = [2 * a + 1 - (sm.forward >> a & 1) for a in c.arcs]
-                assert half[0] == min(half) == c.key
+            assert len(sm.arc_circle) == d.total_arcs
+            # every arc belongs to one circle, every circle has an arc, and
+            # each circle's key is its least half-edge 2a + 1 - forward(a)
+            least = {}
+            for a, i in enumerate(sm.arc_circle):
+                half = 2 * a + 1 - (sm.forward >> a & 1)
+                least[i] = min(least.get(i, half), half)
+            assert least == {i: c.key for i, c in enumerate(sm.circles)}
 
 
 def assert_smoothing_tables(d):
@@ -153,13 +154,13 @@ def assert_smoothing_tables(d):
         assert sm.keys == tuple(c.key for c in sm.circles)
         assert sm.forward >> d.total_arcs == 0
         # each circle leaves an arc by its far end, in the direction it runs,
-        # and enters the next arc, in traversal order, at its near end
+        # and enters an arc of the same circle at its near end
         pairing = splice_pairing(d, sm.bits)
-        for c in sm.circles:
-            ends = [(2 * a + (sm.forward >> a & 1), 2 * a + 1 - (sm.forward >> a & 1))
-                    for a in c.arcs]
-            for (leave, _), (_, enter) in zip(ends, ends[1:] + ends[:1]):
-                assert pairing[leave] == enter
+        for a, i in enumerate(sm.arc_circle):
+            enter = pairing[2 * a + (sm.forward >> a & 1)]
+            b = enter >> 1
+            assert sm.arc_circle[b] == i
+            assert enter == 2 * b + 1 - (sm.forward >> b & 1)
         assert smooth(d, state) == sm
 
 
@@ -219,21 +220,16 @@ def test_saddle_circle_count_step():
             assert {"merge": -1, "split": 1, "single_cycle": 0}[e.kind] == dk
 
 
-def test_classify_saddle_validation():
-    d = parse_gauss(TREFOIL)
-    with pytest.raises(NotCubeEdge):
-        classify_saddle(d, "000", "011")
-    with pytest.raises(NotCubeEdge):
-        classify_saddle(d, "010", "000")
-    e = classify_saddle(d, "000", "100")
-    assert e.kind == "merge"  # k goes 2 -> 1
+def test_trefoil_edge_kind():
+    edges = {(e.from_state, e.to_state): e for e in cube_edges(parse_gauss(TREFOIL))}
+    assert edges["000", "100"].kind == "merge"  # k goes 2 -> 1
 
 
 def test_sign_exponent_rule():
-    d = parse_gauss(TREFOIL)
-    e = classify_saddle(d, "101", "111")
+    edges = {(e.from_state, e.to_state): e for e in cube_edges(parse_gauss(TREFOIL))}
+    e = edges["101", "111"]
     assert e.position == 1 and e.sign_exponent == 1
-    e = classify_saddle(d, "011", "111")
+    e = edges["011", "111"]
     assert e.position == 0 and e.sign_exponent == 0
 
 
@@ -427,6 +423,12 @@ def test_braid_closure_figure_eight():
     d = braid_closure([1, -2, 1, -2])
     assert d.n == 4 and d.n_plus == 2 and d.n_minus == 2
     assert len(d.components) == 1
+
+
+def test_braid_closure_refuses_generator_0():
+    for word, index in (([0], 0), ([1, 0, -1], 1)):
+        with pytest.raises(BadSyntax, match=f"position {index}: .*got 0"):
+            braid_closure(word)
 
 
 def test_braid_closure_component_count():

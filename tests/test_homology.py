@@ -18,8 +18,10 @@ from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_MISMATCH, main
-from vlinkhom.diagram import all_smoothings, braid_closure, cube_edges, parse_gauss
-from vlinkhom.errors import DSquaredNonzero, InputError, LengthMismatch, NotGraded
+from vlinkhom.diagram import (all_smoothings, braid_closure, cube_edges, parse_gauss,
+                              smooth)
+from vlinkhom.errors import (BadSyntax, DSquaredNonzero, InputError, LengthMismatch,
+                             NotGraded)
 from vlinkhom.fields import QQ, PrimeField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
@@ -162,7 +164,7 @@ def test_larger_knots_have_two_lee_generators(word, field):
 def test_graded_unknot():
     res = graded_homology(build_complex(parse_gauss(""), preset("manturov")))
     assert res.qtable == {(0, 1): 1, (0, -1): 1}
-    assert graded_euler_poly(res).term_map() == {1: 1, -1: 1}
+    assert dict(graded_euler_poly(res).terms) == {1: 1, -1: 1}
 
 
 # frozen from the graded run; trefoil matches the classical Khovanov
@@ -182,7 +184,7 @@ def test_graded_euler_equals_kauffman_jones():
         d = corpus.load(name)
         res = graded_homology(build_complex(d, man))
         assert graded_euler_poly(res) == kauffman_jones(d), name
-        assert sum(res.qtable.values()) == res.total_rank()
+        assert sum(res.qtable.values()) == sum(res.betti.values())
 
 
 @pytest.mark.parametrize("d", [corpus.load(n) for n in corpus.all_names()]
@@ -331,6 +333,14 @@ def test_anchor_flip_selectors_must_name_a_circle():
     for selector in (("2222", 0), ("010", 12345)):
         with pytest.raises(InputError):
             build_complex(d, th, anchor_flips=[selector])
+
+
+def test_states_are_0_1_strings_only():
+    d = braid_closure([1, 1, 1])
+    with pytest.raises(BadSyntax):
+        smooth(d, (0, 1, 0))
+    with pytest.raises(BadSyntax):
+        build_complex(d, preset("f2_row2"), anchor_flips=[((0, 1, 0), 0)])
 
 
 def test_each_distinct_block_is_built_once(monkeypatch):
