@@ -11,7 +11,7 @@ from .diagram import (Circle, SaddleDescriptor, Smoothing, VirtualLinkDiagram,
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
 from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        build_complex, graded_euler_poly, graded_homology,
-                       homology, homology_of)
+                       homology, homology_of, stream_homology)
 from .jones import LaurentPoly, jones_at_one, kauffman_jones
 from .tqft import elementary_map, evaluate_closed_surface
 

@@ -27,10 +27,11 @@ a vector e_r + (terms off R), since the rows R of d^i have full rank. So
 d^(i+1) e_r lies in the span of d^(i+1) on the columns off R, as
 d^(i+1) d^i = 0.
 
-``first_nonzero_composite(maps, field)`` finds the first nonzero entry of
-f_{j+1} o f_j along a sequence of maps without storing any product: it
-builds one output row at a time, as a set of columns added by symmetric
-difference over GF(2) and as plain Python ints otherwise.
+``composite_check(field)`` checks f_{j+1} o f_j = 0 along a sequence of
+maps handed to it one at a time, without storing any product: it builds one
+output row at a time, as a set of columns added by symmetric difference
+over GF(2) and as plain Python ints otherwise, and holds only the map it was
+last given.
 """
 
 from __future__ import annotations
@@ -229,19 +230,23 @@ def pivot_rows(rows, field, skip=()):
                               for r, cols in rows.items()}, field)
 
 
-def _first_nonzero_gf2(maps):
-    maps = iter(maps)
-    right = next(maps, {})
+def _gf2_check():
+    right = None
     empty = {}
-    for j, left in enumerate(maps):
+
+    def step(left):
+        nonlocal right
+        before, right = right, left
+        if before is None:
+            return None
         for r in sorted(left):
             acc = set()
             for mid in left[r]:
-                acc.symmetric_difference_update(right.get(mid, empty))
+                acc.symmetric_difference_update(before.get(mid, empty))
             if acc:
-                return j, r, min(acc), 1
-        right = left
-    return None
+                return r, min(acc), 1
+        return None
+    return step
 
 
 def _int_rows(rows, field):
@@ -260,48 +265,54 @@ def _int_rows(rows, field):
             for r, row in rows.items()}, 1
 
 
-def _first_nonzero_int(maps, field):
+def _int_check(field):
     p = field.characteristic
-    maps = iter(maps)
-    right, right_scale = _int_rows(next(maps, {}), field)
+    right = None
     empty = {}
-    for j, rows in enumerate(maps):
-        left, left_scale = _int_rows(rows, field)
+
+    def step(rows):
+        nonlocal right
+        before, right = right, _int_rows(rows, field)
+        if before is None:
+            return None
+        (left, left_scale), (prev, prev_scale) = right, before
         for r in sorted(left):
             acc = {}
             for mid, w in left[r].items():
-                for c, v in right.get(mid, empty).items():
+                for c, v in prev.get(mid, empty).items():
                     acc[c] = acc.get(c, 0) + w * v
             if not any(acc.values()):
                 continue
             hits = [c for c, x in acc.items() if (x % p if p else x)]
             if hits:
                 c = min(hits)
-                value = field.div(field.from_int(acc[c]),
-                                  field.from_int(left_scale * right_scale))
-                return j, r, c, value
-        right, right_scale = left, left_scale
-    return None
+                return r, c, field.div(field.from_int(acc[c]),
+                                       field.from_int(left_scale * prev_scale))
+        return None
+    return step
 
 
-def first_nonzero_composite(maps, field):
-    """The first nonzero entry of some f_{j+1} o f_j, or None if all vanish.
+def composite_check(field):
+    """A step function that checks f_{j+1} o f_j = 0 along a sequence of maps
+    f_0, f_1, ..., each composable after the one before, given one at a time.
 
-    ``maps`` yields, for maps f_0, f_1, ..., each composable after the one
-    before, its rows ``{row: {col: nonzero}}``, as ``ExactLinearMap.rows``
-    are. The products are checked for j = 0, 1, ... in turn, one output row
-    at a time in row order and never stored, and the search stops at the
-    first nonzero one: the result is ``(j, row, col, value)`` at the lowest
-    j, then row, then column. Each map serves as the left factor of one
-    product and the right factor of the next.
+    Called with the rows ``{row: {col: nonzero}}`` of each map in turn, as
+    ``ExactLinearMap.rows`` are, it returns the first nonzero entry
+    ``(row, col, value)`` of the product of that map after the one given
+    before it, or None; the first call returns None. The product is built
+    one output row at a time, in row order, and never stored, so the step
+    keeps only the map it was last given: each map is read as the left
+    factor of one product and the right factor of the next.
 
     Over GF(2) a row is a set of columns, and adding a row of the right
     factor is a symmetric difference with its dict of columns. Otherwise
-    rows hold plain ints: GF(p) sums are reduced once per output entry, and
-    over Q each map is first scaled by the lcm L_j of its denominators, which
-    is exact because f_{j+1} o f_j vanishes exactly when
-    (L_{j+1} f_{j+1}) o (L_j f_j) does; the witness is divided back.
+    each map is converted once to rows of plain ints: GF(p) sums are reduced
+    once per output entry, and over Q each map is first scaled by the lcm
+    L_j of its denominators, which is exact because f_{j+1} o f_j vanishes
+    exactly when (L_{j+1} f_{j+1}) o (L_j f_j) does; the witness is divided
+    back.
     """
     if field.characteristic == 2:
-        return _first_nonzero_gf2(maps)
-    return _first_nonzero_int(maps, field)
+        return _gf2_check()
+    return _int_check(field)
+

@@ -28,9 +28,8 @@ from .algebra import (TheoryParams, preset, theory_from_params,
 from .diagram import load_diagram, random_moves
 from .errors import InputError, MismatchError, VlinkhomError
 from .fields import QQ, field_by_name
-from .homology import (build_complex, graded_euler_poly, graded_homology,
-                       homology)
-from .jones import jones_at_one, kauffman_jones
+from .homology import graded_euler_poly, homology_of, stream_homology
+from .jones import kauffman_jones
 from .tqft import evaluate_closed_surface
 
 EXIT_OK = 0
@@ -131,14 +130,14 @@ def cmd_compute(args):
     th, echo = resolve_theory(args)
     reports, lines = [], []
     for d in _load_diagrams(args):
-        c = build_complex(d, th)
-        res = graded_homology(c) if args.graded else homology(c)
-        j1 = jones_at_one(d, c.smoothings)
+        cube, res = stream_homology(d, th, graded=args.graded)
+        jones = kauffman_jones(d, cube.smoothings)
+        j1 = jones.at_one()
         ok = res.euler == j1
         rep = {
             "diagram": d.name or d.serialize(),
             "theory": echo,
-            "dims": c.dims(),
+            "dims": cube.dims(),
             "betti": _betti_json(res),
             "euler": res.euler,
             "jones_at_one": j1,
@@ -147,7 +146,7 @@ def cmd_compute(args):
         if args.graded:
             rep["qtable"] = {f"{i},{q}": v for (i, q), v in sorted(res.qtable.items())}
             rep["graded_euler"] = graded_euler_poly(res).to_json()
-            rep["kauffman_jones"] = kauffman_jones(d, c.smoothings).to_json()
+            rep["kauffman_jones"] = jones.to_json()
         reports.append(rep)
         lines.append(f"{rep['diagram']}: dims={rep['dims']} betti={rep['betti']} "
                      f"euler={res.euler} jones(1)={j1} match={ok}")
@@ -186,7 +185,7 @@ def cmd_invariance(args):
     th, echo = resolve_theory(args)
 
     def betti(d):
-        return _betti_json(homology(build_complex(d, th)))
+        return _betti_json(homology_of(d, th))
 
     reports, pair_reports, lines = [], [], []
     for d in _load_diagrams(args):

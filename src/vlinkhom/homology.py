@@ -8,10 +8,12 @@ groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times the
 block of its saddle, scattered over the unaffected circles by bit
 arithmetic on the basis indices straight into the differential's rows
 ``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
-zero-free and distinct edges fill disjoint blocks.  An anchor flip enters as
-a toggled twist bit of the merge/split it feeds, or as a factor phi for a
-circle the saddle does not touch.  A complex above MAX_CHAIN_DIM generators
-is refused before it is built.
+zero-free and distinct edges fill disjoint blocks.  The edges are kept per
+degree, and one generator scatters the differentials one degree at a time,
+upward: ``build_complex`` keeps them all, the streamed pass one at a time.
+An anchor flip enters as a toggled twist bit of the merge/split it feeds, or
+as a factor phi for a circle the saddle does not touch.  A complex above
+MAX_CHAIN_DIM generators is refused before it is built.
 
 The work is split by what it depends on, as in Bar-Natan's geometric
 formalism, where the cube and its saddles belong to the diagram and the
@@ -32,14 +34,14 @@ theory only evaluates them:
   state with a flipped anchor, one scatter pass over all edges, the
   differentials and the d o d = 0 guard, which every build runs.
 
-d o d = 0 is asserted eagerly at build time because it is the one global
-check on the twist convention.  ``_linalg.first_nonzero_composite`` checks
-each d^(i+1) d^i one output row at a time over the differentials' rows,
-without building the product: over GF(2) a row is a set of columns added by
-symmetric difference, over GF(p) and Q it is a dict of exact Python ints
-(each differential over Q scaled by the lcm of its denominators first).
-The first nonzero entry, at the lowest degree, row and column, becomes the
-DSquaredNonzero witness.
+d o d = 0 is asserted eagerly, as each differential is scattered, because
+it is the one global check on the twist convention.  The steps of
+``_linalg.composite_check`` check each d^(i+1) d^i one output row at a
+time over the differentials' rows, without building the product: over
+GF(2) a row is a set of columns added by symmetric difference, over GF(p)
+and Q it is a dict of exact Python ints (each differential over Q scaled
+by the lcm of its denominators first, once).  The first nonzero entry, at
+the lowest degree, row and column, becomes the DSquaredNonzero witness.
 
 Homology is one rank-and-Betti routine over (degree, q) layers.  Ungraded
 homology is the one-layer case; graded homology (homogeneous theories only)
@@ -53,6 +55,17 @@ Gaussian-elimination lemma (stated and argued in the ``_linalg`` docstring,
 where ``pivot_rows`` applies the ``skip``).  On the graded path this is done
 per q-layer, where the pivot rows of layer q of d^i are columns of layer q
 of d^(i+1).
+
+So once d^i is guarded and eliminated only its pivot-row keys are read
+again, and ``stream_homology`` (which ``homology_of`` and the CLI use) takes
+homology in one upward pass over the degrees.  Step i scatters d^i from the
+edges of degree i, checks d^i d^(i-1) = 0, on the graded path checks that
+every entry keeps q and splits the rows into q-layers, eliminates each layer
+without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
+differentials are alive.  Its errors come in the order of a build followed
+by its homology: a refusal above MAX_CHAIN_DIM first, then DSquaredNonzero,
+then NotGraded, which is raised only after the guard has passed every pair
+of degrees.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import tqft
-from ._linalg import ExactLinearMap, first_nonzero_composite, pivot_rows
+from ._linalg import ExactLinearMap, composite_check, pivot_rows
 from .diagram import all_smoothings, coerce_state, cube_edges
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
@@ -157,12 +170,13 @@ class _Blocks(dict):
 _blocks_of = lru_cache(maxsize=4)(_Blocks)
 
 
-class _Cube:
+class Cube:
     """What a build takes from the diagram alone: the smoothings and the
-    chain groups (as read-only views), the classified edges and, per edge,
-    in parallel lists, its degree, its block's row and column offsets, and
-    how its block is placed without anchor flips: the pair (block key,
-    ``tqft.placement``), shared by the edges that have the same one.
+    chain groups (as read-only views), the classified edges, the indices of
+    the edges of each degree (in edge order) and, per edge, in parallel
+    lists, its block's row and column offsets and how its block is placed
+    without anchor flips: the pair (block key, ``tqft.placement``), shared
+    by the edges that have the same one.
 
     The smoothings are checked against MAX_CHAIN_DIM before any edge is
     built."""
@@ -189,17 +203,23 @@ class _Cube:
                 MappingProxyType(offsets), size)
         self.groups = MappingProxyType(groups)
         self.edges = tuple(cube_edges(d, smoothings))
-        self.degree = [sd.from_state.count("1") - n_minus for sd in self.edges]
-        self.row0 = [groups[i + 1].offsets[sd.to_state]
-                     for i, sd in zip(self.degree, self.edges)]
-        self.col0 = [groups[i].offsets[sd.from_state]
-                     for i, sd in zip(self.degree, self.edges)]
+        self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
+        self.row0, self.col0 = [], []
+        for e, sd in enumerate(self.edges):
+            i = sd.from_state.count("1") - n_minus
+            self.by_degree[i].append(e)
+            self.row0.append(groups[i + 1].offsets[sd.to_state])
+            self.col0.append(groups[i].offsets[sd.from_state])
         self._placements = {}  # (in_pos, k_in, out_pos, k_out) -> tqft.placement
         self._hows = {}        # (block key, placement arguments) -> how
         self.hows = [self.how(sd) for sd in self.edges]
 
     def refuse_above_cap(self):
         _refuse_above_cap(self.diagram.n, self.dim, f"{self.dim:,}")
+
+    def dims(self):
+        """The chain-group dimensions, from the lowest degree upward."""
+        return [g.dim for g in self.groups.values()]
 
     @cached_property
     def incident(self):
@@ -239,9 +259,12 @@ class _Cube:
 
 
 # The largest total chain dimension (generators over all degrees) a build
-# accepts.  A build and its graded homology cost about 1 KB of memory per
-# generator, ungraded GF(2) homology about 1.8 KB: T(2,12), with 531,444
-# generators, peaks near 550 MB and 980 MB, so the cap allows about twice that.
+# accepts.  Taken degree by degree, as the CLI does, homology costs about
+# 0.65 KB of memory per generator graded and 1.5 KB ungraded over GF(2):
+# T(2,12), with 531,444 generators, peaked at 342 MB max RSS under
+# `compute --theory manturov --graded`, 777 MB under f2_row7 and 803 MB under
+# f2_row2 (one run each, Python 3.11, 2-vCPU Linux).  So the cap allows
+# about twice that; build_complex, which keeps every differential, needs more.
 MAX_CHAIN_DIM = 1 << 20
 
 
@@ -270,8 +293,45 @@ def _cube_of(d):
         _last_cube.refuse_above_cap()
     else:
         _last_cube = None  # free the old cube before smoothing another diagram
-        _last_cube = _Cube(d)
+        _last_cube = Cube(d)
     return _last_cube
+
+
+def _differentials(cube, th, flips):
+    """Yield (i, rows of d^i) for each degree i upward, each differential
+    scattered afresh from the edges of its degree into ``{row: {col:
+    value}}`` and handed over: the generator keeps none of them once it
+    resumes, so a consumer that drops d^i holds one differential at a time.
+    This is the one scatter; ``flips`` is the set ``_flip_set`` returns."""
+    hows = cube.hows
+    if flips:
+        hows = list(hows)
+        for e in {e for s, _ in flips for e in cube.incident[s]}:
+            hows[e] = cube.how(cube.edges[e], flips)
+    blocks, scatter = _blocks_of(th), tqft.scatter_extended
+    row0, col0 = cube.row0, cube.col0
+    for i, edges in cube.by_degree.items():
+        rows = {}
+        # distinct edges join distinct state pairs, so their blocks are
+        # disjoint, and a block has no zero entry to filter out
+        for e in edges:
+            key, placement = hows[e]
+            scatter(rows, blocks[key], placement, row0[e], col0[e])
+        yield i, rows
+
+
+def _guarded(groups, field, differentials):
+    """Pass on each (i, rows of d^i) of ``differentials`` once d^i d^(i-1) = 0
+    is checked.  Raise DSquaredNonzero at the first nonzero entry of some
+    d^(i+1) d^i: the lowest degree, then target index, then source index."""
+    check = composite_check(field)
+    for i, rows in differentials:
+        hit = check(rows)
+        if hit is not None:
+            r, col, v = hit
+            raise DSquaredNonzero(i - 1, groups[i - 1].label(col),
+                                  groups[i + 1].label(r), field.to_str(v))
+        yield i, rows
 
 
 def build_complex(d, th, anchor_flips=(), check=True):
@@ -289,64 +349,38 @@ def build_complex(d, th, anchor_flips=(), check=True):
     diagram object share its cube (see the module docstring).
     """
     F = th.field
-    n, n_minus = d.n, d.n_minus
     cube = _cube_of(d)
-    flips = _flip_set(d, cube.smoothings, anchor_flips)
-    hows = cube.hows
-    if flips:
-        hows = list(hows)
-        for e in {e for s, _ in flips for e in cube.incident[s]}:
-            hows[e] = cube.how(cube.edges[e], flips)
-
-    blocks, scatter = _blocks_of(th), tqft.scatter_extended
-    rows_by_degree = {i: {} for i in range(-n_minus, n - n_minus)}
-    # distinct edges join distinct state pairs, so their blocks are
-    # disjoint, and a block has no zero entry to filter out
-    for i, (key, placement), row0, col0 in zip(cube.degree, hows, cube.row0, cube.col0):
-        scatter(rows_by_degree[i], blocks[key], placement, row0, col0)
-
     groups = cube.groups
-    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
-                     for i, rows in rows_by_degree.items()}
-    complex_ = ChainComplex(d, th, -n_minus, n - n_minus, groups, differentials,
-                            cube.smoothings, cube.edges)
+    flips = _flip_set(d, cube.smoothings, anchor_flips)
+    differentials = _differentials(cube, th, flips)
     if check:
-        _assert_d_squared_zero(complex_)
-    return complex_
+        differentials = _guarded(groups, F, differentials)
+    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
+                     for i, rows in differentials}
+    return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, groups, differentials,
+                        cube.smoothings, cube.edges)
 
 
-def _assert_d_squared_zero(c):
-    """Raise DSquaredNonzero at the first nonzero entry of some d^(i+1) d^i:
-    the lowest degree, then target index, then source index."""
-    F = c.theory.field
-    hit = first_nonzero_composite(
-        (c.differentials[i].rows for i in range(c.min_degree, c.max_degree)), F)
-    if hit is not None:
-        j, r, col, v = hit
-        i = c.min_degree + j
-        raise DSquaredNonzero(i, c.groups[i].label(col), c.groups[i + 2].label(r),
-                              F.to_str(v))
+def _layer_pivots(field, layers, below):
+    """The pivot rows of each q-layer of one differential d^i, from
+    ``layers`` = {q: rows of d^i in layer q}.  Each layer is eliminated
+    without the columns ``below[q]``, the pivot rows of the same q-layer
+    of d^(i-1), which keeps its rank (module docstring)."""
+    return {q: pivot_rows(layer, field, below.get(q, ()))
+            for q, layer in layers.items()}
 
 
-def _layer_pivots(field, rows):
-    """The pivot rows of each layer (i, q) of d^i, from ``rows`` as
-    ``_homology`` takes them.  Degrees are walked upward, and each layer is
-    eliminated without the columns that are the pivot rows of the same
-    q-layer one degree down, which keeps its rank (module docstring)."""
-    pivots = {}
-    for i in sorted(rows):
-        for q, layer in rows[i].items():
-            pivots[(i, q)] = pivot_rows(layer, field, pivots.get((i - 1, q), ()))
-    return pivots
-
-
-def _homology(field, dims, rows):
+def _homology(field, dims, layers):
     """Betti numbers, Euler characteristic and per-layer table from the
-    dimension of each (degree, q) layer and, per degree i, the rows of d^i
-    grouped by their q-layer.  d^i maps each layer into the same q-layer of
-    degree i + 1, so its rank at q is the rank of that group of rows, taken
-    with their original indices."""
-    ranks = {layer: len(pivots) for layer, pivots in _layer_pivots(field, rows).items()}
+    dimension of each (degree, q) layer and ``layers``, which yields for
+    each degree i upward (i, {q: rows of d^i in layer q}).  d^i maps each
+    layer into the same q-layer of degree i + 1, so its rank at q is the
+    rank of that group of rows, taken with their original indices.  Of d^i
+    only its pivot rows are kept, for d^(i+1)."""
+    ranks, below = {}, {}
+    for i, by_q in layers:
+        below = _layer_pivots(field, by_q, below)
+        ranks.update(((i, q), len(pivots)) for q, pivots in below.items())
     table, betti = {}, {}
     for (i, q), dim in sorted(dims.items()):
         b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
@@ -358,31 +392,89 @@ def _homology(field, dims, rows):
     return betti, euler, table
 
 
-def homology(c):
-    """Betti numbers by exact rank computation over the ground field: the
-    one-layer case, each degree a single layer q = 0."""
-    betti, euler, _ = _homology(
-        c.theory.field, {(i, 0): c.groups[i].dim for i in c.degrees},
-        {i: {0: c.differentials[i].rows} for i in range(c.min_degree, c.max_degree)})
+def _ungraded(field, groups, differentials):
+    """The one-layer case, each degree a single layer q = 0."""
+    betti, euler, _ = _homology(field, {(i, 0): g.dim for i, g in groups.items()},
+                                ((i, {0: rows}) for i, rows in differentials))
     return HomologyResult(betti, euler)
+
+
+def _rows_of(c):
+    return ((i, c.differentials[i].rows) for i in range(c.min_degree, c.max_degree))
+
+
+def homology(c):
+    """Betti numbers by exact rank computation over the ground field."""
+    return _ungraded(c.theory.field, c.groups, _rows_of(c))
 
 
 # ---------------------------------------------------------------------------
 # quantum grading (Manturov-type theories only)
 
 def _qdegrees(c):
-    """q-degree of every basis vector, by homological degree: a state with k
-    circles contributes k - 2 * (number of x's) + r(s) + n_plus - 2*n_minus,
-    as deg(1) = 1 and deg(x) = -1."""
+    """q-degree of every basis vector of the complex or cube ``c``, by
+    homological degree: a state with k circles contributes
+    k - 2 * (number of x's) + r(s) + n_plus - 2*n_minus, as deg(1) = 1 and
+    deg(x) = -1."""
     d = c.diagram
     out = {}
-    for i in c.degrees:
-        grp = c.groups[i]
+    for i, grp in c.groups.items():
         shift = i + d.n_plus - d.n_minus  # r(s) = i + n_minus
         out[i] = [k + shift - 2 * local.bit_count()
                   for k in (len(grp.circles[s]) for s in grp.states)
                   for local in range(1 << k)]
     return out
+
+
+def _by_q(rows, src, tgt):
+    """The rows of a differential grouped by the q-degree of their row,
+    by reference, or None if an entry joins generators of different
+    q-degrees ``src`` (columns) and ``tgt`` (rows)."""
+    by_q = {}
+    for r, cols in rows.items():
+        q = tgt[r]
+        for col in cols:
+            if src[col] != q:
+                return None
+        by_q.setdefault(q, {})[r] = cols
+    return by_q
+
+
+def _q_layers(groups, qdeg, differentials):
+    """(i, {q: rows of d^i in layer q}) for each (i, rows of d^i) of
+    ``differentials``.  An entry that changes q-degree is a NotGraded error,
+    raised only once ``differentials`` is exhausted, so that a d o d guard
+    on it checks every degree first; its witness is the first such entry of
+    the lowest such degree, row-major."""
+    bad = None
+    for i, rows in differentials:
+        if bad is not None:
+            continue
+        src, tgt = qdeg[i], qdeg[i + 1]
+        by_q = _by_q(rows, src, tgt)
+        if by_q is not None:
+            yield i, by_q
+            continue
+        r, col = min((r, col) for r, cols in rows.items()
+                     for col in cols if src[col] != tgt[r])
+        bad = NotGraded(f"differential entry {groups[i].label(col)} -> "
+                        f"{groups[i + 1].label(r)} changes q-degree")
+    if bad is not None:
+        raise bad
+
+
+def _graded(th, c, differentials):
+    """Graded homology of the complex or cube ``c`` under ``th``, from its
+    differentials (i, rows of d^i) upward."""
+    F = th.field
+    if not (F.is_zero(th.h) and F.is_zero(th.t)
+            and F.is_zero(th.lam) and F.is_zero(th.mu)):
+        for _ in differentials:  # a d o d guard on them runs first
+            pass
+        raise NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
+    qdeg = _qdegrees(c)
+    dims = Counter((i, q) for i, qs in qdeg.items() for q in qs)
+    return HomologyResult(*_homology(F, dims, _q_layers(c.groups, qdeg, differentials)))
 
 
 def graded_homology(c):
@@ -392,28 +484,7 @@ def graded_homology(c):
     The theory must have h = t = 0 and theta = 0 (the Manturov preset);
     every differential entry is additionally checked to preserve q-degree.
     """
-    th = c.theory
-    F = th.field
-    if not (F.is_zero(th.h) and F.is_zero(th.t)
-            and F.is_zero(th.lam) and F.is_zero(th.mu)):
-        raise NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
-    qdeg = _qdegrees(c)
-    layers = {}
-    for i in range(c.min_degree, c.max_degree):
-        src, tgt, rows = qdeg[i], qdeg[i + 1], c.differentials[i].rows
-        by_q = layers[i] = {}
-        for r, cols in rows.items():
-            q = tgt[r]
-            for col in cols:
-                if src[col] != q:  # report the first such entry, row-major
-                    r, col = min((r, col) for r, cols in rows.items()
-                                 for col in cols if src[col] != tgt[r])
-                    raise NotGraded(
-                        f"differential entry {c.groups[i].label(col)} -> "
-                        f"{c.groups[i + 1].label(r)} changes q-degree")
-            by_q.setdefault(q, {})[r] = cols
-    dims = Counter((i, q) for i in c.degrees for q in qdeg[i])
-    return HomologyResult(*_homology(F, dims, layers))
+    return _graded(c.theory, c, _rows_of(c))
 
 
 def graded_euler_poly(result):
@@ -424,9 +495,30 @@ def graded_euler_poly(result):
     return LaurentPoly.make(terms)
 
 
+# ---------------------------------------------------------------------------
+# the streamed pass
+
+def stream_homology(d, th, graded=False, anchor_flips=()):
+    """(cube, result): the homology of ``d`` under ``th`` in one upward pass,
+    graded as ``graded_homology`` or not as ``homology``, with
+    ``anchor_flips`` as in ``build_complex``.  Each d^i is scattered,
+    checked against d^(i-1) by the d o d guard, split into q-layers on the
+    graded path, eliminated and dropped, so at most two differentials are
+    held at a time.  The result equals that of the same homology of
+    ``build_complex(d, th, anchor_flips)``, and so do its errors: a refusal
+    above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded.  The
+    cube gives the chain groups (``cube.dims()``) and the smoothings."""
+    cube = _cube_of(d)
+    flips = _flip_set(d, cube.smoothings, anchor_flips)
+    differentials = _guarded(cube.groups, th.field, _differentials(cube, th, flips))
+    if graded:
+        return cube, _graded(th, cube, differentials)
+    return cube, _ungraded(th.field, cube.groups, differentials)
+
+
 def homology_of(d, th, anchor_flips=()):
-    """Convenience: build the complex and take its homology."""
-    return homology(build_complex(d, th, anchor_flips=anchor_flips))
+    """The (ungraded) homology of ``d`` under ``th``, by the streamed pass."""
+    return stream_homology(d, th, anchor_flips=anchor_flips)[1]
 
 
 def betti_with_reversed_anchor(d, th, selector):

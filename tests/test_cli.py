@@ -11,6 +11,7 @@ from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES
 from vlinkhom.cli import build_parser, main
 from vlinkhom.diagram import braid_closure
+from vlinkhom.jones import LaurentPoly
 from vlinkhom.tqft import MAX_SURFACE_COUNT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -209,8 +210,9 @@ def test_invariance_counts_each_mismatch(capsys, monkeypatch):
 
 
 def test_compute_euler_jones_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(importlib.import_module("vlinkhom.cli"), "jones_at_one",
-                        lambda d, smoothings: 0)
+    # the CLI reads J(1) off the one Jones polynomial it builds
+    monkeypatch.setattr(importlib.import_module("vlinkhom.cli"), "kauffman_jones",
+                        lambda d, smoothings: LaurentPoly.make({}))
     code, out = run(capsys, "compute", "--theory", "manturov", "--format", "text")
     assert code == 2
     assert out.startswith("unknot: dims=[2] betti={'0': 2} euler=2 jones(1)=0 match=False\n")

@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,15 +18,15 @@ from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
 from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
 from vlinkhom import tqft
-from vlinkhom.cli import EXIT_MISMATCH, main
+from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
 from vlinkhom.diagram import (all_smoothings, braid_closure, cube_edges, parse_gauss,
                               smooth)
 from vlinkhom.errors import (BadSyntax, DSquaredNonzero, InputError, LengthMismatch,
-                             NotGraded)
+                             NotGraded, VlinkhomError)
 from vlinkhom.fields import QQ, PrimeField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
-                               homology_of)
+                               homology_of, stream_homology)
 from vlinkhom.jones import jones_at_one, kauffman_jones
 from vlinkhom.tqft import ExactLinearMap, phi_matrix
 
@@ -232,11 +233,60 @@ def test_not_graded_entry_witness_is_pinned(monkeypatch, name, degree, index, me
         out[degree][index] += 2
         return out
 
-    c = build_complex(corpus.load(name), preset("manturov"))
+    d = corpus.load(name)
+    c = build_complex(d, preset("manturov"))
     monkeypatch.setattr(H, "_qdegrees", shifted)
     with pytest.raises(NotGraded) as info:
         graded_homology(c)
     assert str(info.value) == message
+    with pytest.raises(NotGraded) as streamed:
+        stream_homology(d, preset("manturov"), graded=True)
+    assert str(streamed.value) == message
+
+
+def test_cli_reports_the_not_graded_witness(monkeypatch, capsys, tmp_path):
+    name, degree, index, message = PINNED_NOT_GRADED[0]
+    qdegrees = H._qdegrees
+
+    def shifted(c):
+        out = qdegrees(c)
+        out[degree][index] += 2
+        return out
+
+    monkeypatch.setattr(H, "_qdegrees", shifted)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(corpus.load(name).to_json_obj()))
+    assert main(["compute", "--theory", "manturov", "--graded",
+                 "--diagram", str(path)]) == EXIT_COMPUTE
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "kind": "NotGraded", "message": message}}
+
+
+def test_streamed_pass_reports_d_squared_before_not_graded(monkeypatch):
+    # the q-degree shift makes degree 0 of the trefoil not graded; the guard,
+    # made to fail on the last pair of degrees, still checks every pair first
+    name, degree, index, _ = PINNED_NOT_GRADED[0]
+    qdegrees, check = H._qdegrees, H.composite_check
+
+    def shifted(c):
+        out = qdegrees(c)
+        out[degree][index] += 2
+        return out
+
+    def failing_last(field):
+        step, seen = check(field), []
+
+        def last_fails(rows):
+            seen.append(rows)
+            return (0, 0, 1) if len(seen) == 3 else step(rows)
+        return last_fails
+
+    d = corpus.load(name)
+    monkeypatch.setattr(H, "_qdegrees", shifted)
+    monkeypatch.setattr(H, "composite_check", failing_last)
+    with pytest.raises(DSquaredNonzero) as info:
+        stream_homology(d, preset("manturov"), graded=True)
+    assert info.value.degree == 1
 
 
 # -- convention independence --------------------------------------------------------
@@ -559,6 +609,7 @@ def test_d_squared_guard_agrees_with_dict_product_oracle(monkeypatch, kind, whic
             expected = first_nonzero_d_squared(c)
             if expected is None:
                 build_complex(d, th)
+                homology_of(d, th)
                 continue
             hits += 1
             with pytest.raises(DSquaredNonzero) as info:
@@ -566,6 +617,9 @@ def test_d_squared_guard_agrees_with_dict_product_oracle(monkeypatch, kind, whic
             degree, source, target, value = expected
             assert (info.value.degree, info.value.source, info.value.target,
                     info.value.value) == (degree, source, target, th.field.to_str(value))
+            with pytest.raises(DSquaredNonzero) as streamed:
+                homology_of(d, th)
+            assert str(streamed.value) == str(info.value)
     assert hits == fired
 
 
@@ -589,18 +643,28 @@ PINNED_D_SQUARED = [
 def test_d_squared_witness_messages_are_pinned(monkeypatch, name, theory, kind, which,
                                                message):
     monkeypatch.setattr(H, "cube_edges", mutated_cube_edges(kind, which))
+    d, th = corpus.load(name), MUTATION_THEORIES[theory]
     with pytest.raises(DSquaredNonzero) as info:
-        build_complex(corpus.load(name), MUTATION_THEORIES[theory])
+        build_complex(d, th)
     assert str(info.value) == message
+    # streamed, and graded too: none of these theories is graded, and the
+    # guard's error comes before that one
+    for run in (lambda: homology_of(d, th),
+                lambda: stream_homology(d, th, graded=True)):
+        with pytest.raises(DSquaredNonzero) as streamed:
+            run()
+        assert str(streamed.value) == message
 
 
 def test_cli_reports_the_d_squared_witness(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(H, "cube_edges", mutated_cube_edges("twist", "first"))
     path = tmp_path / "trefoil.json"
     path.write_text(json.dumps(corpus.load("trefoil").to_json_obj()))
-    assert main(["compute", "--theory", "f2_row2", "--diagram", str(path)]) == EXIT_MISMATCH
-    assert json.loads(capsys.readouterr().out) == {"error": {
-        "kind": "DSquaredNonzero", "message": PINNED_D_SQUARED[0][-1]}}
+    for graded in ([], ["--graded"]):
+        assert main(["compute", "--theory", "f2_row2", "--diagram", str(path),
+                     *graded]) == EXIT_MISMATCH
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "kind": "DSquaredNonzero", "message": PINNED_D_SQUARED[0][-1]}}
 
 
 def test_chain_group_label_matches_a_linear_scan():
@@ -611,6 +675,73 @@ def test_chain_group_label_matches_a_linear_scan():
         group = c.groups[i]
         assert [group.label(j) for j in range(group.dim)] == \
             [chain_label(group, j) for j in range(group.dim)]
+
+
+# -- the streamed pass ------------------------------------------------------------
+
+STREAM_THEORIES = [*PRESET_NAMES, "q 1,0,1", "fp:1000003 1,0,1"]
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of the error it raises."""
+    try:
+        return run()
+    except VlinkhomError as exc:
+        return type(exc), str(exc)
+
+
+def assert_stream_matches_build(d, th):
+    """The streamed pass gives the cube of ``build_complex`` and the same
+    homology, graded and ungraded, or the same error."""
+    c = build_complex(d, th)
+    cube, _ = stream_homology(d, th)
+    assert cube.dims() == c.dims() and cube.smoothings == c.smoothings
+    for graded, run in ((False, homology), (True, graded_homology)):
+        assert outcome(lambda: stream_homology(d, th, graded=graded)[1]) == outcome(
+            lambda: run(c)), graded
+
+
+@pytest.mark.parametrize("theory", STREAM_THEORIES)
+def test_streamed_pass_matches_the_built_complex_on_the_corpus(theory):
+    for name in corpus.all_names():
+        assert_stream_matches_build(corpus.load(name), MUTATION_THEORIES[theory])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
+       st.sampled_from(STREAM_THEORIES))
+def test_streamed_pass_matches_the_built_complex_on_braid_closures(word, theory):
+    assert_stream_matches_build(braid_closure(word), MUTATION_THEORIES[theory])
+
+
+class WatchedRows(dict):
+    """The rows of one differential, watched by a weak reference."""
+
+
+@pytest.mark.parametrize("theory, graded", [
+    ("manturov", True), ("f2_row2", False), ("q 1,0,1", False),
+    ("fp:1000003 1,0,1", False),
+])
+def test_streamed_pass_holds_at_most_two_differentials(monkeypatch, theory, graded):
+    # as each d^i is handed over, count the differentials still alive
+    watched, alive = [], []
+    scatter = H._differentials
+
+    def watching(*args):
+        for i, rows in scatter(*args):
+            rows = WatchedRows(rows)
+            watched.append(weakref.ref(rows))
+            alive.append(sum(ref() is not None for ref in watched))
+            yield i, rows
+
+    monkeypatch.setattr(H, "_differentials", watching)
+    d, th = braid_closure([1, -2] * 3), MUTATION_THEORIES[theory]
+    _, streamed = stream_homology(d, th, graded=graded)
+    assert len(watched) == d.n and max(alive) == 2
+    assert all(ref() is None for ref in watched)
+    built = build_complex(d, th)  # keeps all d.n of them, and the watch sees it
+    assert sum(ref() is not None for ref in watched[d.n:]) == d.n
+    assert streamed == (graded_homology if graded else homology)(built)
 
 
 # -- the size guard --------------------------------------------------------------
@@ -685,23 +816,41 @@ def oracle_rank(field, rows, drop=()):
 CANCELLATION_THEORIES = ["q 1,0,1", "fp:1000003 1,0,1", "f2_row7", "manturov"]
 
 
-def assert_cancellation_lemma(d, theory):
-    """Take the homology of ``d`` and check the pivot rows recorded per layer
-    (i, q): they number rank(d^i), they are independent rows of d^i, and
-    d^(i+1) at the same q without them as columns keeps its rank, all by
-    dense oracles."""
+def recorded_pivots(run):
+    """Call ``run()`` and return the arguments and result of each call it
+    makes of ``_layer_pivots``, one per degree: (layers, below, pivots)."""
     calls, real = [], H._layer_pivots
 
-    def recording(field, rows):
-        pivots = real(field, rows)
-        calls.append((field, rows, pivots))
+    def recording(field, layers, below):
+        pivots = real(field, layers, below)
+        calls.append((layers, below, pivots))
         return pivots
 
-    c = build_complex(d, MUTATION_THEORIES[theory])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(H, "_layer_pivots", recording)
-        (graded_homology if theory == "manturov" else homology)(c)
-    [(field, rows, pivots)] = calls
+        run()
+    return calls
+
+
+def assert_cancellation_lemma(d, theory):
+    """Take the homology of ``d`` and check the pivot rows recorded per layer
+    (i, q), one degree at a time: each degree is eliminated without the
+    pivot rows of the one below, they number rank(d^i), they are
+    independent rows of d^i, and d^(i+1) at the same q without them as
+    columns keeps its rank, all by dense oracles.  The streamed pass
+    records the same layers and pivot rows."""
+    th = MUTATION_THEORIES[theory]
+    graded = theory == "manturov"
+    c = build_complex(d, th)
+    calls = recorded_pivots(lambda: (graded_homology if graded else homology)(c))
+    assert recorded_pivots(lambda: stream_homology(d, th, graded=graded)) == calls
+    assert len(calls) == c.max_degree - c.min_degree
+    field, rows, pivots, previous = th.field, {}, {}, {}
+    for i, (layers, below, found) in enumerate(calls, start=c.min_degree):
+        assert below is previous or below == previous == {}, i
+        rows[i] = layers
+        pivots.update(((i, q), p) for q, p in found.items())
+        previous = found
     assert set(pivots) == {(i, q) for i, by_q in rows.items() for q in by_q}
     rank = {(i, q): oracle_rank(field, rows[i][q]) for i, q in pivots}
     for (i, q), found in pivots.items():
@@ -718,7 +867,7 @@ def test_cancellation_lemma_on_the_corpus(theory):
         assert_cancellation_lemma(corpus.load(name), theory)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
        st.sampled_from(CANCELLATION_THEORIES))
 def test_cancellation_lemma_on_braid_closures(word, theory):
