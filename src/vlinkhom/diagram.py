@@ -9,8 +9,9 @@ each smoothing stores its state string, its circle keys, the circle of every
 arc and the direction in which its circles traverse every arc (one bitmask)
 when it is built.  A circle is its key: its arcs are the ones mapped to it.
 
-Saddles between adjacent states are classified from the crossing alone, and
-only as the edges of the whole cube (``cube_edges``).
+Saddles between adjacent states are classified from the crossing alone, only
+as the edges of the whole cube and by one classifier, ``saddles``, which names
+circles by index (``cube_edges`` names them by key, in SaddleDescriptors).
 The circle counts give the kind: a saddle that changes the count by one is a
 pair of pants (merge or split), and one that takes one circle to one circle
 is a punctured Moebius band, the nonorientable single-cycle saddle.  For the
@@ -295,15 +296,18 @@ class Smoothing:
     ``state`` is the 0/1 string of the bits, ``keys`` the circle keys in
     canonical order, ``arc_circle`` the index of each arc's circle and
     ``forward`` a bitmask of the arcs whose circle traverses them from tail
-    to head.
+    to head.  ``circles`` names each key as a ``Circle``, made on each read.
     """
 
     diagram: VirtualLinkDiagram
     state: str
-    circles: tuple
     keys: tuple
-    arc_circle: tuple  # arc -> index into circles
+    arc_circle: tuple  # arc -> index into keys
     forward: int       # bit a set iff arc a is traversed tail to head
+
+    @property
+    def circles(self):
+        return tuple(map(Circle, self.keys))
 
     @property
     def bits(self):
@@ -315,7 +319,7 @@ class Smoothing:
 
     @property
     def k(self):
-        return len(self.circles)
+        return len(self.keys)
 
 
 def coerce_state(d, state):
@@ -342,21 +346,20 @@ def splice_pairing(d, bits):
 
 def smooth(d, state):
     """Smooth every crossing of ``d`` according to ``state`` and trace circles."""
-    state = coerce_state(d, state)
-    return _smooth(d, tuple(map(int, state)), state)
+    return _smooth(d, coerce_state(d, state))
 
 
-def _smooth(d, bits, state):
-    pairing = splice_pairing(d, bits)
+def _smooth(d, state):
+    pairing = splice_pairing(d, map(int, state))
     arc_circle = [-1] * d.total_arcs
     forward = 0
-    circles = []
+    keys = []
     # a circle's key is twice its least arc, so tracing from each arc not yet
     # seen, in order, finds the circles in canonical order
     for start in range(d.total_arcs):
         if arc_circle[start] >= 0:
             continue
-        idx = len(circles)
+        idx = len(keys)
         arc, fwd = start, 1
         while True:
             arc_circle[arc] = idx
@@ -366,21 +369,25 @@ def _smooth(d, bits, state):
             if arc == start:
                 assert fwd, "circle closed against its own direction"
                 break
-        circles.append(Circle(2 * start))
+        keys.append(2 * start)
     for ci, comp in enumerate(d.components):
         if not comp:
-            circles.append(Circle(2 * d.total_arcs + ci))
-    return Smoothing(d, state, tuple(circles), tuple(c.key for c in circles),
-                     tuple(arc_circle), forward)
+            keys.append(2 * d.total_arcs + ci)
+    return Smoothing(d, state, tuple(keys), tuple(arc_circle), forward)
 
 
 def all_smoothings(d):
     """All 2^n smoothings, keyed by state string, in lexicographic order."""
-    out = {}
-    for bits in itertools.product((0, 1), repeat=d.n):
-        state = "".join(map(str, bits))
-        out[state] = _smooth(d, bits, state)
-    return out
+    return dict(sorted((sm.state, sm) for sm in smoothings_from_both_ends(d)))
+
+
+def smoothings_from_both_ends(d):
+    """All 2^n smoothings, alternately from the two ends of the lexicographic
+    order (0...0, 1...1, 0...01, 1...10, ...).  Mirroring ``d`` complements
+    every state, so a running sum of 2^k(s) grows alike for both."""
+    states = ["".join(bits) for bits in itertools.product("01", repeat=d.n)]
+    for i in range(len(states)):
+        yield _smooth(d, states[~(i // 2) if i % 2 else i // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -425,49 +432,53 @@ _KINDS = {(2, 1): "merge", (1, 2): "split", (1, 1): "single_cycle"}
 _CORNER_FLIP = (0, 1, 1, 0)
 
 
-def _classify(ss, st, j):
-    oi, oo, ui, uo = ss.diagram.ends[j]
-    arcs = a, b, c, e = oi >> 1, oo >> 1, ui >> 1, uo >> 1
-    sc, tc = ss.arc_circle, st.arc_circle
-    bottom_idx = sorted({sc[a], sc[b], sc[c], sc[e]})
-    top_idx = sorted({tc[a], tc[b], tc[c], tc[e]})
-    kind = _KINDS[len(bottom_idx), len(top_idx)]
-    twist_in = twist_out = ()
-    if kind != "single_cycle":
-        # an arc with both ends at the crossing must get one up, one down
-        assert a != b and c != e, \
-            "corner orientations conflict on an orientable saddle"
-        twist_in = _twists(ss, bottom_idx, arcs)
-        twist_out = _twists(st, top_idx, arcs)
-    sk, tk = ss.keys, st.keys
-    return SaddleDescriptor(ss.state, st.state, j, kind,
-                            tuple([sk[i] for i in bottom_idx]),
-                            tuple([tk[i] for i in top_idx]),
-                            twist_in, twist_out, ss.state.count("1", 0, j))
+def _side(sm, a, b):
+    """(circle indices, twist bits) of one smoothing at a saddle with Oi and
+    Oo corner arcs a and b.  No splice joins Oi to Oo, so the circles of a and
+    b are those of the two end pairs, all on the corners, with a and b their
+    first corner arcs; a bit is the direction bit there XOR ``_CORNER_FLIP``."""
+    x, y, forward = sm.arc_circle[a], sm.arc_circle[b], sm.forward
+    x_bit, y_bit = forward >> a & 1 ^ _CORNER_FLIP[0], forward >> b & 1 ^ _CORNER_FLIP[1]
+    if x == y:
+        return (x,), (x_bit,)
+    return ((x, y), (x_bit, y_bit)) if x < y else ((y, x), (y_bit, x_bit))
 
 
-def _twists(sm, circle_idx, arcs):
-    """One twist bit per circle of ``sm``, read at the first corner arc on
-    it (corners in the order Oi, Oo, Ui, Uo): the circle's direction bit on
-    that arc, looked up in ``sm.forward``, XOR the corner's ``_CORNER_FLIP``.
-    The bit then holds on every arc of the circle."""
-    arc_circle, forward, twist = sm.arc_circle, sm.forward, {}
-    for a, flip in zip(arcs, _CORNER_FLIP):
-        twist.setdefault(arc_circle[a], (forward >> a & 1) ^ flip)
-    return tuple([twist[i] for i in circle_idx])
+def saddles(d, smoothings):
+    """Classify every edge of the cube of ``d``, whose 2^n smoothings
+    ``smoothings`` holds by state, in (state, position) order: yield its
+    source and target ``Smoothing`` and the other fields of its
+    ``SaddleDescriptor``, with circle indices in ``bottom`` and ``top``."""
+    corners = [(oi >> 1, oo >> 1, ui >> 1, uo >> 1) for oi, oo, ui, uo in d.ends]
+    for state in sorted(smoothings):
+        ss = smoothings[state]
+        j = state.find("0")
+        while j >= 0:
+            st = smoothings[state[:j] + "1" + state[j + 1:]]
+            a, b, c, e = corners[j]
+            bottom, twist_in = _side(ss, a, b)
+            top, twist_out = _side(st, a, b)
+            kind = _KINDS[len(bottom), len(top)]
+            if kind == "single_cycle":
+                twist_in = twist_out = ()
+            # an arc with both ends at the crossing must get one up, one down
+            assert kind == "single_cycle" or a != b and c != e, \
+                "corner orientations conflict on an orientable saddle"
+            lo, hi, p, q, sk, tk = bottom[0], bottom[-1], top[0], top[-1], ss.keys, st.keys
+            assert (sk[:lo] + sk[lo + 1:hi] + sk[hi + 1:]
+                    == tk[:p] + tk[p + 1:q] + tk[q + 1:]), \
+                "unaffected circles must match across the edge"
+            yield ss, st, j, kind, bottom, top, twist_in, twist_out, state.count("1", 0, j)
+            j = state.find("0", j + 1)
 
 
 def cube_edges(d, smoothings=None):
-    """All n * 2^(n-1) classified cube edges, in (state, position) order."""
+    """All n * 2^(n-1) classified cube edges, in (state, position) order:
+    ``saddles`` with the affected circles named by their keys."""
     sms = smoothings if smoothings is not None else all_smoothings(d)
-    out = []
-    for state in sorted(sms):
-        ss = sms[state]
-        j = state.find("0")
-        while j >= 0:
-            out.append(_classify(ss, sms[state[:j] + "1" + state[j + 1:]], j))
-            j = state.find("0", j + 1)
-    return out
+    return [SaddleDescriptor(ss.state, st.state, j, kind, tuple([ss.keys[i] for i in b]),
+                             tuple([st.keys[i] for i in t]), *twists_and_sign)
+            for ss, st, j, kind, b, t, *twists_and_sign in saddles(d, sms)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,19 @@ degree, and one generator scatters the differentials one degree at a time,
 upward: ``build_complex`` keeps them all, the streamed pass one at a time.
 An anchor flip enters as a toggled twist bit of the merge/split it feeds, or
 as a factor phi for a circle the saddle does not touch.  A complex above
-MAX_CHAIN_DIM generators is refused before it is built.
+MAX_CHAIN_DIM generators is refused before it is built or as it is smoothed.
 
 The work is split by what it depends on, as in Bar-Natan's geometric
 formalism, where the cube and its saddles belong to the diagram and the
 theory only evaluates them:
 
-- once per diagram object: the smoothings, the chain groups, the classified
-  edges and, per edge, its degree, block offsets, block key (kind, twist_in,
-  twist_out, phi'd spectators, sign parity) and factor placement.  This cube
-  is kept for the last diagram built, by identity, never by equality: later
-  builds of that object (every theory, every anchor flip) reuse it, and it
-  is dropped before the next diagram is smoothed.  Complexes share its
-  smoothings and groups as read-only views.
+- once per diagram object: the smoothings, the chain groups and, per edge
+  of one pass over ``diagram.saddles``, its degree, block offsets, block key
+  (kind, twist_in, twist_out, phi'd spectators, sign parity) and placement.
+  This cube is kept for the last diagram built, by identity, never by
+  equality: later builds of that object (every theory, every anchor flip)
+  reuse it, and it is dropped before the next diagram is smoothed.
+  Complexes share its smoothings and groups as read-only views.
 - once per theory: each distinct block, named by its saddle's (kind,
   twist_in, twist_out), its negative and its phi-padded variants, built on
   first use into one table per theory.  The tables of the last 4 theories
@@ -78,7 +78,7 @@ from types import MappingProxyType
 
 from . import tqft
 from ._linalg import ExactLinearMap, composite_check, pivot_rows
-from .diagram import all_smoothings, coerce_state, cube_edges
+from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
 
@@ -111,7 +111,12 @@ class ChainComplex:
     groups: MappingProxyType      # degree -> ChainGroup, shared with the cube
     differentials: dict           # degree -> ExactLinearMap C^i -> C^(i+1)
     smoothings: MappingProxyType  # state -> Smoothing, shared with the cube
-    edges: tuple
+    cube: object
+
+    @property
+    def edges(self):
+        """The cube's classified edges, ``SaddleDescriptor``s built on first use."""
+        return self.cube.edges
 
     @property
     def degrees(self):
@@ -171,23 +176,25 @@ _blocks_of = lru_cache(maxsize=4)(_Blocks)
 
 
 class Cube:
-    """What a build takes from the diagram alone: the smoothings and the
-    chain groups (as read-only views), the classified edges, the indices of
-    the edges of each degree (in edge order) and, per edge, in parallel
-    lists, its block's row and column offsets and how its block is placed
-    without anchor flips: the pair (block key, ``tqft.placement``), shared
-    by the edges that have the same one.
-
-    The smoothings are checked against MAX_CHAIN_DIM before any edge is
-    built."""
+    """What a build takes from the diagram alone: the smoothings and chain
+    groups (read-only views), the edges of each degree and, per edge of one
+    pass over ``diagram.saddles``, in parallel lists, its block's row and
+    column offsets and its shared (block key, ``tqft.placement``, placement
+    arguments) without anchor flips.  The smoothings, made from both ends of
+    the cube inward, are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
 
     def __init__(self, d):
         n, n_minus = d.n, d.n_minus
         self.diagram = d
-        smoothings = all_smoothings(d)
-        self.smoothings = MappingProxyType(smoothings)
-        self.dim = sum(1 << sm.k for sm in smoothings.values())
+        found, self.dim = {}, 0
+        for sm in smoothings_from_both_ends(d):
+            found[sm.state] = sm
+            self.dim += 1 << sm.k
+            if self.dim > MAX_CHAIN_DIM and len(found) < 1 << n:
+                _refuse_above_cap(n, self.dim, f"at least {self.dim:,}")
         self.refuse_above_cap()
+        smoothings = dict(sorted(found.items()))
+        self.smoothings = MappingProxyType(smoothings)
         by_r = [[] for _ in range(n + 1)]
         for s, sm in smoothings.items():  # in lexicographic order, kept per group
             by_r[sm.r].append(s)
@@ -202,17 +209,22 @@ class Cube:
                 i, states, MappingProxyType({s: smoothings[s].keys for s in states}),
                 MappingProxyType(offsets), size)
         self.groups = MappingProxyType(groups)
-        self.edges = tuple(cube_edges(d, smoothings))
         self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
-        self.row0, self.col0 = [], []
-        for e, sd in enumerate(self.edges):
-            i = sd.from_state.count("1") - n_minus
-            self.by_degree[i].append(e)
-            self.row0.append(groups[i + 1].offsets[sd.to_state])
-            self.col0.append(groups[i].offsets[sd.from_state])
-        self._placements = {}  # (in_pos, k_in, out_pos, k_out) -> tqft.placement
+        self.row0, self.col0, self.hows = row0, col0, hows = [], [], []
+        self._placements = {}  # placement arguments -> tqft.placement
         self._hows = {}        # (block key, placement arguments) -> how
-        self.hows = [self.how(sd) for sd in self.edges]
+        source = None
+        for e, (ss, st, _, kind, bottom, top, twist_in, twist_out, sign) in enumerate(
+                saddles(d, smoothings)):
+            if ss is not source:  # the edges from one state are consecutive
+                source, i, k_in = ss, ss.r - n_minus, ss.k
+                edges, c0 = self.by_degree[i], groups[i].offsets[ss.state]
+                targets = groups[i + 1].offsets
+            edges.append(e)
+            row0.append(targets[st.state])
+            col0.append(c0)
+            hows.append(self._how((kind, twist_in, twist_out, 0, sign & 1),
+                                  (bottom, k_in, top, st.k)))
 
     def refuse_above_cap(self):
         _refuse_above_cap(self.diagram.n, self.dim, f"{self.dim:,}")
@@ -223,39 +235,49 @@ class Cube:
 
     @cached_property
     def incident(self):
-        """state -> the indices of the edges from or to it."""
+        """state -> (source, target, index) of each edge from or to it, the
+        edges in the (state, position) order of ``diagram.saddles``."""
         out = {s: [] for s in self.smoothings}
-        for e, sd in enumerate(self.edges):
-            out[sd.from_state].append(e)
-            out[sd.to_state].append(e)
+        for e, (s, t) in enumerate((s, s[:j] + "1" + s[j + 1:]) for s in self.smoothings
+                                   for j, bit in enumerate(s) if bit == "0"):
+            out[s].append((s, t, e))
+            out[t].append((s, t, e))
         return out
 
-    def how(self, sd, flips=()):
-        """(block key, placement) of the edge ``sd`` under the anchor ``flips``."""
-        s, t = sd.from_state, sd.to_state
-        src_keys, tgt_keys = self.smoothings[s].keys, self.smoothings[t].keys
-        bottom, top, twist_in, twist_out = sd.bottom, sd.top, sd.twist_in, sd.twist_out
-        spectators = [k for k in src_keys if k not in bottom]
-        assert spectators == [k for k in tgt_keys if k not in top], \
-            "unaffected circles must match across the edge"
-        phi_keys = ()
-        if flips:
-            # an anchor flip on a consumed circle toggles its twist bit (phi
-            # is an involution); a spectator flipped on one side only is
-            # conjugated by phi once
-            twist_in = tuple(b ^ ((s, k) in flips) for b, k in zip(twist_in, bottom))
-            twist_out = tuple(b ^ ((t, k) in flips) for b, k in zip(twist_out, top))
-            phi_keys = tuple(k for k in spectators if ((s, k) in flips) != ((t, k) in flips))
-        key = (sd.kind, twist_in, twist_out, len(phi_keys), sd.sign_exponent & 1)
-        where = (tuple([src_keys.index(k) for k in bottom + phi_keys]), len(src_keys),
-                 tuple([tgt_keys.index(k) for k in top + phi_keys]), len(tgt_keys))
+    @cached_property
+    def edges(self):
+        """The edges as ``diagram.cube_edges`` gives them; no build reads them."""
+        return tuple(cube_edges(self.diagram, self.smoothings))
+
+    def _how(self, key, where):
+        """The shared (block key, ``tqft.placement(*where)``, ``where``)."""
         how = self._hows.get((key, where))
         if how is None:
-            placement = self._placements.get(where)
-            if placement is None:
-                placement = self._placements[where] = tqft.placement(*where)
-            how = self._hows[(key, where)] = (key, placement)
+            if where not in self._placements:
+                self._placements[where] = tqft.placement(*where)
+            how = self._hows[(key, where)] = (key, self._placements[where], where)
         return how
+
+    def hows_with(self, flips):
+        """The hows under the anchor ``flips`` from ``_flip_set``; ``hows`` if none."""
+        if not flips:
+            return self.hows
+        hows = list(self.hows)
+        for s, t, e in {edge for s, _ in flips for edge in self.incident[s]}:
+            (kind, twist_in, twist_out, _, parity), _, (bottom, k_in, top, k_out) = hows[e]
+            src = [(s, key) in flips for key in self.smoothings[s].keys]
+            tgt = [(t, key) in flips for key in self.smoothings[t].keys]
+            # a flip on a consumed circle toggles its twist bit (phi is an
+            # involution), a spectator flipped on one side only gets phi
+            twist_in = tuple([b ^ src[p] for b, p in zip(twist_in, bottom)])
+            twist_out = tuple([b ^ tgt[q] for b, q in zip(twist_out, top)])
+            phi = [(p, q) for p, q in zip([p for p in range(k_in) if p not in bottom],
+                                          [q for q in range(k_out) if q not in top])
+                   if src[p] != tgt[q]]
+            where = (bottom + tuple([p for p, _ in phi]), k_in,
+                     top + tuple([q for _, q in phi]), k_out)
+            hows[e] = self._how((kind, twist_in, twist_out, len(phi), parity), where)
+        return hows
 
 
 # The largest total chain dimension (generators over all degrees) a build
@@ -272,6 +294,7 @@ def _refuse_above_cap(n, dim, count):
     if dim > MAX_CHAIN_DIM:
         raise InputError(f"{n} crossings: the chain complex has {count} generators, "
                          f"above the cap MAX_CHAIN_DIM = {MAX_CHAIN_DIM:,}")
+
 
 
 # The cube of the last diagram built, kept for the next build of that same
@@ -303,11 +326,7 @@ def _differentials(cube, th, flips):
     value}}`` and handed over: the generator keeps none of them once it
     resumes, so a consumer that drops d^i holds one differential at a time.
     This is the one scatter; ``flips`` is the set ``_flip_set`` returns."""
-    hows = cube.hows
-    if flips:
-        hows = list(hows)
-        for e in {e for s, _ in flips for e in cube.incident[s]}:
-            hows[e] = cube.how(cube.edges[e], flips)
+    hows = cube.hows_with(flips)
     blocks, scatter = _blocks_of(th), tqft.scatter_extended
     row0, col0 = cube.row0, cube.col0
     for i, edges in cube.by_degree.items():
@@ -315,7 +334,7 @@ def _differentials(cube, th, flips):
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
         for e in edges:
-            key, placement = hows[e]
+            key, placement, _ = hows[e]
             scatter(rows, blocks[key], placement, row0[e], col0[e])
         yield i, rows
 
@@ -345,7 +364,7 @@ def build_complex(d, th, anchor_flips=(), check=True):
     (which would signal a twist-convention bug), unless ``check`` is false.
     A complex of more than MAX_CHAIN_DIM generators is refused with an
     InputError: on the lower bound 2^(n+1) before any state is smoothed, and
-    on the exact sum of 2^k(s) before any edge is built.  Builds of the same
+    on the sum of 2^k(s) as the states are smoothed.  Builds of the same
     diagram object share its cube (see the module docstring).
     """
     F = th.field
@@ -358,7 +377,7 @@ def build_complex(d, th, anchor_flips=(), check=True):
     differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
                      for i, rows in differentials}
     return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, groups, differentials,
-                        cube.smoothings, cube.edges)
+                        cube.smoothings, cube)
 
 
 def _layer_pivots(field, layers, below):

@@ -2,7 +2,7 @@
 
 Every map is an ``ExactLinearMap`` (see ``_linalg``) composed from the
 structure matrices of ``algebra``.  A saddle's block is read straight off
-its kind and twist bits, the fields of a ``diagram.SaddleDescriptor``.  A
+its kind and twist bits, as ``diagram.saddles`` classifies them.  A
 merge or a split evaluates through the Frobenius algebra, with the flip
 involution phi on each circle whose twist bit is set, i.e. whose boundary
 identification disagrees with the circle's reference orientation.  A
@@ -14,8 +14,8 @@ both powers taken by repeated squaring.
 ``scatter_extended`` pads a block with identities on the other tensor
 factors by bit arithmetic on basis indices and writes it straight into the
 rows of a differential; the cube assembly in ``homology`` scatters every
-edge through it, at a ``placement`` (the index masks of the factors) that it
-computes once per cube.
+edge through it, at a ``placement`` (the index masks of the factors, from
+the circle indices the saddle affects) that it computes once per cube.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def scatter_extended(rows_out, block, masks, row0, col0):
 
 def elementary_map(th, kind, twist_in, twist_out):
     """The block of a saddle of ``kind`` ("merge", "split" or
-    "single_cycle") with one twist bit per affected circle, as in
-    ``diagram.SaddleDescriptor``: phi^out o m o (phi^a (x) phi^b) for a
+    "single_cycle") with one twist bit per affected circle, as
+    ``diagram.saddles`` gives them: phi^out o m o (phi^a (x) phi^b) for a
     merge, (phi^a (x) phi^b) o Delta o phi^in for a split, and theta for a
     single-cycle saddle, which needs no twist bits."""
     if kind == "single_cycle":

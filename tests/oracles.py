@@ -185,6 +185,34 @@ def first_nonzero_d_squared(complex_):
             chain_label(complex_.groups[lo + j + 2], r), value)
 
 
+# -- the placement of a cube edge, by circle keys ------------------------------
+
+def edge_table(smoothings, sd, flips=()):
+    """(row offset, column offset, block key, placement arguments) of the
+    cube edge ``sd``, a ``SaddleDescriptor``, under the anchor ``flips``, a
+    set of (state, circle key) pairs.  The offsets are recomputed from the
+    states' circle counts, and the affected and phi'd circles are named by
+    their keys and looked up among their states' keys."""
+    s, t = sd.from_state, sd.to_state
+
+    def offset(state):
+        return sum(1 << sm.k for u, sm in smoothings.items()
+                   if sm.r == state.count("1") and u < state)
+
+    src_keys, tgt_keys = smoothings[s].keys, smoothings[t].keys
+    bottom, top, twist_in, twist_out = sd.bottom, sd.top, sd.twist_in, sd.twist_out
+    spectators = [k for k in src_keys if k not in bottom]
+    assert spectators == [k for k in tgt_keys if k not in top], \
+        "unaffected circles must match across the edge"
+    twist_in = tuple(b ^ ((s, k) in flips) for b, k in zip(twist_in, bottom))
+    twist_out = tuple(b ^ ((t, k) in flips) for b, k in zip(twist_out, top))
+    phi_keys = tuple(k for k in spectators if ((s, k) in flips) != ((t, k) in flips))
+    key = (sd.kind, twist_in, twist_out, len(phi_keys), sd.sign_exponent & 1)
+    where = (tuple(src_keys.index(k) for k in bottom + phi_keys), len(src_keys),
+             tuple(tgt_keys.index(k) for k in top + phi_keys), len(tgt_keys))
+    return offset(t), offset(s), key, where
+
+
 # -- classical Khovanov over F2 (planar diagrams, no twist machinery) --------
 
 def classical_khovanov_f2_betti(d, smoothings):

@@ -108,7 +108,7 @@ def test_compute_refuses_a_22_crossing_diagram(tmp_path, capsys, monkeypatch):
 
     # the homology module, not the function that ``vlinkhom.homology`` names
     monkeypatch.setattr(importlib.import_module("vlinkhom.homology"),
-                        "all_smoothings", no_smoothing)
+                        "smoothings_from_both_ends", no_smoothing)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(braid_closure([1, -2] * 11).to_json_obj()))
     start = time.perf_counter()

@@ -1,26 +1,27 @@
 """Chain complex assembly, homology, grading and convention independence."""
 
-import dataclasses
 import importlib
 import json
 import random
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
-                     first_nonzero_d_squared, rank_f2_dense, rank_fp_dense,
-                     rank_qq_dense)
+                     edge_table, first_nonzero_d_squared, rank_f2_dense,
+                     rank_fp_dense, rank_qq_dense)
 from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
-from vlinkhom.diagram import (all_smoothings, braid_closure, cube_edges, parse_gauss,
-                              smooth)
+from vlinkhom.diagram import (VirtualLinkDiagram, all_smoothings, braid_closure,
+                              cube_edges, parse_gauss, saddles, smooth,
+                              smoothings_from_both_ends)
 from vlinkhom.errors import (BadSyntax, DSquaredNonzero, InputError, LengthMismatch,
                              NotGraded, VlinkhomError)
 from vlinkhom.fields import QQ, PrimeField
@@ -33,6 +34,8 @@ from vlinkhom.tqft import ExactLinearMap, phi_matrix
 Q = QQ.from_int
 # the module; ``vlinkhom.homology`` as an attribute is the function homology()
 H = importlib.import_module("vlinkhom.homology")
+D = importlib.import_module("vlinkhom.diagram")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def q_theory(a=1, lam=0, mu=1):
@@ -430,8 +433,9 @@ def counted(calls, name, fn):
 
 def test_flips_reuse_the_cube_of_the_diagram(monkeypatch):
     calls = []
-    monkeypatch.setattr(H, "all_smoothings", counted(calls, "smooth", all_smoothings))
-    monkeypatch.setattr(H, "cube_edges", counted(calls, "edges", cube_edges))
+    monkeypatch.setattr(H, "smoothings_from_both_ends",
+                        counted(calls, "smooth", smoothings_from_both_ends))
+    monkeypatch.setattr(H, "saddles", counted(calls, "edges", saddles))
     d = corpus.load("cinquefoil")
     th = preset("f2_row7")
     base = homology_of(d, th).betti
@@ -446,8 +450,8 @@ def test_flips_reuse_the_cube_of_the_diagram(monkeypatch):
 
 def test_d_squared_guard_runs_on_every_flipped_build(monkeypatch):
     calls = []
-    monkeypatch.setattr(H, "cube_edges",
-                        counted(calls, "edges", mutated_cube_edges("twist", "first")))
+    monkeypatch.setattr(H, "saddles",
+                        counted(calls, "edges", mutated_saddles("twist", "first")))
     d = corpus.load("trefoil")
     th = MUTATION_THEORIES["f2_row2"]
     with pytest.raises(DSquaredNonzero):
@@ -464,7 +468,7 @@ def test_equal_diagrams_do_not_share_a_cube(monkeypatch):
     th = MUTATION_THEORIES["f2_row2"]
     first = corpus.load("trefoil")
     with monkeypatch.context() as mp:
-        mp.setattr(H, "cube_edges", mutated_cube_edges("twist", "first"))
+        mp.setattr(H, "saddles", mutated_saddles("twist", "first"))
         build_complex(first, th, check=False)
     # the same object keeps its (broken) cube; an equal one is built afresh
     with pytest.raises(DSquaredNonzero):
@@ -491,24 +495,24 @@ def test_complexes_share_a_read_only_cube():
     assert build_complex(d, preset("f2_row2")).differentials == plain.differentials
 
 
+def random_virtual_code(rng, n):
+    """A one-component signed Gauss code of n crossings in random order."""
+    passages = [(i + 1, True, rng.choice((1, -1))) for i in range(n)]
+    passages += [(c, False, s) for c, _, s in passages]
+    rng.shuffle(passages)
+    return VirtualLinkDiagram([passages])
+
+
 def test_fuzz_random_virtual_diagrams():
     # random signed Gauss codes are almost never planar; every complex
     # build asserts d^2 = 0 and the Euler characteristic must match the
     # state sum
-    from vlinkhom.diagram import VirtualLinkDiagram, cube_edges
-
-    def random_code(rng, n):
-        passages = [(i + 1, True, rng.choice((1, -1))) for i in range(n)]
-        passages += [(c, False, s) for c, _, s in passages]
-        rng.shuffle(passages)
-        return VirtualLinkDiagram([passages])
-
     rng = random.Random(20240815)
     theories = [preset("manturov"), preset("f2_row2"), preset("f2_row7"),
                 preset("f2_row8"), q_theory(1, 0, 1)]
     single_cycles = 0
     for _ in range(40):
-        d = random_code(rng, rng.randint(1, 5))
+        d = random_virtual_code(rng, rng.randint(1, 5))
         single_cycles += sum(1 for e in cube_edges(d)
                              if e.kind == "single_cycle")
         j1 = jones_at_one(d)
@@ -562,6 +566,74 @@ def test_homology_leaves_the_complex_unchanged(theory):
                 (name, i)
 
 
+# -- the cube's edge table ----------------------------------------------------------
+
+def assert_edge_table_matches_oracle(d, rng):
+    """Each edge's row and column offsets, block key and placement in the
+    cube of ``d``, without anchor flips and under three random sets of
+    them, equal those ``oracles.edge_table`` reads off the edge's
+    SaddleDescriptor; each flipped build passes the d o d guard under
+    f2_row2 and f2_row5, whose phi is not the identity."""
+    cube = H.Cube(d)
+    sms = cube.smoothings
+    edges = cube_edges(d, sms)
+    assert sorted(e for es in cube.by_degree.values() for e in es) == list(range(len(edges)))
+    selectors = [(s, k) for s in sorted(sms) for k in sms[s].keys]
+    flip_sets = [set()] + [set(rng.sample(selectors, rng.randint(1, len(selectors))))
+                           for _ in range(3)]
+    for flips in flip_sets:
+        hows = cube.hows_with(flips)
+        for i, es in cube.by_degree.items():
+            for e in es:
+                sd = edges[e]
+                row0, col0, key, where = edge_table(sms, sd, flips)
+                assert sd.from_state.count("1") - d.n_minus == i
+                assert (cube.row0[e], cube.col0[e], hows[e][0], hows[e][1]) == \
+                    (row0, col0, key, tqft.placement(*where)), (sd, flips)
+        if flips:
+            for row in ("f2_row2", "f2_row5"):
+                build_complex(d, preset(row), anchor_flips=flips)
+
+
+def test_edge_table_matches_the_oracle_on_the_corpus():
+    rng = random.Random(17)
+    for name in corpus.all_names():
+        assert_edge_table_matches_oracle(corpus.load(name), rng)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_edge_table_matches_the_oracle_on_braid_closures(word, rng):
+    assert_edge_table_matches_oracle(braid_closure(word), rng)
+
+
+def test_edge_table_matches_the_oracle_on_random_virtual_codes():
+    rng = random.Random(20240816)
+    for _ in range(20):
+        assert_edge_table_matches_oracle(random_virtual_code(rng, rng.randint(1, 5)), rng)
+
+
+def test_builds_make_no_saddle_descriptor(monkeypatch, capsys):
+    def no_descriptor(*args):
+        raise AssertionError("a build made a SaddleDescriptor")
+
+    monkeypatch.setattr(D, "SaddleDescriptor", no_descriptor)
+    th = preset("f2_row2")
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        base = homology_of(d, th).betti
+        sms = all_smoothings(d)
+        selectors = [(s, k) for s in sorted(sms) for k in sms[s].keys]
+        for flips in [selectors[:1], selectors[-1:], selectors[::2]]:
+            assert homology_of(d, th, anchor_flips=flips).betti == base
+    for argv, golden in (
+            (("compute", "--theory", "manturov", "--graded"), "compute_manturov_graded.json"),
+            (("invariance", "--seed", "42", "--theory", "manturov"), "invariance_manturov.json")):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
+
+
 # -- the d^2 guard on mutated cubes ---------------------------------------------
 
 F_P = PrimeField(1000003)
@@ -574,22 +646,24 @@ MUTATION_THEORIES = {
 }
 
 
-def mutated_cube_edges(kind, which):
-    """``cube_edges`` with one edge broken: the ``which`` ("first" or "last")
-    orientable edge with twist_in[0] flipped (kind "twist"), or the first or
-    last edge with its sign flipped (kind "sign")."""
-    def edges_of(d, smoothings=None):
-        edges = list(cube_edges(d, smoothings))
+def mutated_saddles(kind, which):
+    """``diagram.saddles`` with one edge broken: the ``which`` ("first" or
+    "last") orientable edge with twist_in[0] flipped (kind "twist"), or the
+    first or last edge with its sign flipped (kind "sign")."""
+    def saddles_of(d, smoothings):
+        edges = list(saddles(d, smoothings))
         picks = [k for k, e in enumerate(edges)
-                 if kind == "sign" or e.kind != "single_cycle"]
+                 if kind == "sign" or e[3] != "single_cycle"]
         if picks:
             k = picks[0 if which == "first" else -1]
-            e = edges[k]
-            edges[k] = (dataclasses.replace(e, sign_exponent=e.sign_exponent + 1)
-                        if kind == "sign" else
-                        dataclasses.replace(e, twist_in=(1 - e.twist_in[0],) + e.twist_in[1:]))
+            ss, st, j, kind_, bottom, top, twist_in, twist_out, sign = edges[k]
+            if kind == "sign":
+                sign += 1
+            else:
+                twist_in = (1 - twist_in[0],) + twist_in[1:]
+            edges[k] = ss, st, j, kind_, bottom, top, twist_in, twist_out, sign
         return edges
-    return edges_of
+    return saddles_of
 
 
 # Twist flips break d^2 only under f2_row2 and f2_row5 (10 corpus diagrams
@@ -600,7 +674,7 @@ def mutated_cube_edges(kind, which):
     ("sign", "first", 44), ("sign", "last", 44),
 ])
 def test_d_squared_guard_agrees_with_dict_product_oracle(monkeypatch, kind, which, fired):
-    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges(kind, which))
+    monkeypatch.setattr(H, "saddles", mutated_saddles(kind, which))
     hits = 0
     for name in corpus.all_names():
         d = corpus.load(name)
@@ -642,7 +716,7 @@ PINNED_D_SQUARED = [
 @pytest.mark.parametrize("name, theory, kind, which, message", PINNED_D_SQUARED)
 def test_d_squared_witness_messages_are_pinned(monkeypatch, name, theory, kind, which,
                                                message):
-    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges(kind, which))
+    monkeypatch.setattr(H, "saddles", mutated_saddles(kind, which))
     d, th = corpus.load(name), MUTATION_THEORIES[theory]
     with pytest.raises(DSquaredNonzero) as info:
         build_complex(d, th)
@@ -657,7 +731,7 @@ def test_d_squared_witness_messages_are_pinned(monkeypatch, name, theory, kind, 
 
 
 def test_cli_reports_the_d_squared_witness(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(H, "cube_edges", mutated_cube_edges("twist", "first"))
+    monkeypatch.setattr(H, "saddles", mutated_saddles("twist", "first"))
     path = tmp_path / "trefoil.json"
     path.write_text(json.dumps(corpus.load("trefoil").to_json_obj()))
     for graded in ([], ["--graded"]):
@@ -750,7 +824,7 @@ def test_size_guard_refuses_22_crossings_before_smoothing(monkeypatch):
     def no_smoothing(d):
         raise AssertionError("smoothed a diagram above the cap")
 
-    monkeypatch.setattr(H, "all_smoothings", no_smoothing)
+    monkeypatch.setattr(H, "smoothings_from_both_ends", no_smoothing)
     d = braid_closure([1, -2] * 11)
     assert d.n == 22
     start = time.perf_counter()
@@ -767,21 +841,37 @@ def test_size_guard_sums_the_states_before_building_edges(monkeypatch):
     monkeypatch.setattr(H, "MAX_CHAIN_DIM", 30)
     assert build_complex(trefoil, preset("manturov")).dims() == [4, 6, 12, 8]
 
-    def no_edges(d, smoothings=None):
+    def no_edges(d, smoothings):
         raise AssertionError("built edges of a complex above the cap")
 
     monkeypatch.setattr(H, "MAX_CHAIN_DIM", 29)
-    monkeypatch.setattr(H, "cube_edges", no_edges)
+    monkeypatch.setattr(H, "saddles", no_edges)
     with pytest.raises(InputError) as info:
         build_complex(trefoil, preset("manturov"))
     assert str(info.value) == ("3 crossings: the chain complex has 30 generators, "
                                "above the cap MAX_CHAIN_DIM = 29")
 
 
+def test_size_guard_refuses_while_smoothing(monkeypatch):
+    # T(2,16) passes the bound 2^17, but its 2^16 states have over 2^20
+    # generators; smoothed from both ends of the cube, it and its mirror
+    # image are refused within a few hundred states
+    calls = []
+    monkeypatch.setattr(D, "_smooth", counted(calls, "smooth", D._smooth))
+    for word, dim in (([1] * 16, "1,049,870"), ([-1] * 16, "1,049,854")):
+        calls.clear()
+        with pytest.raises(InputError) as info:
+            homology_of(braid_closure(word), preset("manturov"))
+        assert len(calls) < 4096
+        assert str(info.value) == (f"16 crossings: the chain complex has at least {dim} "
+                                   "generators, above the cap MAX_CHAIN_DIM = 1,048,576")
+
+
 def test_refused_builds_cache_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(H, "all_smoothings", counted(calls, "smooth", all_smoothings))
-    monkeypatch.setattr(H, "cube_edges", counted(calls, "edges", cube_edges))
+    monkeypatch.setattr(H, "smoothings_from_both_ends",
+                        counted(calls, "smooth", smoothings_from_both_ends))
+    monkeypatch.setattr(H, "saddles", counted(calls, "edges", saddles))
     trefoil = corpus.load("trefoil")  # 30 generators
     monkeypatch.setattr(H, "MAX_CHAIN_DIM", 29)
     with pytest.raises(InputError):
