@@ -27,6 +27,22 @@ it.  It derives f and h itself when it is built, so no theory carries an f
 or h that disagrees with its parameters; ``theory_from_params``,
 ``theory_from_triple`` and ``preset`` also check eq1 and eq2.
 
+Over GF(2), ``sparsest_basis`` gives the basis of V with the sparsest
+blocks, and ``structure_maps`` m, Delta, phi and theta in it.  There a = 1,
+squares are the identity, h = beta + lambda + mu*t and eq2 reads
+mu*(lambda + t) = 0, so mu = 1 forces beta = 0, lambda = t and h = 0.
+- h = 1 (rows 2, 3, 5, 6): mu = 0, and the roots r, r' of x^2 + x + t (0 and
+  1, or w and w^2 in GF(4)) give idempotents e_r = x + r', e_0 e_1 = 0,
+  e_0 + e_1 = 1, eps(e_r) = 1: m(e_a (x) e_b) = delta_ab*e_a, Delta(e_a) =
+  e_a (x) e_a, theta = lambda*id, and phi(x) = x + beta swaps e_0 and e_1
+  if beta = 1 (Lee, arXiv:math/0210213; Turner, arXiv:math/0411225).  These
+  0/1 blocks do not depend on t, and their rank over GF(4) is their rank
+  over GF(2): rows 5 and 6 get those of rows 2 and 3.
+- h = 0, t = 1 (rows 4, 8): y = x + 1 has y^2 = 0, Delta(y) = y (x) y,
+  eps(y) = a, phi(y) = beta + y and theta = (lambda + mu*t) + mu*y, so in
+  the basis (1, y) the theory is (a, 0, lambda + mu*t, mu, beta): row 4 is
+  row 1 and row 8 is row 7, which are in that form already.
+
 ``verify_axioms`` and ``verify_4tu`` check the axioms as identities between
 composites of these matrices; a failed identity is reported with its first
 differing column, as a human-readable witness.  ``tqft`` builds the
@@ -36,6 +52,7 @@ saddle blocks and the surface values from the same matrices.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 from ._linalg import ExactLinearMap, compose
@@ -196,6 +213,34 @@ def theta_matrix(th):
     return ExactLinearMap.make(F, 2, 2, {
         (0, 0): th.lam, (1, 0): th.mu,
         (0, 1): F.mul(th.mu, th.t), (1, 1): F.add(th.lam, F.mul(th.mu, th.h))})
+
+
+# An h = 1 theory over GF(2) in the basis (e_0, e_1) of V (module docstring),
+# of which only lambda and beta are left
+Idempotents = namedtuple("Idempotents", "field lam beta")
+
+
+def sparsest_basis(th):
+    """``th`` in the sparsest basis of V, which its characteristic, h and t
+    choose (module docstring): ``th`` itself outside GF(2) and for t = h = 0."""
+    F = th.field
+    if F.characteristic != 2 or F.is_zero(th.h) and F.is_zero(th.t):
+        return th
+    if not F.is_zero(th.h):
+        return Idempotents(F, th.lam, th.beta)
+    return TheoryParams(F, th.a, F.zero, F.add(th.lam, F.mul(th.mu, th.t)), th.mu, th.beta)
+
+
+def structure_maps(th):
+    """(m, Delta, phi, theta) of a ``TheoryParams`` in the basis (1, x), or
+    of an ``Idempotents`` in the basis (e_0, e_1)."""
+    if not isinstance(th, Idempotents):
+        return product_matrix(th), coproduct_matrix(th), phi_matrix(th), theta_matrix(th)
+    F, one, swap = th.field, th.field.one, not th.field.is_zero(th.beta)
+    return (ExactLinearMap.make(F, 2, 4, {(0, 0): one, (1, 3): one}),
+            ExactLinearMap.make(F, 4, 2, {(0, 0): one, (3, 1): one}),
+            ExactLinearMap.make(F, 2, 2, {(0, swap): one, (1, 1 - swap): one}),
+            ExactLinearMap.make(F, 2, 2, {(0, 0): th.lam, (1, 1): th.lam}))
 
 
 def format_column(m, col=0):

@@ -148,8 +148,12 @@ class VirtualLinkDiagram:
         return VirtualLinkDiagram(comps, self.name, self.classical)
 
     def reversed_component(self, comp):
-        comps = [list(c) for c in self.components]
-        comps[comp] = list(reversed(comps[comp]))
+        """Component ``comp`` traversed backwards: each crossing it shares with
+        another component changes sign, and its self-crossings keep theirs."""
+        own = [p.crossing for p in self.components[comp]]
+        comps = [[p._replace(sign=-p.sign) if own.count(p.crossing) == 1 else p for p in c]
+                 for c in self.components]
+        comps[comp].reverse()
         return VirtualLinkDiagram(comps, self.name, self.classical)
 
     # -- serialization -------------------------------------------------------

@@ -62,10 +62,13 @@ homology in one upward pass over the degrees.  Step i scatters d^i from the
 edges of degree i, checks d^i d^(i-1) = 0, on the graded path checks that
 every entry keeps q and splits the rows into q-layers, eliminates each layer
 without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
-differentials are alive.  Its errors come in the order of a build followed
-by its homology: a refusal above MAX_CHAIN_DIM first, then DSquaredNonzero,
-then NotGraded, which is raised only after the guard has passed every pair
-of degrees.
+differentials are alive.  The ungraded pass scatters the blocks of
+``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
+of basis of each factor V, twist bits included: its ranks (over GF(4) for
+rows 5, 6) and guard verdict are the same, and a failure reruns in (1, x).
+Its errors come in the order of a build followed by its homology: a refusal
+above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded, which is
+raised only after the guard has passed every pair of degrees.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ from types import MappingProxyType
 
 from . import tqft
 from ._linalg import ExactLinearMap, composite_check, pivot_rows
+from .algebra import sparsest_basis, structure_maps
 from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
 from .errors import DSquaredNonzero, InputError, NotGraded
 from .jones import LaurentPoly
@@ -149,13 +153,13 @@ def _flip_set(d, smoothings, anchor_flips):
 
 
 class _Blocks(dict):
-    """The blocks of one theory, each built on first use: the block of a
-    (kind, twist_in, twist_out) saddle, padded with phi on n_phi spectators,
-    and negated for an odd sign parity."""
+    """The blocks of one theory or basis (``algebra.structure_maps``), each
+    built on first use: the block of a (kind, twist_in, twist_out) saddle,
+    padded with phi on n_phi spectators, and negated for an odd sign parity."""
 
     def __init__(self, th):
         super().__init__()
-        self.th, self.phi = th, tqft.phi_matrix(th)
+        self.th, self.phi = th, structure_maps(th)[2]
 
     def __missing__(self, key):
         kind, twist_in, twist_out, n_phi, negate = key
@@ -171,7 +175,7 @@ class _Blocks(dict):
 
 # The block tables of the last 4 theories built, keyed by the theory's
 # value: two sweeps that alternate theories (the anchor-flip check
-# alternates two) reuse both tables.
+# alternates two) reuse both tables, as do rows 1 and 4 (one sparsest basis).
 _blocks_of = lru_cache(maxsize=4)(_Blocks)
 
 
@@ -284,7 +288,7 @@ class Cube:
 # accepts.  Taken degree by degree, as the CLI does, homology costs about
 # 0.65 KB of memory per generator graded and 1.5 KB ungraded over GF(2):
 # T(2,12), with 531,444 generators, peaked at 342 MB max RSS under
-# `compute --theory manturov --graded`, 777 MB under f2_row7 and 803 MB under
+# `compute --theory manturov --graded`, 766 MB under f2_row7 and 720 MB under
 # f2_row2 (one run each, Python 3.11, 2-vCPU Linux).  So the cap allows
 # about twice that; build_complex, which keeps every differential, needs more.
 MAX_CHAIN_DIM = 1 << 20
@@ -294,7 +298,6 @@ def _refuse_above_cap(n, dim, count):
     if dim > MAX_CHAIN_DIM:
         raise InputError(f"{n} crossings: the chain complex has {count} generators, "
                          f"above the cap MAX_CHAIN_DIM = {MAX_CHAIN_DIM:,}")
-
 
 
 # The cube of the last diagram built, kept for the next build of that same
@@ -526,13 +529,19 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     held at a time.  The result equals that of the same homology of
     ``build_complex(d, th, anchor_flips)``, and so do its errors: a refusal
     above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded.  The
-    cube gives the chain groups (``cube.dims()``) and the smoothings."""
+    cube gives the chain groups (``cube.dims()``) and the smoothings.  The
+    ungraded pass runs in ``algebra.sparsest_basis(th)`` (module docstring)."""
     cube = _cube_of(d)
     flips = _flip_set(d, cube.smoothings, anchor_flips)
-    differentials = _guarded(cube.groups, th.field, _differentials(cube, th, flips))
-    if graded:
-        return cube, _graded(th, cube, differentials)
-    return cube, _ungraded(th.field, cube.groups, differentials)
+    for basis in (th,) if graded else (sparsest_basis(th), th):
+        differentials = _guarded(cube.groups, th.field, _differentials(cube, basis, flips))
+        try:
+            if graded:
+                return cube, _graded(th, cube, differentials)
+            return cube, _ungraded(th.field, cube.groups, differentials)
+        except DSquaredNonzero:
+            if basis is th:
+                raise
 
 
 def homology_of(d, th, anchor_flips=()):

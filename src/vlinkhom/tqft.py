@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ._linalg import ExactLinearMap, compose
 from .algebra import (coproduct_matrix, counit_matrix, phi_matrix, product_matrix,
-                      theta_matrix, unit_matrix)
+                      structure_maps, theta_matrix, unit_matrix)
 from .errors import DimensionMismatch, InputError
 
 
@@ -82,16 +82,18 @@ def elementary_map(th, kind, twist_in, twist_out):
     "single_cycle") with one twist bit per affected circle, as
     ``diagram.saddles`` gives them: phi^out o m o (phi^a (x) phi^b) for a
     merge, (phi^a (x) phi^b) o Delta o phi^in for a split, and theta for a
-    single-cycle saddle, which needs no twist bits."""
+    single-cycle saddle, which needs no twist bits.  ``th`` may also be what
+    ``algebra.sparsest_basis`` returns (see ``algebra.structure_maps``)."""
+    m, delta, phi, theta = structure_maps(th)
     if kind == "single_cycle":
-        return theta_matrix(th)
-    phi, ident = phi_matrix(th), ExactLinearMap.identity(th.field, 2)
+        return theta
+    ident = ExactLinearMap.identity(th.field, 2)
     pre = [phi if b else ident for b in twist_in]
     post = [phi if b else ident for b in twist_out]
     if kind == "merge":
-        return compose(post[0], product_matrix(th), pre[0].kron(pre[1]))
+        return compose(post[0], m, pre[0].kron(pre[1]))
     if kind == "split":
-        return compose(post[0].kron(post[1]), coproduct_matrix(th), pre[0])
+        return compose(post[0].kron(post[1]), delta, pre[0])
     raise ValueError(f"not a saddle kind: {kind!r}")
 
 

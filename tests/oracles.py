@@ -213,6 +213,30 @@ def edge_table(smoothings, sd, flips=()):
     return offset(t), offset(s), key, where
 
 
+# -- the orientation count of rows 2 and 5 -----------------------------------
+
+def orientation_betti(d):
+    """Betti numbers under rows 2 and 5 (h = 1, theta = 0), read off the
+    Gauss code alone: one generator for each of the 2^c orientations o of
+    the c components, in degree r(o) - n_minus.  r(o) counts the crossings
+    that are negative once o is applied, i.e. where the o-oriented splice is
+    the 1-smoothing: the negative crossings whose two strands o reverses
+    alike, and the positive ones whose strands o reverses differently.
+    This is the count of Lee and of Turner (arXiv:math/0411225) in
+    characteristic two."""
+    comp_of = {}  # crossing -> [component of each passage]
+    for ci, comp in enumerate(d.components):
+        for label, _, sign in comp:
+            comp_of.setdefault(label, [sign]).append(ci)
+    n_minus = sum(1 for sign, _, _ in comp_of.values() if sign < 0)
+    betti = {}
+    for reversed_ in range(1 << len(d.components)):
+        r = sum(1 for sign, a, b in comp_of.values()
+                if (sign < 0) == ((reversed_ >> a & 1) == (reversed_ >> b & 1)))
+        betti[r - n_minus] = betti.get(r - n_minus, 0) + 1
+    return betti
+
+
 # -- classical Khovanov over F2 (planar diagrams, no twist machinery) --------
 
 def classical_khovanov_f2_betti(d, smoothings):

@@ -11,6 +11,7 @@ from vlinkhom.algebra import (TheoryParams, all_presets, constraint_residuals,
                               coproduct_matrix, counit_matrix,
                               four_tube_sides, phi_matrix, preset,
                               product_matrix, random_rational_triples,
+                              sparsest_basis, structure_maps,
                               theory_from_params, theory_from_triple,
                               theta_matrix, unit_matrix, verify_4tu,
                               verify_axioms)
@@ -350,3 +351,25 @@ def test_4tu_catches_corrupted_coproduct():
 def test_random_rational_triples_deterministic():
     assert random_rational_triples(5, seed=1) == random_rational_triples(5, seed=1)
     assert all(a != 0 and m != 0 for a, _, m in random_rational_triples(40, seed=2))
+
+
+def test_sparsest_basis_is_a_change_of_basis_over_gf2():
+    # over GF(2) each change of basis below is its own inverse: for t = 0 the
+    # columns are e_0 = x + 1 and e_1 = x, for rows 4 and 8 they are 1, x + 1
+    idempotents = ExactLinearMap.make(GF2, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
+    shift = ExactLinearMap.make(GF2, 2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    for row, P in (("f2_row2", idempotents), ("f2_row3", idempotents),
+                   ("f2_row4", shift), ("f2_row8", shift)):
+        m, delta, phi, theta_ = structure_maps(preset(row))
+        assert structure_maps(sparsest_basis(preset(row))) == (
+            compose(P, m, P.kron(P)), compose(P.kron(P), delta, P),
+            compose(P, phi, P), compose(P, theta_, P)), row
+    # the rows come in pairs with one sparsest basis, chosen by h and t alone
+    for row, twin in (("f2_row1", "f2_row4"), ("f2_row7", "f2_row8"),
+                      ("f2_row2", "f2_row5"), ("f2_row3", "f2_row6")):
+        assert sparsest_basis(preset(row)) == sparsest_basis(preset(twin))
+    for th in (preset("f2_row1"), preset("f2_row7"), q_theory(1, 0, 1)):
+        assert sparsest_basis(th) is th
+    # a merge or split has 2 nonzeros in the idempotent basis, phi 2 (rows 2, 5)
+    m, delta, phi, _ = structure_maps(sparsest_basis(preset("f2_row5")))
+    assert [len(x.entry_map()) for x in (m, delta, phi)] == [2, 2, 2]

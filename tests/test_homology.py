@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
-                     edge_table, first_nonzero_d_squared, rank_f2_dense,
-                     rank_fp_dense, rank_qq_dense)
+                     edge_table, first_nonzero_d_squared, orientation_betti,
+                     rank_f2_dense, rank_fp_dense, rank_qq_dense)
 from vlinkhom import corpus
-from vlinkhom.algebra import PRESET_NAMES, all_presets, preset, theory_from_triple
+from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset, sparsest_basis,
+                              theory_from_triple)
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
 from vlinkhom.diagram import (VirtualLinkDiagram, all_smoothings, braid_closure,
@@ -28,7 +29,7 @@ from vlinkhom.fields import QQ, PrimeField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
                                homology_of, stream_homology)
-from vlinkhom.jones import jones_at_one, kauffman_jones
+from vlinkhom.jones import LaurentPoly, jones_at_one, kauffman_jones
 from vlinkhom.tqft import ExactLinearMap, phi_matrix
 
 Q = QQ.from_int
@@ -495,12 +496,14 @@ def test_complexes_share_a_read_only_cube():
     assert build_complex(d, preset("f2_row2")).differentials == plain.differentials
 
 
-def random_virtual_code(rng, n):
-    """A one-component signed Gauss code of n crossings in random order."""
+def random_virtual_code(rng, n, c=1):
+    """A signed Gauss code of n crossings whose 2n passages, in random
+    order, are cut into c nonempty components (c <= 2n)."""
     passages = [(i + 1, True, rng.choice((1, -1))) for i in range(n)]
-    passages += [(c, False, s) for c, _, s in passages]
+    passages += [(label, False, s) for label, _, s in passages]
     rng.shuffle(passages)
-    return VirtualLinkDiagram([passages])
+    cuts = sorted(rng.sample(range(1, 2 * n), c - 1))
+    return VirtualLinkDiagram([passages[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * n])])
 
 
 def test_fuzz_random_virtual_diagrams():
@@ -530,11 +533,20 @@ def test_relabeling_preserves_betti():
 
 
 def test_component_reversal_preserves_betti():
-    for name in ("trefoil", "virtual_trefoil"):
-        d = corpus.load(name)
+    # reversing a knot changes nothing; reversing one component of a link
+    # flips the sign of each crossing it shares with another, which moves
+    # every degree by the change in n_minus: T(2,4) has 4 positive shared
+    # crossings, so its degrees move by -4 and its Jones polynomial by q^-12
+    t24 = braid_closure([1, 1, 1, 1])
+    cases = [(corpus.load("trefoil"), 0), (corpus.load("virtual_trefoil"), 0), (t24, -4)]
+    for d, shift in cases:
         rev = d.reversed_component(0)
         for th in (preset("manturov"), preset("f2_row5"), q_theory(1, 0, 1)):
-            assert homology_of(rev, th).betti == homology_of(d, th).betti
+            assert homology_of(rev, th).betti == {
+                i + shift: b for i, b in homology_of(d, th).betti.items()}
+    assert homology_of(t24, preset("manturov")).betti == {0: 2, 2: 2, 3: 2, 4: 2}
+    assert kauffman_jones(t24.reversed_component(0)) == \
+        LaurentPoly.make({-12: 1}) * kauffman_jones(t24)
 
 
 def test_euler_from_smoothings_identity():
@@ -816,6 +828,100 @@ def test_streamed_pass_holds_at_most_two_differentials(monkeypatch, theory, grad
     built = build_complex(d, th)  # keeps all d.n of them, and the watch sees it
     assert sum(ref() is not None for ref in watched[d.n:]) == d.n
     assert streamed == (graded_homology if graded else homology)(built)
+
+
+# -- the sparsest basis of V --------------------------------------------------------
+
+def random_virtual_links(seed, count, max_n=8):
+    """``count`` seeded random virtual links of 1-3 components and 1 to
+    ``max_n`` crossings."""
+    rng = random.Random(seed)
+    links = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        links.append(random_virtual_code(rng, n, rng.randint(1, min(3, 2 * n))))
+    return links
+
+
+# the ungraded stream of the rows of each pair scatters the same blocks
+ROW_PAIRS = [("f2_row1", "f2_row4"), ("f2_row7", "f2_row8"),
+             ("f2_row2", "f2_row5"), ("f2_row3", "f2_row6")]
+
+
+def test_row_pairs_have_equal_betti_in_the_standard_basis():
+    # through build_complex and homology, which read no sparsest-basis table
+    links = random_virtual_links(5, 12, max_n=6)
+    assert {len(d.components) for d in links} == {1, 2, 3}
+    for d in [corpus.load(name) for name in corpus.all_names()] + links:
+        for row, twin in ROW_PAIRS:
+            assert homology(build_complex(d, preset(row))).betti == \
+                homology(build_complex(d, preset(twin))).betti, (d, row, twin)
+
+
+def test_streamed_pass_matches_the_built_complex_on_random_virtual_links():
+    links = random_virtual_links(18, 16)
+    assert {len(d.components) for d in links} == {1, 2, 3}
+    assert max(d.n for d in links) == 8
+    for d in links:
+        for name in PRESET_NAMES[:8]:
+            assert_stream_matches_build(d, preset(name))
+
+
+def test_streamed_pass_matches_the_built_complex_under_anchor_flips():
+    # rows 2 and 5 take the idempotent basis, where phi swaps e_0 and e_1
+    rng = random.Random(2)
+    diagrams = [corpus.load(name) for name in ("kishino", "virtual_trefoil", "r3_a2")]
+    diagrams += random_virtual_links(9, 4, max_n=6)
+    for row in ("f2_row2", "f2_row5"):
+        th = preset(row)
+        for d in diagrams:
+            sms = all_smoothings(d)
+            selectors = [(s, key) for s in sorted(sms) for key in sms[s].keys]
+            for size in (1, 2, 5):
+                flips = rng.sample(selectors, min(size, len(selectors)))
+                assert homology_of(d, th, anchor_flips=flips) == \
+                    homology(build_complex(d, th, anchor_flips=flips)), (row, d, flips)
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_sparsest_basis_fails_the_guard_on_the_same_builds(monkeypatch, which):
+    # d o d = 0 does not depend on the basis of V, a broken twist bit included
+    monkeypatch.setattr(H, "saddles", mutated_saddles("twist", which))
+    fired = 0
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        for row in PRESET_NAMES[:8]:
+            th = preset(row)
+            expected = first_nonzero_d_squared(build_complex(d, th, check=False))
+            cube = H._cube_of(d)
+            try:
+                for _ in H._guarded(cube.groups, th.field,
+                                    H._differentials(cube, sparsest_basis(th), set())):
+                    pass
+            except DSquaredNonzero:
+                fired += 1
+                assert expected is not None, (name, row)
+            else:
+                assert expected is None, (name, row)
+    assert fired == 20
+
+
+def assert_orientation_count(d):
+    for row in ("f2_row2", "f2_row5"):
+        assert homology_of(d, preset(row)).betti == orientation_betti(d), (row, d)
+
+
+def test_orientation_count_on_the_corpus_and_random_virtual_links():
+    links = random_virtual_links(6, 40)
+    assert {len(d.components) for d in links} == {1, 2, 3}
+    for d in [corpus.load(name) for name in corpus.all_names()] + links:
+        assert_orientation_count(d)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=8))
+def test_orientation_count_on_braid_closures(word):
+    assert_orientation_count(braid_closure(word))
 
 
 # -- the size guard --------------------------------------------------------------
