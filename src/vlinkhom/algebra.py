@@ -121,9 +121,9 @@ def theory_from_params(a, t, lam, mu, beta, field=None, name=""):
     res = constraint_residuals(F, a, t, lam, mu, beta)
     r1a, r1b = res["eq1"]
     if not (F.is_zero(r1a) and F.is_zero(r1b)):
-        raise ConstraintViolated("eq1", r1a if not F.is_zero(r1a) else r1b)
+        raise ConstraintViolated("eq1", r1a if not F.is_zero(r1a) else r1b, F)
     if not F.is_zero(res["eq2"]):
-        raise ConstraintViolated("eq2", res["eq2"])
+        raise ConstraintViolated("eq2", res["eq2"], F)
     return th
 
 
@@ -274,9 +274,6 @@ class AxiomReport:
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def verify_axioms(th):

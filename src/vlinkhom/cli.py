@@ -37,6 +37,12 @@ EXIT_COMPUTE = 1
 EXIT_MISMATCH = 2
 EXIT_INPUT = 3
 
+# The largest --moves that invariance accepts.  At the cap, 65,536 moves per
+# diagram took 30 s over the default input at 30 MB max RSS (`--theory
+# manturov`, one run, Python 3.11, 2-vCPU Linux); time and the trail of
+# moves grow with the count.
+_MAX_MOVES = 1 << 16
+
 
 def _split_kv(text):
     plain, keyed = [], {}
@@ -180,8 +186,8 @@ def cmd_verify(args):
 
 
 def cmd_invariance(args):
-    if args.moves < 0:
-        raise InputError(f"--moves must be at least 0, got {args.moves}")
+    if not 0 <= args.moves <= _MAX_MOVES:
+        raise InputError(f"--moves must be between 0 and {_MAX_MOVES:,}, got {args.moves}")
     th, echo = resolve_theory(args)
 
     def betti(d):

@@ -8,6 +8,9 @@ four arc ends of every crossing are computed once per diagram, on first use;
 each smoothing stores its state string, its circle keys, the circle of every
 arc and the direction in which its circles traverse every arc (one bitmask)
 when it is built.  A circle is its key: its arcs are the ones mapped to it.
+The 2^n states are never listed: each is written from its index as it is
+smoothed, so a consumer holds only the smoothings it keeps (a refused cube
+those smoothed before the refusal, the Jones polynomial without a cube none).
 
 Saddles between adjacent states are classified from the crossing alone, only
 as the edges of the whole cube and by one classifier, ``saddles``, which names
@@ -303,7 +306,6 @@ class Smoothing:
     to head.  ``circles`` names each key as a ``Circle``, made on each read.
     """
 
-    diagram: VirtualLinkDiagram
     state: str
     keys: tuple
     arc_circle: tuple  # arc -> index into keys
@@ -377,21 +379,27 @@ def _smooth(d, state):
     for ci, comp in enumerate(d.components):
         if not comp:
             keys.append(2 * d.total_arcs + ci)
-    return Smoothing(d, state, tuple(keys), tuple(arc_circle), forward)
+    return Smoothing(state, tuple(keys), tuple(arc_circle), forward)
+
+
+def _smooth_index(d, j):
+    """The smoothing of the j-th state in lexicographic order, whose bits
+    are j in n binary digits ("" for n = 0)."""
+    return _smooth(d, bin(j | 1 << d.n)[3:])
 
 
 def all_smoothings(d):
     """All 2^n smoothings, keyed by state string, in lexicographic order."""
-    return dict(sorted((sm.state, sm) for sm in smoothings_from_both_ends(d)))
+    return {sm.state: sm for sm in (_smooth_index(d, j) for j in range(1 << d.n))}
 
 
 def smoothings_from_both_ends(d):
-    """All 2^n smoothings, alternately from the two ends of the lexicographic
-    order (0...0, 1...1, 0...01, 1...10, ...).  Mirroring ``d`` complements
-    every state, so a running sum of 2^k(s) grows alike for both."""
-    states = ["".join(bits) for bits in itertools.product("01", repeat=d.n)]
-    for i in range(len(states)):
-        yield _smooth(d, states[~(i // 2) if i % 2 else i // 2])
+    """All 2^n smoothings, one at a time, alternately from the two ends of the
+    lexicographic order (0...0, 1...1, 0...01, 1...10, ...), each state made
+    from its index when it is smoothed.  Mirroring ``d`` complements every
+    state, so a running sum of 2^k(s) grows alike for both."""
+    last = (1 << d.n) - 1
+    return (_smooth_index(d, last - i // 2 if i % 2 else i // 2) for i in range(last + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ class NotInvertible(InputError):
 
 
 class ConstraintViolated(InputError):
-    """A defining equation of the theory fails; carries the residual."""
+    """A defining equation of the theory fails; carries the residual, an
+    element of ``field``, which writes it in the message."""
 
-    def __init__(self, equation, residual):
+    def __init__(self, equation, residual, field):
         self.equation = equation
         self.residual = residual
-        super().__init__(f"constraint {equation} violated, residual {residual}")
+        super().__init__(f"constraint {equation} violated, residual {field.to_str(residual)}")
 
 
 class UnknownPreset(InputError):

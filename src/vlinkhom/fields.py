@@ -7,6 +7,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError, NotInvertible
@@ -66,7 +67,10 @@ class RationalField(_Field):
             raise InputError(f"cannot parse rational {text!r}") from exc
 
     def to_str(self, a):
-        return str(a)
+        """``a`` as ``str`` writes it, at any length: an int converted by
+        ``decimal`` has no limit on its digits, where ``str`` has one."""
+        text = str(Decimal(a.numerator))
+        return text if a.denominator == 1 else f"{text}/{Decimal(a.denominator)}"
 
     def __repr__(self):
         return "QQ"

@@ -62,10 +62,11 @@ homology in one upward pass over the degrees.  Step i scatters d^i from the
 edges of degree i, checks d^i d^(i-1) = 0, on the graded path checks that
 every entry keeps q and splits the rows into q-layers, eliminates each layer
 without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
-differentials are alive.  The ungraded pass scatters the blocks of
+differentials are alive.  The pass scatters the blocks of
 ``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
 of basis of each factor V, twist bits included: its ranks (over GF(4) for
 rows 5, 6) and guard verdict are the same, and a failure reruns in (1, x).
+Graded homology needs h = t = 0 and theta = 0, where that basis is (1, x).
 Its errors come in the order of a build followed by its homology: a refusal
 above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded, which is
 raised only after the guard has passed every pair of degrees.
@@ -195,8 +196,8 @@ class Cube:
             found[sm.state] = sm
             self.dim += 1 << sm.k
             if self.dim > MAX_CHAIN_DIM and len(found) < 1 << n:
-                _refuse_above_cap(n, self.dim, f"at least {self.dim:,}")
-        self.refuse_above_cap()
+                _refuse_above_cap(n, self.dim, "at least ")
+        _refuse_above_cap(n, self.dim)
         smoothings = dict(sorted(found.items()))
         self.smoothings = MappingProxyType(smoothings)
         by_r = [[] for _ in range(n + 1)]
@@ -229,9 +230,6 @@ class Cube:
             col0.append(c0)
             hows.append(self._how((kind, twist_in, twist_out, 0, sign & 1),
                                   (bottom, k_in, top, st.k)))
-
-    def refuse_above_cap(self):
-        _refuse_above_cap(self.diagram.n, self.dim, f"{self.dim:,}")
 
     def dims(self):
         """The chain-group dimensions, from the lowest degree upward."""
@@ -294,8 +292,12 @@ class Cube:
 MAX_CHAIN_DIM = 1 << 20
 
 
-def _refuse_above_cap(n, dim, count):
+def _refuse_above_cap(n, dim, at_least=""):
+    """InputError if ``dim`` generators pass MAX_CHAIN_DIM, naming the count
+    as ``at_least`` followed by ``dim``; from 2^64 on it is named by the
+    power of two at or below it, which keeps str() within its digit limit."""
     if dim > MAX_CHAIN_DIM:
+        count = f"at least 2^{dim.bit_length() - 1}" if dim >> 64 else f"{at_least}{dim:,}"
         raise InputError(f"{n} crossings: the chain complex has {count} generators, "
                          f"above the cap MAX_CHAIN_DIM = {MAX_CHAIN_DIM:,}")
 
@@ -313,10 +315,9 @@ def _cube_of(d):
     global _last_cube
     n = d.n
     # with a crossing every state has a circle, so the 2^n states give >= 2^(n+1)
-    bound = 2 ** (n + 1)
-    _refuse_above_cap(n, bound, f"at least 2^{n + 1} = {bound:,}")
+    _refuse_above_cap(n, 2 ** (n + 1), f"at least 2^{n + 1} = ")
     if _last_cube is not None and _last_cube.diagram is d:
-        _last_cube.refuse_above_cap()
+        _refuse_above_cap(n, _last_cube.dim)
     else:
         _last_cube = None  # free the old cube before smoothing another diagram
         _last_cube = Cube(d)
@@ -529,11 +530,12 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     held at a time.  The result equals that of the same homology of
     ``build_complex(d, th, anchor_flips)``, and so do its errors: a refusal
     above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded.  The
-    cube gives the chain groups (``cube.dims()``) and the smoothings.  The
-    ungraded pass runs in ``algebra.sparsest_basis(th)`` (module docstring)."""
+    cube gives the chain groups (``cube.dims()``) and the smoothings.  Both
+    passes run in ``algebra.sparsest_basis(th)`` (module docstring), which is
+    ``th`` itself wherever graded homology is defined."""
     cube = _cube_of(d)
     flips = _flip_set(d, cube.smoothings, anchor_flips)
-    for basis in (th,) if graded else (sparsest_basis(th), th):
+    for basis in sparsest_basis(th), th:
         differentials = _guarded(cube.groups, th.field, _differentials(cube, basis, flips))
         try:
             if graded:

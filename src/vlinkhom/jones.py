@@ -8,8 +8,10 @@ The normalization follows the Khovanov q-convention (unknot -> q + 1/q):
 which makes the graded Euler characteristic identity with the
 Manturov-preset homology hold verbatim.  The sum depends on each state only
 through (r(s), k(s)), so the states are counted by that pair first and each
-pair adds one term.  The chain-level Euler characteristic J(1) is read off
-this polynomial at q = 1.
+pair adds one term.  Without a cube's smoothings the pairs are counted off
+``diagram.smoothings_from_both_ends``, one smoothing at a time, so no
+per-state list is held.  The chain-level Euler characteristic J(1) is read
+off this polynomial at q = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .diagram import all_smoothings
+from .diagram import smoothings_from_both_ends
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,13 @@ def kauffman_jones(d, smoothings=None):
 
     Each (r, k) adds (-1)^(n_minus + r) * count * q^(shift + r) * (q + 1/q)^k,
     with shift = n_plus - 2*n_minus, expanded binomially: the j-th term of
-    (q + 1/q)^k is C(k, j) * q^(k - 2j)."""
-    sms = smoothings if smoothings is not None else all_smoothings(d)
+    (q + 1/q)^k is C(k, j) * q^(k - 2j).  ``smoothings`` maps each state to
+    its smoothing (a cube's); without it the states are smoothed one at a
+    time and only their (r, k) counts are kept."""
+    sms = smoothings_from_both_ends(d) if smoothings is None else smoothings.values()
     shift = d.n_plus - 2 * d.n_minus
     terms = Counter()
-    for (r, k), count in Counter((sm.r, sm.k) for sm in sms.values()).items():
+    for (r, k), count in Counter((sm.r, sm.k) for sm in sms).items():
         c = (-1) ** (d.n_minus + r) * count
         for j in range(k + 1):
             terms[shift + r + k - 2 * j] += c * comb(k, j)

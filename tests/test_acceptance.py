@@ -51,7 +51,7 @@ def test_criterion_01_axiom_suite():
         start = time.monotonic()
         for th in all_presets():
             report = verify_axioms(th)
-            assert report.passed, report.failures()
+            assert report.passed, report.checks
             ok, witness = verify_4tu(th)
             assert ok, witness
         for a, lam, mu in random_rational_triples(200, seed=20240601):

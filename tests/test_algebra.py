@@ -306,7 +306,7 @@ def test_primality_agrees_with_trial_division():
 def test_all_presets_pass():
     for th in all_presets():
         report = verify_axioms(th)
-        assert report.passed, report.failures()
+        assert report.passed, report.checks
         ok, witness = verify_4tu(th)
         assert ok, witness
 

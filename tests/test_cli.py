@@ -3,14 +3,17 @@
 import importlib
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vlinkhom import corpus
-from vlinkhom.algebra import PRESET_NAMES
+from vlinkhom.algebra import PRESET_NAMES, constraint_residuals
 from vlinkhom.cli import build_parser, main
 from vlinkhom.diagram import braid_closure
+from vlinkhom.fields import QQ
 from vlinkhom.jones import LaurentPoly
 from vlinkhom.tqft import MAX_SURFACE_COUNT
 
@@ -120,6 +123,43 @@ def test_compute_refuses_a_22_crossing_diagram(tmp_path, capsys, monkeypatch):
         "generators, above the cap MAX_CHAIN_DIM = 1,048,576")}}
 
 
+@pytest.mark.parametrize("command", ["compute", "invariance"])
+def test_free_loops_past_the_digit_limit_are_refused(tmp_path, capsys, command):
+    # 20,001 free loops give 2^20001 generators, more digits than str() writes
+    path = tmp_path / "loops.gauss"
+    path.write_text(";" * 20000)
+    code, out = run(capsys, command, "--diagram", str(path), "--theory", "manturov")
+    assert code == 3
+    assert json.loads(out) == {"error": {"kind": "InputError", "message": (
+        "0 crossings: the chain complex has at least 2^20001 generators, "
+        "above the cap MAX_CHAIN_DIM = 1,048,576")}}
+
+
+def test_surface_value_past_the_digit_limit_is_written_in_full(capsys):
+    # for the triple 1,1,1 an odd genus g evaluates to 2 * (-4)^((g - 1) / 2)
+    code, out = run(capsys, "surface", "--genus", "20001", "--triple", "1,1,1")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert len(value) == 6021 and int(Decimal(value)) == 2 ** 20001
+
+
+def test_constraint_residual_past_the_digit_limit_is_written_in_full(capsys):
+    lam = "7" * 3000
+    params = f"a=1,t=0,lambda={lam},mu=1,beta=0"
+    residual = constraint_residuals(QQ, Fraction(1), Fraction(0), Fraction(lam),
+                                    Fraction(1), Fraction(0))["eq2"]
+    code, out = run(capsys, "compute", "--params", params)
+    assert code == 3
+    error = json.loads(out)["error"]
+    prefix = "constraint eq2 violated, residual "
+    assert error["kind"] == "ConstraintViolated" and error["message"].startswith(prefix)
+    assert Fraction(Decimal(error["message"][len(prefix):])) == residual
+    code, out = run(capsys, "verify", "--params", params)
+    assert code == 2
+    (eq2,) = [c for c in json.loads(out)["axioms"] if c["name"] == "eq2"]
+    assert Fraction(Decimal(eq2["witness"].removeprefix("residual "))) == residual
+
+
 def test_verify_all_presets(capsys):
     for row in range(1, 9):
         code, out = run(capsys, "verify", "--theory", f"f2_row{row}")
@@ -174,6 +214,18 @@ def test_invariance_negative_moves_is_input_error(capsys):
     assert code == 3
     message = json.loads(out)["error"]["message"]
     assert "--moves" in message and "-3" in message
+
+
+@pytest.mark.parametrize("moves", ["65537", "1000000000"])
+def test_invariance_moves_above_the_cap_is_input_error(capsys, monkeypatch, moves):
+    def no_walk(d, count, rng):
+        raise AssertionError("walked past the --moves cap")
+
+    monkeypatch.setattr(importlib.import_module("vlinkhom.cli"), "random_moves", no_walk)
+    code, out = run(capsys, "invariance", "--theory", "manturov", "--moves", moves)
+    assert code == 3
+    assert json.loads(out) == {"error": {"kind": "InputError", "message": (
+        f"--moves must be between 0 and 65,536, got {moves}")}}
 
 
 def test_invariance_deterministic_output(capsys):

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -971,6 +972,31 @@ def test_size_guard_refuses_while_smoothing(monkeypatch):
         assert len(calls) < 4096
         assert str(info.value) == (f"16 crossings: the chain complex has at least {dim} "
                                    "generators, above the cap MAX_CHAIN_DIM = 1,048,576")
+
+
+@pytest.mark.parametrize("word", [[1] * 19, [-1] * 19, [1] * 16],
+                         ids=["T(2,19)", "mirror T(2,19)", "T(2,16)"])
+def test_size_guard_refuses_without_listing_the_states(word):
+    # each passes the bound 2^(n+1) <= 2^20 and is refused while smoothing;
+    # the states are made one at a time, so refusing allocates little (a
+    # list of the 2^19 state strings alone held 38 MB)
+    d = braid_closure(word)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="above the cap"):
+            homology_of(d, preset("manturov"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_guard_names_a_huge_count_by_a_power_of_two():
+    # 2^15001 has more digits than str() converts by default
+    with pytest.raises(InputError) as info:
+        homology_of(braid_closure([1] * 15000), preset("manturov"))
+    assert str(info.value) == ("15000 crossings: the chain complex has at least 2^15001 "
+                               "generators, above the cap MAX_CHAIN_DIM = 1,048,576")
 
 
 def test_refused_builds_cache_nothing(monkeypatch):

@@ -1,11 +1,13 @@
 """State-sum Jones polynomial: known values, identities, invariance."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from vlinkhom import corpus
-from vlinkhom.diagram import apply_r1, apply_r2, parse_gauss, random_moves
+from vlinkhom.diagram import (all_smoothings, apply_r1, apply_r2, braid_closure,
+                              parse_gauss, random_moves)
 from vlinkhom.jones import CIRCLE_POLY, LaurentPoly, jones_at_one, kauffman_jones
 
 # unnormalised Jones polynomials in the Khovanov convention
@@ -75,6 +77,20 @@ def test_mirror_flips_variable():
     mirror = parse_gauss(",".join(
         ("U" if p.over else "O") + str(p.crossing) + "-" for p in d.components[0]))
     assert kauffman_jones(mirror) == kauffman_jones(d).substitute_inverse()
+
+
+def test_jones_without_a_cube_keeps_no_smoothing():
+    # the 2^14 states of the closure of (s1 s2^-1)^7 are counted by (r, k)
+    # one smoothing at a time: a list of them held about 9 MB
+    d = braid_closure([1, -2] * 7)
+    tracemalloc.start()
+    try:
+        streamed = kauffman_jones(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert streamed == kauffman_jones(d, all_smoothings(d))
 
 
 def test_laurent_poly_arithmetic():
