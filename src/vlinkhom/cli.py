@@ -9,7 +9,8 @@ Commands:
 Every command takes the six shared flags (--theory/--params/--triple/--field
 and --out/--format) from one parent parser, and returns its report as
 (JSON payload, text lines, ok); ``main`` writes the report in the chosen
-format and maps ok to exit code 0 or 2.
+format and maps ok to exit code 0 or 2.  A bad flag or a missing command is
+an input error too, reported as JSON like the others.
 
 Exit codes: 0 all checks pass, 1 computation error, 2 assertion or
 mismatch, 3 input error.
@@ -240,8 +241,18 @@ def cmd_surface(args):
     return payload, lines, True
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of ``build_parser`` and of its subcommands.  An error is an
+    InputError for ``main`` to report, prefixed by the parser's name and cut
+    to under 200 characters, so that a long value is not echoed in full."""
+
+    def error(self, message):
+        message = f"{self.prog}: {message}"
+        raise InputError(message if len(message) < 200 else message[:196] + "...")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vlinkhom",
         description="Exact link homology for virtual links from rank-two "
                     "extended Frobenius algebras.")
@@ -282,8 +293,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, lines, ok = args.func(args)
         _emit(args, payload, lines)
     except (VlinkhomError, OSError) as exc:

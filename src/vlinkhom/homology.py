@@ -8,20 +8,22 @@ groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times the
 block of its saddle, scattered over the unaffected circles by bit
 arithmetic on the basis indices straight into the differential's rows
 ``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
-zero-free and distinct edges fill disjoint blocks.  The edges are kept per
-degree, and one generator scatters the differentials one degree at a time,
-upward: ``build_complex`` keeps them all, the streamed pass one at a time.
-An anchor flip enters as a toggled twist bit of the merge/split it feeds, or
-as a factor phi for a circle the saddle does not touch.  A complex above
-MAX_CHAIN_DIM generators is refused before it is built or as it is smoothed.
+zero-free and distinct edges fill disjoint blocks.  The cube keeps one
+record per edge, in one table per degree, and one generator scatters the
+differentials one degree at a time, upward: ``build_complex`` keeps them
+all, the streamed pass one at a time.  An anchor flip enters as a toggled
+twist bit of the merge/split it feeds, or as a factor phi for a circle the
+saddle does not touch.  A complex above MAX_CHAIN_DIM generators is refused
+before it is built or as it is smoothed.
 
 The work is split by what it depends on, as in Bar-Natan's geometric
 formalism, where the cube and its saddles belong to the diagram and the
 theory only evaluates them:
 
-- once per diagram object: the smoothings, the chain groups and, per edge
-  of one pass over ``diagram.saddles``, its degree, block offsets, block key
-  (kind, twist_in, twist_out, phi'd spectators, sign parity) and placement.
+- once per diagram object: the smoothings, the chain groups and, from one
+  pass over ``diagram.saddles``, one record per edge in the table of its
+  degree: its block offsets, block key (kind, twist_in, twist_out, phi'd
+  spectators, sign parity), placement, and source and target smoothings.
   This cube is kept for the last diagram built, by identity, never by
   equality: later builds of that object (every theory, every anchor flip)
   reuse it, and it is dropped before the next diagram is smoothed.
@@ -30,9 +32,10 @@ theory only evaluates them:
   twist_in, twist_out), its negative and its phi-padded variants, built on
   first use into one table per theory.  The tables of the last 4 theories
   built are kept, keyed by the theory's value.
-- once per build: the block keys and placements of the edges from or to a
-  state with a flipped anchor, one scatter pass over all edges, the
-  differentials and the d o d = 0 guard, which every build runs.
+- once per build: the records of the edges from or to a state with a
+  flipped anchor, rewritten in copies of the tables of their degrees, one
+  scatter pass over all edges, the differentials and the d o d = 0 guard,
+  which every build runs.
 
 d o d = 0 is asserted eagerly, as each differential is scattered, because
 it is the one global check on the twist convention.  The steps of
@@ -182,11 +185,13 @@ _blocks_of = lru_cache(maxsize=4)(_Blocks)
 
 class Cube:
     """What a build takes from the diagram alone: the smoothings and chain
-    groups (read-only views), the edges of each degree and, per edge of one
-    pass over ``diagram.saddles``, in parallel lists, its block's row and
-    column offsets and its shared (block key, ``tqft.placement``, placement
-    arguments) without anchor flips.  The smoothings, made from both ends of
-    the cube inward, are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
+    groups (read-only views) and the one edge table ``by_degree``, which
+    holds for each degree i, in the (state, position) order of
+    ``diagram.saddles``, one record per edge from degree i: (row offset,
+    column offset, shared (block key, ``tqft.placement``, placement
+    arguments) without anchor flips, source ``Smoothing``, target
+    ``Smoothing``).  The smoothings, made from both ends of the cube inward,
+    are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
 
     def __init__(self, d):
         n, n_minus = d.n, d.n_minus
@@ -195,9 +200,7 @@ class Cube:
         for sm in smoothings_from_both_ends(d):
             found[sm.state] = sm
             self.dim += 1 << sm.k
-            if self.dim > MAX_CHAIN_DIM and len(found) < 1 << n:
-                _refuse_above_cap(n, self.dim, "at least ")
-        _refuse_above_cap(n, self.dim)
+            _refuse_above_cap(n, self.dim, "at least " if len(found) < 1 << n else "")
         smoothings = dict(sorted(found.items()))
         self.smoothings = MappingProxyType(smoothings)
         by_r = [[] for _ in range(n + 1)]
@@ -215,36 +218,21 @@ class Cube:
                 MappingProxyType(offsets), size)
         self.groups = MappingProxyType(groups)
         self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
-        self.row0, self.col0, self.hows = row0, col0, hows = [], [], []
         self._placements = {}  # placement arguments -> tqft.placement
         self._hows = {}        # (block key, placement arguments) -> how
         source = None
-        for e, (ss, st, _, kind, bottom, top, twist_in, twist_out, sign) in enumerate(
-                saddles(d, smoothings)):
+        for ss, st, _, kind, bottom, top, twist_in, twist_out, sign in saddles(d, smoothings):
             if ss is not source:  # the edges from one state are consecutive
-                source, i, k_in = ss, ss.r - n_minus, ss.k
-                edges, c0 = self.by_degree[i], groups[i].offsets[ss.state]
+                source, i = ss, ss.r - n_minus
+                edges, col0 = self.by_degree[i], groups[i].offsets[ss.state]
                 targets = groups[i + 1].offsets
-            edges.append(e)
-            row0.append(targets[st.state])
-            col0.append(c0)
-            hows.append(self._how((kind, twist_in, twist_out, 0, sign & 1),
-                                  (bottom, k_in, top, st.k)))
+            edges.append((targets[st.state], col0,
+                          self._how((kind, twist_in, twist_out, 0, sign & 1),
+                                    (bottom, ss.k, top, st.k)), ss, st))
 
     def dims(self):
         """The chain-group dimensions, from the lowest degree upward."""
         return [g.dim for g in self.groups.values()]
-
-    @cached_property
-    def incident(self):
-        """state -> (source, target, index) of each edge from or to it, the
-        edges in the (state, position) order of ``diagram.saddles``."""
-        out = {s: [] for s in self.smoothings}
-        for e, (s, t) in enumerate((s, s[:j] + "1" + s[j + 1:]) for s in self.smoothings
-                                   for j, bit in enumerate(s) if bit == "0"):
-            out[s].append((s, t, e))
-            out[t].append((s, t, e))
-        return out
 
     @cached_property
     def edges(self):
@@ -260,26 +248,37 @@ class Cube:
             how = self._hows[(key, where)] = (key, self._placements[where], where)
         return how
 
-    def hows_with(self, flips):
-        """The hows under the anchor ``flips`` from ``_flip_set``; ``hows`` if none."""
+    def edges_with(self, flips):
+        """``by_degree`` under the anchor ``flips`` from ``_flip_set``, itself
+        if none.  A flipped state is a source in its own degree and a target
+        in the one below: only those degrees' lists are copied, and in them
+        only the records with a flipped end are rewritten.  Every other list
+        and record is shared."""
         if not flips:
-            return self.hows
-        hows = list(self.hows)
-        for s, t, e in {edge for s, _ in flips for edge in self.incident[s]}:
-            (kind, twist_in, twist_out, _, parity), _, (bottom, k_in, top, k_out) = hows[e]
-            src = [(s, key) in flips for key in self.smoothings[s].keys]
-            tgt = [(t, key) in flips for key in self.smoothings[t].keys]
-            # a flip on a consumed circle toggles its twist bit (phi is an
-            # involution), a spectator flipped on one side only gets phi
-            twist_in = tuple([b ^ src[p] for b, p in zip(twist_in, bottom)])
-            twist_out = tuple([b ^ tgt[q] for b, q in zip(twist_out, top)])
-            phi = [(p, q) for p, q in zip([p for p in range(k_in) if p not in bottom],
-                                          [q for q in range(k_out) if q not in top])
-                   if src[p] != tgt[q]]
-            where = (bottom + tuple([p for p, _ in phi]), k_in,
-                     top + tuple([q for _, q in phi]), k_out)
-            hows[e] = self._how((kind, twist_in, twist_out, len(phi), parity), where)
-        return hows
+            return self.by_degree
+        flipped = {s for s, _ in flips}
+        by_degree = dict(self.by_degree)
+        for i in {self.smoothings[s].r - self.diagram.n_minus - below
+                  for s in flipped for below in (0, 1)} & by_degree.keys():
+            edges = by_degree[i] = list(by_degree[i])
+            for e, (row0, col0, how, ss, st) in enumerate(edges):
+                if ss.state not in flipped and st.state not in flipped:
+                    continue
+                (kind, twist_in, twist_out, _, parity), _, (bottom, k_in, top, k_out) = how
+                src = [(ss.state, key) in flips for key in ss.keys]
+                tgt = [(st.state, key) in flips for key in st.keys]
+                # a flip on a consumed circle toggles its twist bit (phi is an
+                # involution), a spectator flipped on one side only gets phi
+                twist_in = tuple([b ^ src[p] for b, p in zip(twist_in, bottom)])
+                twist_out = tuple([b ^ tgt[q] for b, q in zip(twist_out, top)])
+                phi = [(p, q) for p, q in zip([p for p in range(k_in) if p not in bottom],
+                                              [q for q in range(k_out) if q not in top])
+                       if src[p] != tgt[q]]
+                where = (bottom + tuple([p for p, _ in phi]), k_in,
+                         top + tuple([q for _, q in phi]), k_out)
+                how = self._how((kind, twist_in, twist_out, len(phi), parity), where)
+                edges[e] = (row0, col0, how, ss, st)
+        return by_degree
 
 
 # The largest total chain dimension (generators over all degrees) a build
@@ -330,16 +329,13 @@ def _differentials(cube, th, flips):
     value}}`` and handed over: the generator keeps none of them once it
     resumes, so a consumer that drops d^i holds one differential at a time.
     This is the one scatter; ``flips`` is the set ``_flip_set`` returns."""
-    hows = cube.hows_with(flips)
     blocks, scatter = _blocks_of(th), tqft.scatter_extended
-    row0, col0 = cube.row0, cube.col0
-    for i, edges in cube.by_degree.items():
+    for i, edges in cube.edges_with(flips).items():
         rows = {}
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
-        for e in edges:
-            key, placement, _ = hows[e]
-            scatter(rows, blocks[key], placement, row0[e], col0[e])
+        for row0, col0, (key, placement, _), _, _ in edges:
+            scatter(rows, blocks[key], placement, row0, col0)
         yield i, rows
 
 

@@ -237,6 +237,25 @@ def orientation_betti(d):
     return betti
 
 
+# -- the parity count of theta != 0 on knots ------------------------------------
+
+def parity_betti(d):
+    """Betti numbers of a knot (a one-component diagram) under a theory
+    with theta != 0, read off the Gauss code alone: two generators in the
+    one degree that sums sign(c) over the odd crossings c.  A crossing is
+    odd when an odd number of passages lie strictly between its two
+    passages in the Gauss word: Gaussian parity, as in Manturov, *Parity
+    in knot theory* (Sb. Math. 2010)."""
+    (word,) = d.components
+    first, degree = {}, 0
+    for position, (label, _, sign) in enumerate(word):
+        if label not in first:
+            first[label] = position
+        elif (position - first[label] - 1) % 2:
+            degree += sign
+    return {degree: 2}
+
+
 # -- classical Khovanov over F2 (planar diagrams, no twist machinery) --------
 
 def classical_khovanov_f2_betti(d, smoothings):

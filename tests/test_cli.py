@@ -524,10 +524,42 @@ def test_parser_options_and_defaults(argv, expected):
     assert parsed == expected
 
 
-@pytest.mark.parametrize("argv", [("compute", "--format", "xml"), ("surface",),
-                                  ("verify", "--graded"), ("invariance", "--seed", "x")],
-                         ids=" ".join)
-def test_parser_rejects_bad_options(capsys, argv):
+# a bad flag is an input error like any other: exit 3 and a JSON report
+# that names the flag, with nothing on stderr
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=" ".join(argv)) for argv, flag in (
+        (("compute", "--format", "xml"), "--format"), (("surface",), "--genus"),
+        (("verify", "--graded"), "--graded"), (("invariance", "--seed", "x"), "--seed"))])
+def test_parser_rejects_bad_options(capsys, argv, flag):
+    code, (out, err) = main(list(argv)), capsys.readouterr()
+    assert code == 3 and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InputError"
+    assert flag in error["message"] and len(error["message"]) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("surface", "--genus", "abc", "--theory", "manturov"),
+     "vlinkhom surface: argument --genus: invalid int value: 'abc'"),
+    (("compute", "--bogus"), "vlinkhom: unrecognized arguments: --bogus"),
+    ((), "vlinkhom: the following arguments are required: command"),
+], ids=["surface --genus abc", "compute --bogus", "no command"])
+def test_bad_flags_and_a_missing_command_exit_3(capsys, argv, message):
+    code, (out, err) = main(list(argv)), capsys.readouterr()
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": {"kind": "InputError", "message": message}}
+
+
+def test_a_5000_digit_moves_is_cut_in_its_message(capsys):
+    code, out = run(capsys, "invariance", "--theory", "manturov", "--moves", "9" * 5000)
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("vlinkhom invariance: argument --moves: invalid int value: '999")
+    assert message.endswith("...") and len(message) < 200
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "invariance", "surface"])
+def test_help_still_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(list(argv))
-    assert exc.value.code == 2
+        main([command, "--help"])
+    assert exc.value.code == 0 and "usage: vlinkhom" in capsys.readouterr().out

@@ -10,12 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
                      edge_table, first_nonzero_d_squared, orientation_betti,
-                     rank_f2_dense, rank_fp_dense, rank_qq_dense)
+                     parity_betti, rank_f2_dense, rank_fp_dense, rank_qq_dense)
 from vlinkhom import corpus
 from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset, sparsest_basis,
                               theory_from_triple)
@@ -582,27 +582,29 @@ def test_homology_leaves_the_complex_unchanged(theory):
 # -- the cube's edge table ----------------------------------------------------------
 
 def assert_edge_table_matches_oracle(d, rng):
-    """Each edge's row and column offsets, block key and placement in the
-    cube of ``d``, without anchor flips and under three random sets of
-    them, equal those ``oracles.edge_table`` reads off the edge's
+    """Each degree's records in the cube of ``d``, in order, against the
+    edges from that degree as ``diagram.cube_edges`` lists them: each
+    record's source and target smoothings, and its row and column offsets,
+    block key and placement without anchor flips and under three random
+    sets of them, equal those ``oracles.edge_table`` reads off the edge's
     SaddleDescriptor; each flipped build passes the d o d guard under
     f2_row2 and f2_row5, whose phi is not the identity."""
     cube = H.Cube(d)
     sms = cube.smoothings
     edges = cube_edges(d, sms)
-    assert sorted(e for es in cube.by_degree.values() for e in es) == list(range(len(edges)))
+    assert sum(len(records) for records in cube.by_degree.values()) == len(edges)
     selectors = [(s, k) for s in sorted(sms) for k in sms[s].keys]
     flip_sets = [set()] + [set(rng.sample(selectors, rng.randint(1, len(selectors))))
                            for _ in range(3)]
     for flips in flip_sets:
-        hows = cube.hows_with(flips)
-        for i, es in cube.by_degree.items():
-            for e in es:
-                sd = edges[e]
-                row0, col0, key, where = edge_table(sms, sd, flips)
-                assert sd.from_state.count("1") - d.n_minus == i
-                assert (cube.row0[e], cube.col0[e], hows[e][0], hows[e][1]) == \
-                    (row0, col0, key, tqft.placement(*where)), (sd, flips)
+        for i, records in cube.edges_with(flips).items():
+            of_degree = [sd for sd in edges if sd.from_state.count("1") - d.n_minus == i]
+            assert len(records) == len(of_degree), (i, flips)
+            for (row0, col0, (key, placement, _), ss, st), sd in zip(records, of_degree):
+                assert (ss, st) == (sms[sd.from_state], sms[sd.to_state]), sd
+                row0_, col0_, key_, where = edge_table(sms, sd, flips)
+                assert (row0, col0, key, placement) == \
+                    (row0_, col0_, key_, tqft.placement(*where)), (sd, flips)
         if flips:
             for row in ("f2_row2", "f2_row5"):
                 build_complex(d, preset(row), anchor_flips=flips)
@@ -625,6 +627,33 @@ def test_edge_table_matches_the_oracle_on_random_virtual_codes():
     rng = random.Random(20240816)
     for _ in range(20):
         assert_edge_table_matches_oracle(random_virtual_code(rng, rng.randint(1, 5)), rng)
+
+
+def test_anchor_flips_share_every_untouched_list_and_record():
+    # only the degrees with a flipped source or target state are copied,
+    # and in them only the records with a flipped end are rewritten; the
+    # cube's own table is never changed
+    rng = random.Random(229)
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        cube = H.Cube(d)
+        sms, plain = cube.smoothings, {i: list(rs) for i, rs in cube.by_degree.items()}
+        assert cube.edges_with(set()) is cube.by_degree
+        selectors = [(s, k) for s in sorted(sms) for k in sms[s].keys]
+        for size in (1, 1, 2, 3, len(selectors)):
+            flips = set(rng.sample(selectors, min(size, len(selectors))))
+            flipped = {s for s, _ in flips}
+            by_degree = cube.edges_with(flips)
+            assert by_degree.keys() == plain.keys()
+            for i, records in by_degree.items():
+                touched = [ss.state in flipped or st.state in flipped
+                           for *_, ss, st in plain[i]]
+                holds_flip = any(sms[s].r - d.n_minus in (i, i + 1) for s in flipped)
+                assert (records is cube.by_degree[i]) == (not holds_flip), (name, flips, i)
+                assert [new is old for new, old in zip(records, plain[i])] == \
+                    [not t for t in touched], (name, flips, i)
+            for i, records in cube.by_degree.items():
+                assert all(r is p for r, p in zip(records, plain[i], strict=True)), (name, i)
 
 
 def test_builds_make_no_saddle_descriptor(monkeypatch, capsys):
@@ -923,6 +952,45 @@ def test_orientation_count_on_the_corpus_and_random_virtual_links():
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=8))
 def test_orientation_count_on_braid_closures(word):
     assert_orientation_count(braid_closure(word))
+
+
+# theta != 0: rows 3 and 6, and the triple 1,0,1 over Q and two prime fields
+PARITY_THEORIES = {
+    "f2_row3": preset("f2_row3"), "f2_row6": preset("f2_row6"), "q 1,0,1": q_theory(),
+    **{f"fp:{p} 1,0,1": theory_from_triple(F.one, F.zero, F.one, field=F)
+       for p, F in ((7, PrimeField(7)), (1000003, F_P))},
+}
+
+
+def assert_parity_count(d):
+    """Each theory of PARITY_THEORIES gives the knot ``d`` the Betti numbers
+    of ``oracles.parity_betti``; the witness of a mismatch is the first
+    degree whose Betti number differs."""
+    expected = parity_betti(d)
+    for name, th in PARITY_THEORIES.items():
+        betti = homology_of(d, th).betti
+        if betti != expected:
+            i = min(i for i in betti.keys() | expected.keys()
+                    if betti.get(i, 0) != expected.get(i, 0))
+            pytest.fail(f"{name} on {d.serialize()}: degree {i} has Betti number "
+                        f"{betti.get(i, 0)}, the parity count {expected.get(i, 0)}")
+
+
+def test_parity_count_on_the_corpus_knots_and_random_virtual_knots():
+    rng = random.Random(2010)
+    knots = [d for d in map(corpus.load, corpus.all_names()) if len(d.components) == 1]
+    knots += [random_virtual_code(rng, rng.randint(1, 8)) for _ in range(60)]
+    assert any(0 not in parity_betti(d) for d in knots)  # odd crossings shift some
+    for d in knots:
+        assert_parity_count(d)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=8))
+def test_parity_count_on_braid_closures(word):
+    d = braid_closure(word)
+    assume(len(d.components) == 1)
+    assert_parity_count(d)
 
 
 # -- the size guard --------------------------------------------------------------
