@@ -27,10 +27,12 @@ it.  It derives f and h itself when it is built, so no theory carries an f
 or h that disagrees with its parameters; ``theory_from_params``,
 ``theory_from_triple`` and ``preset`` also check eq1 and eq2.
 
-Over GF(2), ``sparsest_basis`` gives the basis of V with the sparsest
-blocks, and ``structure_maps`` m, Delta, phi and theta in it.  There a = 1,
-squares are the identity, h = beta + lambda + mu*t and eq2 reads
-mu*(lambda + t) = 0, so mu = 1 forces beta = 0, lambda = t and h = 0.
+``sparsest_basis`` gives the basis of V with the sparsest blocks over the
+theory's own field, and ``structure_maps`` m, Delta, phi and theta in it.
+
+Over GF(2), a = 1, squares are the identity, h = beta + lambda + mu*t and
+eq2 reads mu*(lambda + t) = 0, so mu = 1 forces beta = 0, lambda = t and
+h = 0.
 - h = 1 (rows 2, 3, 5, 6): mu = 0, and the roots r, r' of x^2 + x + t (0 and
   1, or w and w^2 in GF(4)) give idempotents e_r = x + r', e_0 e_1 = 0,
   e_0 + e_1 = 1, eps(e_r) = 1: m(e_a (x) e_b) = delta_ab*e_a, Delta(e_a) =
@@ -42,6 +44,23 @@ mu*(lambda + t) = 0, so mu = 1 forces beta = 0, lambda = t and h = 0.
   eps(y) = a, phi(y) = beta + y and theta = (lambda + mu*t) + mu*y, so in
   the basis (1, y) the theory is (a, 0, lambda + mu*t, mu, beta): row 4 is
   row 1 and row 8 is row 7, which are in that form already.
+
+Outside characteristic 2, eq2 leaves no room for mu = 0 (it would read
+0 = 2), so eq1 forces beta = 0, h = -a*(lambda^2 + mu^2*t), and eq2 reads
+u*h = 2*(1 - a*lambda*mu) with u = a*mu^2; with h that gives
+u^2*(h^2 + 4t) = -4.  In the basis (1, y), y = x - h/2:
+y^2 = t + h^2/4, Delta(1) = f*(1 (x) y + y (x) 1), Delta(y) = f*y (x) y +
+f*(t + h^2/4)*1 (x) 1, eps(y) = a, phi(y) = y and theta = (lambda + mu*h/2)
++ mu*y.  That is the theory (a, t + h^2/4, lambda + mu*h/2, mu, beta), whose
+derived h is h*(1 - a*lambda*mu - u*h/2) = 0 by eq2: m and Delta have 4
+nonzeros each instead of 5, over Q and every GF(p), in the same field
+(for h = 0 the basis is (1, x) itself).  Where -1 = i^2 has a root in GF(p) (p = 1 mod 4), y^2 = -1/u^2 = s^2 with
+s = i/u, and V splits into the idempotents e_+- = (1 +- y/s)/2 (Lee;
+Bar-Natan and Morrison, arXiv:math/0606542): m(e_a (x) e_b) =
+delta_ab*e_a, Delta(e_+-) = +-(2s/a)*e_+- (x) e_+-, theta =
+diag(lambda + mu*h/2 +- mu*s) and phi = id, 2 nonzeros per map, for every h.
+``sparsest_basis`` takes these bases only for a tuple that satisfies eq1 and
+eq2; a hand-built one that does not keeps (1, x).
 
 ``verify_axioms`` and ``verify_4tu`` check the axioms as identities between
 composites of these matrices; a failed identity is reported with its first
@@ -215,32 +234,62 @@ def theta_matrix(th):
         (0, 1): F.mul(th.mu, th.t), (1, 1): F.add(th.lam, F.mul(th.mu, th.h))})
 
 
-# An h = 1 theory over GF(2) in the basis (e_0, e_1) of V (module docstring),
-# of which only lambda and beta are left
-Idempotents = namedtuple("Idempotents", "field lam beta")
+# A theory in a basis (e_0, e_1) of idempotents (module docstring): m(e_a (x)
+# e_b) = delta_ab*e_a, Delta(e_a) = delta[a]*e_a (x) e_a, theta(e_a) =
+# theta[a]*e_a, and phi swaps e_0 and e_1 if ``swap`` is set, else fixes them
+Idempotents = namedtuple("Idempotents", "field delta theta swap")
+
+
+def _sqrt_minus_one(F):
+    """A root of x^2 + 1 in GF(p) for p = 1 mod 4, g^((p-1)/4) for the first
+    g that Euler's criterion finds a non-residue; None in any other field."""
+    p = F.characteristic
+    if p % 4 != 1:
+        return None
+    g = 2
+    while pow(g, (p - 1) // 2, p) != p - 1:
+        g += 1
+    return pow(g, (p - 1) // 4, p)
 
 
 def sparsest_basis(th):
-    """``th`` in the sparsest basis of V, which its characteristic, h and t
-    choose (module docstring): ``th`` itself outside GF(2) and for t = h = 0."""
+    """``th`` in the sparsest basis of V over its own field, which its
+    characteristic, h and t choose (module docstring): ``th`` itself for
+    t = h = 0 over GF(2), for h = 0 over Q and GF(p) with p = 3 mod 4, and
+    outside GF(2) for a tuple that fails eq1 or eq2."""
     F = th.field
-    if F.characteristic != 2 or F.is_zero(th.h) and F.is_zero(th.t):
+    if F.characteristic == 2:
+        if F.is_zero(th.h):
+            if F.is_zero(th.t):
+                return th
+            return TheoryParams(F, th.a, F.zero, F.add(th.lam, F.mul(th.mu, th.t)),
+                                th.mu, th.beta)
+        return Idempotents(F, (F.one, F.one), (th.lam, th.lam), not F.is_zero(th.beta))
+    res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
+    if not all(F.is_zero(r) for r in (*res["eq1"], res["eq2"])):
         return th
-    if not F.is_zero(th.h):
-        return Idempotents(F, th.lam, th.beta)
-    return TheoryParams(F, th.a, F.zero, F.add(th.lam, F.mul(th.mu, th.t)), th.mu, th.beta)
+    half_h = F.div(th.h, F.from_int(2))
+    lam = F.add(th.lam, F.mul(th.mu, half_h))
+    i = _sqrt_minus_one(F)
+    if i is not None:
+        s = F.div(i, F.mul(th.a, F.mul(th.mu, th.mu)))
+        c, ms = F.div(F.add(s, s), th.a), F.mul(th.mu, s)
+        return Idempotents(F, (c, F.neg(c)), (F.add(lam, ms), F.sub(lam, ms)), False)
+    if F.is_zero(th.h):
+        return th
+    return TheoryParams(F, th.a, F.add(th.t, F.mul(half_h, half_h)), lam, th.mu, th.beta)
 
 
 def structure_maps(th):
     """(m, Delta, phi, theta) of a ``TheoryParams`` in the basis (1, x), or
-    of an ``Idempotents`` in the basis (e_0, e_1)."""
+    of an ``Idempotents`` in its basis (e_0, e_1)."""
     if not isinstance(th, Idempotents):
         return product_matrix(th), coproduct_matrix(th), phi_matrix(th), theta_matrix(th)
-    F, one, swap = th.field, th.field.one, not th.field.is_zero(th.beta)
+    F, one, swap = th.field, th.field.one, int(th.swap)
     return (ExactLinearMap.make(F, 2, 4, {(0, 0): one, (1, 3): one}),
-            ExactLinearMap.make(F, 4, 2, {(0, 0): one, (3, 1): one}),
+            ExactLinearMap.make(F, 4, 2, {(0, 0): th.delta[0], (3, 1): th.delta[1]}),
             ExactLinearMap.make(F, 2, 2, {(0, swap): one, (1, 1 - swap): one}),
-            ExactLinearMap.make(F, 2, 2, {(0, 0): th.lam, (1, 1): th.lam}))
+            ExactLinearMap.make(F, 2, 2, {(0, 0): th.theta[0], (1, 1): th.theta[1]}))
 
 
 def format_column(m, col=0):

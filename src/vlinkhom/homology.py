@@ -67,9 +67,13 @@ every entry keeps q and splits the rows into q-layers, eliminates each layer
 without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
 differentials are alive.  The pass scatters the blocks of
 ``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
-of basis of each factor V, twist bits included: its ranks (over GF(4) for
-rows 5, 6) and guard verdict are the same, and a failure reruns in (1, x).
-Graded homology needs h = t = 0 and theta = 0, where that basis is (1, x).
+of basis of each factor V over the theory's own field, twist bits included:
+(1, x - h/2) over Q and GF(p) with p = 3 mod 4, Lee's idempotents over
+GF(p) with p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4
+and 8.  Its ranks (over GF(4) for rows 5, 6) and guard verdict are the same,
+and a failure reruns in (1, x), so a DSquaredNonzero witness is named in
+(1, x).  Graded homology needs h = t = 0 and theta = 0, where that basis is
+(1, x).
 Its errors come in the order of a build followed by its homology: a refusal
 above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded, which is
 raised only after the guard has passed every pair of degrees.

@@ -83,7 +83,9 @@ def elementary_map(th, kind, twist_in, twist_out):
     ``diagram.saddles`` gives them: phi^out o m o (phi^a (x) phi^b) for a
     merge, (phi^a (x) phi^b) o Delta o phi^in for a split, and theta for a
     single-cycle saddle, which needs no twist bits.  ``th`` may also be what
-    ``algebra.sparsest_basis`` returns (see ``algebra.structure_maps``)."""
+    ``algebra.sparsest_basis`` returns, in any field: a ``TheoryParams`` in
+    the basis (1, x - h/2) or (1, x + 1), or an ``Idempotents``, whose
+    blocks are read the same way off ``algebra.structure_maps``."""
     m, delta, phi, theta = structure_maps(th)
     if kind == "single_cycle":
         return theta

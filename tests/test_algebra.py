@@ -353,23 +353,90 @@ def test_random_rational_triples_deterministic():
     assert all(a != 0 and m != 0 for a, _, m in random_rational_triples(40, seed=2))
 
 
-def test_sparsest_basis_is_a_change_of_basis_over_gf2():
+def _inverse_2x2(P):
+    F = P.field
+    (a, b), (c, d) = ((P.entry(r, 0), P.entry(r, 1)) for r in (0, 1))
+    k = F.inv(F.sub(F.mul(a, d), F.mul(b, c)))
+    return ExactLinearMap.make(F, 2, 2, {(0, 0): F.mul(d, k), (0, 1): F.neg(F.mul(b, k)),
+                                         (1, 0): F.neg(F.mul(c, k)), (1, 1): F.mul(a, k)})
+
+
+def _conjugated(th, P):
+    """m, Delta, phi and theta of ``th`` in the basis of V given by the
+    columns of P, from the maps in (1, x)."""
+    Pi = _inverse_2x2(P)
+    m, delta, phi, theta_ = structure_maps(th)
+    return (compose(Pi, m, P.kron(P)), compose(Pi.kron(Pi), delta, P),
+            compose(Pi, phi, P), compose(Pi, theta_, P))
+
+
+def _odd_bases(th):
+    """The candidate bases of V, as columns in (1, x): (1, y) with y = x - h/2
+    where -1 is not a square, else (1 + y/s)/2, (1 - y/s)/2 for both square
+    roots s of y^2 = t + h^2/4, each found by trial over the field."""
+    F = th.field
+    half_h = F.div(th.h, F.from_int(2))
+    p = F.characteristic
+    roots = [r for r in range(p) if r * r % p == p - 1][:1] if p % 4 == 1 else []
+    if not roots:
+        return [ExactLinearMap.make(F, 2, 2, {(0, 0): F.one, (0, 1): F.neg(half_h),
+                                              (1, 1): F.one})]
+    out = []
+    for i in (roots[0], p - roots[0]):
+        s = F.div(i, F.mul(th.a, F.mul(th.mu, th.mu)))
+        assert s * s % p == F.add(th.t, F.mul(half_h, half_h))
+        c, half = F.inv(F.add(s, s)), F.inv(F.from_int(2))
+        hc = F.mul(half_h, c)
+        out.append(ExactLinearMap.make(F, 2, 2, {
+            (0, 0): F.sub(half, hc), (1, 0): c, (0, 1): F.add(half, hc), (1, 1): F.neg(c)}))
+    return out
+
+
+def test_sparsest_basis_is_a_change_of_basis_over_every_field():
     # over GF(2) each change of basis below is its own inverse: for t = 0 the
     # columns are e_0 = x + 1 and e_1 = x, for rows 4 and 8 they are 1, x + 1
     idempotents = ExactLinearMap.make(GF2, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
     shift = ExactLinearMap.make(GF2, 2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
     for row, P in (("f2_row2", idempotents), ("f2_row3", idempotents),
                    ("f2_row4", shift), ("f2_row8", shift)):
-        m, delta, phi, theta_ = structure_maps(preset(row))
-        assert structure_maps(sparsest_basis(preset(row))) == (
-            compose(P, m, P.kron(P)), compose(P.kron(P), delta, P),
-            compose(P, phi, P), compose(P, theta_, P)), row
+        assert structure_maps(sparsest_basis(preset(row))) == _conjugated(preset(row), P), row
     # the rows come in pairs with one sparsest basis, chosen by h and t alone
     for row, twin in (("f2_row1", "f2_row4"), ("f2_row7", "f2_row8"),
                       ("f2_row2", "f2_row5"), ("f2_row3", "f2_row6")):
         assert sparsest_basis(preset(row)) == sparsest_basis(preset(twin))
-    for th in (preset("f2_row1"), preset("f2_row7"), q_theory(1, 0, 1)):
+    for th in (preset("f2_row1"), preset("f2_row7"), q_theory(1, 1, 1)):
         assert sparsest_basis(th) is th
     # a merge or split has 2 nonzeros in the idempotent basis, phi 2 (rows 2, 5)
     m, delta, phi, _ = structure_maps(sparsest_basis(preset("f2_row5")))
     assert [len(x.entry_map()) for x in (m, delta, phi)] == [2, 2, 2]
+    # outside characteristic 2: (1, x - h/2) over Q and GF(p), p = 3 mod 4, and
+    # the idempotents where p = 1 mod 4, for every h
+    theories = [theory_from_triple(*map(Fraction, triple.split(",")))
+                for triple in ("1,0,1", "1/2,3,-2/3", "1/3,1/2,5")]
+    for p in (3, 7, 1000003, 5, 13, 1000033):
+        F = PrimeField(p)
+        for a, lam, mu in [(1, 0, 1), (1, 1, 1)] + random_rational_triples(6, seed=p):
+            a, lam, mu = int(a), int(lam), int(mu)
+            if F.is_zero(F.from_int(a)) or F.is_zero(F.from_int(mu)):
+                continue
+            theories.append(theory_from_triple(F.from_int(a), F.from_int(lam),
+                                               F.from_int(mu), field=F))
+    seen = set()
+    for th in theories:
+        F, sparse = th.field, sparsest_basis(th)
+        split = F.characteristic % 4 == 1
+        assert any(structure_maps(sparse) == _conjugated(th, P) for P in _odd_bases(th)), th
+        m, delta, _, _ = structure_maps(sparse)
+        assert [len(x.entry_map()) for x in (m, delta)] == ([2, 2] if split else [4, 4]), th
+        assert (sparse is th) == (not split and F.is_zero(th.h)), th
+        seen.add((F.characteristic, split, F.is_zero(th.h)))
+    assert {(p, z) for p, split, z in seen if not split} >= {(0, False), (3, False),
+                                                            (7, False), (1000003, False)}
+    assert {p for p, split, _ in seen if split} == {5, 13, 1000033}
+    # a hand-built tuple that fails eq2 (or eq1) keeps (1, x): nothing is guessed
+    for F in (QQ, PrimeField(3), PrimeField(5)):
+        for params in ((1, 3, 1, 1, 0), (1, 5, 0, 1, 0), (1, 0, 0, 0, 0), (1, 0, 1, 1, 1)):
+            th = TheoryParams(F, *map(F.from_int, params))
+            res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
+            assert not all(F.is_zero(r) for r in (*res["eq1"], res["eq2"])), (F, params)
+            assert sparsest_basis(th) is th, (F, params)

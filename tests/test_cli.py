@@ -345,6 +345,7 @@ GOLDEN = {
     "compute_f2_row7": ("--theory", "f2_row7"),
     "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
+    "compute_triple_101_fp1000033": ("--triple", "1,0,1", "--field", "fp:1000033"),
     "compute_triple_101_q_beyond_corpus": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003_beyond_corpus": ("--triple", "1,0,1",
                                                    "--field", "fp:1000003"),

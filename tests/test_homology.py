@@ -17,7 +17,8 @@ from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
                      edge_table, first_nonzero_d_squared, orientation_betti,
                      parity_betti, rank_f2_dense, rank_fp_dense, rank_qq_dense)
 from vlinkhom import corpus
-from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset, sparsest_basis,
+from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset,
+                              random_rational_triples, sparsest_basis,
                               theory_from_triple)
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
@@ -913,15 +914,16 @@ def test_streamed_pass_matches_the_built_complex_under_anchor_flips():
                     homology(build_complex(d, th, anchor_flips=flips)), (row, d, flips)
 
 
-@pytest.mark.parametrize("which", ["first", "last"])
-def test_sparsest_basis_fails_the_guard_on_the_same_builds(monkeypatch, which):
-    # d o d = 0 does not depend on the basis of V, a broken twist bit included
-    monkeypatch.setattr(H, "saddles", mutated_saddles("twist", which))
+def sparse_guard_fires(monkeypatch, kind, which, theories):
+    """How many (corpus diagram, theory) builds under ``mutated_saddles(kind,
+    which)`` fail the d o d guard in ``sparsest_basis(th)``, asserting that
+    they are exactly those whose (1, x) build has a nonzero d o d: the
+    guard does not depend on the basis of V."""
+    monkeypatch.setattr(H, "saddles", mutated_saddles(kind, which))
     fired = 0
     for name in corpus.all_names():
         d = corpus.load(name)
-        for row in PRESET_NAMES[:8]:
-            th = preset(row)
+        for row, th in theories.items():
             expected = first_nonzero_d_squared(build_complex(d, th, check=False))
             cube = H._cube_of(d)
             try:
@@ -933,7 +935,52 @@ def test_sparsest_basis_fails_the_guard_on_the_same_builds(monkeypatch, which):
                 assert expected is not None, (name, row)
             else:
                 assert expected is None, (name, row)
-    assert fired == 20
+    return fired
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_sparsest_basis_fails_the_guard_on_the_same_builds(monkeypatch, which):
+    # a broken twist bit included
+    theories = {row: preset(row) for row in PRESET_NAMES[:8]}
+    assert sparse_guard_fires(monkeypatch, "twist", which, theories) == 20
+
+
+# Q and GF(p), p = 3 mod 4, stream in (1, x - h/2), GF(p), p = 1 mod 4, in
+# Lee's idempotents
+ODD_FIELDS = [QQ] + [PrimeField(p) for p in (3, 5, 7, 13, 1000003, 1000033)]
+
+
+def odd_field_theories(count, seed):
+    """The triples 1,0,1 and 1,1,1 (h = 0) and ``count`` seeded random triples
+    over each field of ODD_FIELDS, but those whose a or mu is 0 there, by name."""
+    out = {}
+    for F in ODD_FIELDS:
+        for triple in [(1, 0, 1), (1, 1, 1)] + random_rational_triples(count, seed):
+            a, lam, mu = (F.from_int(int(v)) for v in triple)
+            if not (F.is_zero(a) or F.is_zero(mu)):
+                name = f"{F!r} {','.join(map(F.to_str, (a, lam, mu)))}"
+                out[name] = theory_from_triple(a, lam, mu, field=F)
+    return out
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_sparsest_basis_fails_the_sign_guard_on_the_same_builds(monkeypatch, which):
+    # a flipped sign breaks d o d outside characteristic 2 on the 11 corpus
+    # diagrams with a crossing
+    theories = {**odd_field_theories(0, 0), "q 1/2,3,-2/3": MUTATION_THEORIES["q 1/2,3,-2/3"],
+                "q 1/3,1/2,5": MUTATION_THEORIES["q 1/3,1/2,5"]}
+    assert len(theories) == 16
+    assert sparse_guard_fires(monkeypatch, "sign", which, theories) == 176
+
+
+def test_streamed_betti_match_the_standard_basis_over_odd_fields():
+    theories = odd_field_theories(3, 21)
+    assert len(theories) == 33
+    links = random_virtual_links(21, 10, max_n=6)
+    braids = [braid_closure(w) for w in ([1, -2] * 3, [1] * 5, [1, 2, -1, 2], [-1, -1, 2])]
+    for d in [corpus.load(name) for name in corpus.all_names()] + links + braids:
+        for name, th in theories.items():
+            assert homology_of(d, th).betti == homology(build_complex(d, th)).betti, (d, name)
 
 
 def assert_orientation_count(d):
@@ -954,11 +1001,13 @@ def test_orientation_count_on_braid_closures(word):
     assert_orientation_count(braid_closure(word))
 
 
-# theta != 0: rows 3 and 6, and the triple 1,0,1 over Q and two prime fields
+# theta != 0: rows 3 and 6, and the triple 1,0,1 over Q and four prime fields,
+# two of which (p = 1 mod 4) stream in Lee's idempotents
 PARITY_THEORIES = {
     "f2_row3": preset("f2_row3"), "f2_row6": preset("f2_row6"), "q 1,0,1": q_theory(),
     **{f"fp:{p} 1,0,1": theory_from_triple(F.one, F.zero, F.one, field=F)
-       for p, F in ((7, PrimeField(7)), (1000003, F_P))},
+       for p, F in ((7, PrimeField(7)), (1000003, F_P), (13, PrimeField(13)),
+                    (1000033, PrimeField(1000033)))},
 }
 
 
@@ -1127,14 +1176,22 @@ def assert_cancellation_lemma(d, theory):
     (i, q), one degree at a time: each degree is eliminated without the
     pivot rows of the one below, they number rank(d^i), they are
     independent rows of d^i, and d^(i+1) at the same q without them as
-    columns keeps its rank, all by dense oracles.  The streamed pass
-    records the same layers and pivot rows."""
+    columns keeps its rank, all by dense oracles.  The complex is built in
+    the stream's own basis, ``sparsest_basis(th)``: the streamed pass records
+    the same layers and pivot rows, and the ranks per degree are those of
+    the complex in (1, x)."""
     th = MUTATION_THEORIES[theory]
     graded = theory == "manturov"
-    c = build_complex(d, th)
-    calls = recorded_pivots(lambda: (graded_homology if graded else homology)(c))
+    run = graded_homology if graded else homology
+    c = build_complex(d, sparsest_basis(th))
+    calls = recorded_pivots(lambda: run(c))
     assert recorded_pivots(lambda: stream_homology(d, th, graded=graded)) == calls
     assert len(calls) == c.max_degree - c.min_degree
+
+    def ranks(calls):
+        return [sum(map(len, pivots.values())) for _, _, pivots in calls]
+
+    assert ranks(recorded_pivots(lambda: run(build_complex(d, th)))) == ranks(calls)
     field, rows, pivots, previous = th.field, {}, {}, {}
     for i, (layers, below, found) in enumerate(calls, start=c.min_degree):
         assert below is previous or below == previous == {}, i
