@@ -150,16 +150,24 @@ def cmd_compute(args):
             "jones_at_one": j1,
             "euler_matches_jones": ok,
         }
+        line = (f"{rep['diagram']}: dims={rep['dims']} betti={rep['betti']} "
+                f"euler={res.euler} jones(1)={j1} match={ok}")
         if args.graded:
+            graded = graded_euler_poly(res)
             rep["qtable"] = {f"{i},{q}": v for (i, q), v in sorted(res.qtable.items())}
-            rep["graded_euler"] = graded_euler_poly(res).to_json()
+            rep["graded_euler"] = graded.to_json()
             rep["kauffman_jones"] = jones.to_json()
+            # the witness of a mismatch: the lowest q whose coefficients differ
+            if graded != jones:
+                q = min(set(graded.terms) ^ set(jones.terms))[0]
+                rep["graded_euler_differs_at_q"] = q
+                line += f" graded_euler_differs_at_q={q}"
         reports.append(rep)
-        lines.append(f"{rep['diagram']}: dims={rep['dims']} betti={rep['betti']} "
-                     f"euler={res.euler} jones(1)={j1} match={ok}")
+        lines.append(line)
         if args.graded:
             lines.append(f"  qtable={rep['qtable']}")
-    return reports, lines, all(r["euler_matches_jones"] for r in reports)
+    return reports, lines, all(r["euler_matches_jones"] and "graded_euler_differs_at_q" not in r
+                               for r in reports)
 
 
 def cmd_verify(args):

@@ -31,6 +31,13 @@ class _Field:
         return hash((type(self).__name__, self.characteristic))
 
 
+# The largest exponent magnitude a rational such as 1e4300 may carry.  Fraction
+# expands the power in full, so 1e1000000 took 80 s to read; the bound is that
+# of str()'s digit limit on a plain decimal, and it is checked before any power
+# is computed.
+MAX_EXPONENT = 4300
+
+
 class RationalField(_Field):
     """The field of rationals; elements are ``Fraction`` in lowest terms."""
 
@@ -61,7 +68,11 @@ class RationalField(_Field):
         return a == 0
 
     def parse(self, text):
+        _, e, exponent = text.lower().partition("e")
         try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise InputError(f"rational {text!r}: its exponent is beyond "
+                                 f"the limit MAX_EXPONENT = {MAX_EXPONENT:,}")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {text!r}") from exc

@@ -46,24 +46,24 @@ and Q it is a dict of exact Python ints (each differential over Q scaled
 by the lcm of its denominators first, once).  The first nonzero entry, at
 the lowest degree, row and column, becomes the DSquaredNonzero witness.
 
-Homology is one rank-and-Betti routine over (degree, q) layers.  Ungraded
-homology is the one-layer case; graded homology (homogeneous theories only)
-hands each row of a differential, by reference, to the q-layer of its row,
-which the differential preserves, so its Betti numbers sum over q to the
-ungraded ones.  Rank never changes the complex's rows.
+Homology is one layered elimination, ``_homology``, which ``homology``,
+``graded_homology`` and the streamed pass all call.  Each degree is cut into
+layers by a key per generator that every entry of the differential keeps:
+graded homology (homogeneous theories only) keys each generator by its
+q-degree, and ungraded homology is the one-layer case.  Each row of d^i is
+handed, by reference, to the layer of its row, so the graded Betti numbers
+sum over q to the ungraded ones.  Rank never changes the complex's rows.
 
-The degrees are cancelled in turn, upward: d^(i+1) is eliminated without
-the pivot rows of d^i as columns, which keeps its rank by Bar-Natan's
-Gaussian-elimination lemma (stated and argued in the ``_linalg`` docstring,
-where ``pivot_rows`` applies the ``skip``).  On the graded path this is done
-per q-layer, where the pivot rows of layer q of d^i are columns of layer q
-of d^(i+1).
+The degrees are cancelled in turn, upward: each layer of d^(i+1) is
+eliminated without the pivot rows of the same layer of d^i as columns, which
+keeps its rank by Bar-Natan's Gaussian-elimination lemma (stated and argued
+in the ``_linalg`` docstring, where ``pivot_rows`` applies the ``skip``).
 
 So once d^i is guarded and eliminated only its pivot-row keys are read
 again, and ``stream_homology`` (which ``homology_of`` and the CLI use) takes
 homology in one upward pass over the degrees.  Step i scatters d^i from the
-edges of degree i, checks d^i d^(i-1) = 0, on the graded path checks that
-every entry keeps q and splits the rows into q-layers, eliminates each layer
+edges of degree i, checks d^i d^(i-1) = 0, splits its rows into layers (on
+the graded path checking that every entry keeps q), eliminates each layer
 without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
 differentials are alive.  The pass scatters the blocks of
 ``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
@@ -385,25 +385,54 @@ def build_complex(d, th, anchor_flips=(), check=True):
 
 
 def _layer_pivots(field, layers, below):
-    """The pivot rows of each q-layer of one differential d^i, from
-    ``layers`` = {q: rows of d^i in layer q}.  Each layer is eliminated
-    without the columns ``below[q]``, the pivot rows of the same q-layer
-    of d^(i-1), which keeps its rank (module docstring)."""
+    """The pivot rows of each layer of one differential d^i, from
+    ``layers`` = {key: rows of d^i in that layer}.  Each layer is eliminated
+    without the columns ``below[key]``, the pivot rows of the same layer of
+    d^(i-1), which keeps its rank (module docstring)."""
     return {q: pivot_rows(layer, field, below.get(q, ()))
             for q, layer in layers.items()}
 
 
-def _homology(field, dims, layers):
-    """Betti numbers, Euler characteristic and per-layer table from the
-    dimension of each (degree, q) layer and ``layers``, which yields for
-    each degree i upward (i, {q: rows of d^i in layer q}).  d^i maps each
-    layer into the same q-layer of degree i + 1, so its rank at q is the
+def _homology(th, c, differentials, graded):
+    """The homology of the complex or cube ``c`` under ``th``, graded or
+    not, from ``differentials``, which yields (i, rows of d^i) for each
+    degree i upward.  Each row of d^i goes, by reference, to the layer of
+    its generator's key: its q-degree when graded, else 0.  d^i maps each
+    layer into the same layer of degree i + 1, so its rank at a key is the
     rank of that group of rows, taken with their original indices.  Of d^i
-    only its pivot rows are kept, for d^(i+1)."""
-    ranks, below = {}, {}
-    for i, by_q in layers:
-        below = _layer_pivots(field, by_q, below)
+    only its pivot rows are kept, for d^(i+1).  NotGraded (an inhomogeneous
+    theory, or the first entry, row-major, of the lowest degree that changes
+    q-degree) is raised only once ``differentials`` is used up, so that a
+    d o d guard on them checks every degree first."""
+    F, ranks, below, bad = th.field, {}, {}, None
+    if not graded:
+        dims = {(i, 0): g.dim for i, g in c.groups.items()}
+    elif all(F.is_zero(v) for v in (th.h, th.t, th.lam, th.mu)):
+        qdeg = _qdegrees(c)
+        dims = Counter((i, q) for i, qs in qdeg.items() for q in qs)
+    else:
+        bad = NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
+    for i, rows in differentials:
+        if bad is not None:
+            continue
+        layers = {0: rows}
+        if graded:
+            layers, src, tgt, crossing = {}, qdeg[i], qdeg[i + 1], []
+            for r, cols in rows.items():
+                q = tgt[r]
+                for col in cols:
+                    if src[col] != q:
+                        crossing.append((r, col))
+                layers.setdefault(q, {})[r] = cols
+            if crossing:
+                r, col = min(crossing)
+                bad = NotGraded(f"differential entry {c.groups[i].label(col)} -> "
+                                f"{c.groups[i + 1].label(r)} changes q-degree")
+                continue
+        below = _layer_pivots(F, layers, below)
         ranks.update(((i, q), len(pivots)) for q, pivots in below.items())
+    if bad is not None:
+        raise bad
     table, betti = {}, {}
     for (i, q), dim in sorted(dims.items()):
         b = dim - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
@@ -412,14 +441,7 @@ def _homology(field, dims, layers):
             table[(i, q)] = b
             betti[i] = betti.get(i, 0) + b
     euler = sum(b if i % 2 == 0 else -b for i, b in betti.items())
-    return betti, euler, table
-
-
-def _ungraded(field, groups, differentials):
-    """The one-layer case, each degree a single layer q = 0."""
-    betti, euler, _ = _homology(field, {(i, 0): g.dim for i, g in groups.items()},
-                                ((i, {0: rows}) for i, rows in differentials))
-    return HomologyResult(betti, euler)
+    return HomologyResult(betti, euler, table if graded else None)
 
 
 def _rows_of(c):
@@ -428,7 +450,7 @@ def _rows_of(c):
 
 def homology(c):
     """Betti numbers by exact rank computation over the ground field."""
-    return _ungraded(c.theory.field, c.groups, _rows_of(c))
+    return _homology(c.theory, c, _rows_of(c), False)
 
 
 # ---------------------------------------------------------------------------
@@ -449,57 +471,6 @@ def _qdegrees(c):
     return out
 
 
-def _by_q(rows, src, tgt):
-    """The rows of a differential grouped by the q-degree of their row,
-    by reference, or None if an entry joins generators of different
-    q-degrees ``src`` (columns) and ``tgt`` (rows)."""
-    by_q = {}
-    for r, cols in rows.items():
-        q = tgt[r]
-        for col in cols:
-            if src[col] != q:
-                return None
-        by_q.setdefault(q, {})[r] = cols
-    return by_q
-
-
-def _q_layers(groups, qdeg, differentials):
-    """(i, {q: rows of d^i in layer q}) for each (i, rows of d^i) of
-    ``differentials``.  An entry that changes q-degree is a NotGraded error,
-    raised only once ``differentials`` is exhausted, so that a d o d guard
-    on it checks every degree first; its witness is the first such entry of
-    the lowest such degree, row-major."""
-    bad = None
-    for i, rows in differentials:
-        if bad is not None:
-            continue
-        src, tgt = qdeg[i], qdeg[i + 1]
-        by_q = _by_q(rows, src, tgt)
-        if by_q is not None:
-            yield i, by_q
-            continue
-        r, col = min((r, col) for r, cols in rows.items()
-                     for col in cols if src[col] != tgt[r])
-        bad = NotGraded(f"differential entry {groups[i].label(col)} -> "
-                        f"{groups[i + 1].label(r)} changes q-degree")
-    if bad is not None:
-        raise bad
-
-
-def _graded(th, c, differentials):
-    """Graded homology of the complex or cube ``c`` under ``th``, from its
-    differentials (i, rows of d^i) upward."""
-    F = th.field
-    if not (F.is_zero(th.h) and F.is_zero(th.t)
-            and F.is_zero(th.lam) and F.is_zero(th.mu)):
-        for _ in differentials:  # a d o d guard on them runs first
-            pass
-        raise NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
-    qdeg = _qdegrees(c)
-    dims = Counter((i, q) for i, qs in qdeg.items() for q in qs)
-    return HomologyResult(*_homology(F, dims, _q_layers(c.groups, qdeg, differentials)))
-
-
 def graded_homology(c):
     """Homology with the quantum grading: the homology of the same complex,
     split into q-degree layers.  Requires a homogeneous theory.
@@ -507,7 +478,7 @@ def graded_homology(c):
     The theory must have h = t = 0 and theta = 0 (the Manturov preset);
     every differential entry is additionally checked to preserve q-degree.
     """
-    return _graded(c.theory, c, _rows_of(c))
+    return _homology(c.theory, c, _rows_of(c), True)
 
 
 def graded_euler_poly(result):
@@ -525,22 +496,20 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     """(cube, result): the homology of ``d`` under ``th`` in one upward pass,
     graded as ``graded_homology`` or not as ``homology``, with
     ``anchor_flips`` as in ``build_complex``.  Each d^i is scattered,
-    checked against d^(i-1) by the d o d guard, split into q-layers on the
-    graded path, eliminated and dropped, so at most two differentials are
-    held at a time.  The result equals that of the same homology of
-    ``build_complex(d, th, anchor_flips)``, and so do its errors: a refusal
-    above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded.  The
-    cube gives the chain groups (``cube.dims()``) and the smoothings.  Both
-    passes run in ``algebra.sparsest_basis(th)`` (module docstring), which is
-    ``th`` itself wherever graded homology is defined."""
+    checked against d^(i-1) by the d o d guard, split into layers, eliminated
+    and dropped, so at most two differentials are held at a time.  The
+    result equals that of the same homology of ``build_complex(d, th,
+    anchor_flips)``, and so do its errors: a refusal above MAX_CHAIN_DIM
+    first, then DSquaredNonzero, then NotGraded.  The cube gives the chain
+    groups (``cube.dims()``) and the smoothings.  Both passes run in
+    ``algebra.sparsest_basis(th)`` (module docstring), which is ``th``
+    itself wherever graded homology is defined."""
     cube = _cube_of(d)
     flips = _flip_set(d, cube.smoothings, anchor_flips)
     for basis in sparsest_basis(th), th:
         differentials = _guarded(cube.groups, th.field, _differentials(cube, basis, flips))
         try:
-            if graded:
-                return cube, _graded(th, cube, differentials)
-            return cube, _ungraded(th.field, cube.groups, differentials)
+            return cube, _homology(th, cube, differentials, graded)
         except DSquaredNonzero:
             if basis is th:
                 raise

@@ -256,6 +256,26 @@ def parity_betti(d):
     return {degree: 2}
 
 
+# -- the vanishing rule of theta != 0 on links ----------------------------------
+
+def theta_total_betti(d):
+    """The total Betti number of ``d`` under a theory with theta != 0, read
+    off the Gauss code alone: 0 when some component meets the other
+    components in an odd total number of crossings, else 2^c for its c
+    components.  Three components that meet pairwise once meet the others
+    twice each, so a test of the pairs alone is not this rule."""
+    comps_of = {}  # crossing -> the component of each of its two passages
+    for ci, comp in enumerate(d.components):
+        for label, _, _ in comp:
+            comps_of.setdefault(label, []).append(ci)
+    meets = [0] * len(d.components)
+    for a, b in comps_of.values():
+        if a != b:
+            meets[a] += 1
+            meets[b] += 1
+    return 0 if any(m % 2 for m in meets) else 1 << len(d.components)
+
+
 # -- classical Khovanov over F2 (planar diagrams, no twist machinery) --------
 
 def classical_khovanov_f2_betti(d, smoothings):

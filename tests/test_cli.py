@@ -143,6 +143,28 @@ def test_surface_value_past_the_digit_limit_is_written_in_full(capsys):
     assert len(value) == 6021 and int(Decimal(value)) == 2 ** 20001
 
 
+@pytest.mark.parametrize("argv", [
+    ("surface", "--genus", "0", "--triple", "1e4301,0,1"),
+    ("surface", "--genus", "0", "--triple", "1e-4301,0,1"),
+    ("compute", "--params", "a=1e999999999,t=0,lambda=0,mu=1,beta=0"),
+    ("verify", "--params", "a=1,t=0,lambda=0,mu=1E+99999999999,beta=0"),
+])
+def test_a_rational_exponent_past_the_limit_is_refused_at_once(capsys, argv):
+    # Fraction would expand 10^exponent in full: 1e1000000 took over a minute
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InputError" and "MAX_EXPONENT = 4,300" in error["message"]
+
+
+def test_a_rational_exponent_at_the_limit_parses():
+    assert QQ.parse("1e3") == 1000
+    assert QQ.parse("1e4300") == 10 ** 4300
+    assert QQ.parse(" -5E-4300 ") == Fraction(-5, 10 ** 4300)
+
+
 def test_constraint_residual_past_the_digit_limit_is_written_in_full(capsys):
     lam = "7" * 3000
     params = f"a=1,t=0,lambda={lam},mu=1,beta=0"
@@ -268,6 +290,28 @@ def test_compute_euler_jones_mismatch_exits_2(capsys, monkeypatch):
     code, out = run(capsys, "compute", "--theory", "manturov", "--format", "text")
     assert code == 2
     assert out.startswith("unknot: dims=[2] betti={'0': 2} euler=2 jones(1)=0 match=False\n")
+
+
+def test_compute_graded_euler_mismatch_names_the_lowest_q(capsys, monkeypatch, tmp_path):
+    # times q^2 leaves J(1) alone, so only the graded comparison sees it; the
+    # lowest q that differs is the lowest term of the true polynomial
+    cli = importlib.import_module("vlinkhom.cli")
+    real = cli.kauffman_jones
+    monkeypatch.setattr(cli, "kauffman_jones",
+                        lambda d, smoothings: real(d, smoothings) * LaurentPoly.make({2: 1}))
+    path = tmp_path / "trefoil.gauss"
+    path.write_text("O1+,U2+,O3+,U1+,O2+,U3+\n")
+    lowest = real(corpus.load("trefoil")).terms[0][0]
+    argv = ("compute", "--theory", "manturov", "--graded", "--diagram", str(path))
+    code, out = run(capsys, *argv)
+    assert code == 2
+    (rep,) = json.loads(out)
+    assert rep["euler_matches_jones"] is True
+    assert rep["graded_euler_differs_at_q"] == lowest
+    assert rep["graded_euler"] != rep["kauffman_jones"]
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 2
+    assert out.splitlines()[0].endswith(f"match=True graded_euler_differs_at_q={lowest}")
 
 
 def test_graded_on_inhomogeneous_theory_is_computation_error(capsys):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
                      edge_table, first_nonzero_d_squared, orientation_betti,
-                     parity_betti, rank_f2_dense, rank_fp_dense, rank_qq_dense)
+                     parity_betti, rank_f2_dense, rank_fp_dense, rank_qq_dense,
+                     theta_total_betti)
 from vlinkhom import corpus
 from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset,
                               random_rational_triples, sparsest_basis,
@@ -1040,6 +1041,20 @@ def test_parity_count_on_braid_closures(word):
     d = braid_closure(word)
     assume(len(d.components) == 1)
     assert_parity_count(d)
+
+
+def test_vanishing_rule_on_the_corpus_and_random_virtual_links():
+    rng = random.Random(4)
+    # three components that meet pairwise once, so each meets the other two
+    # twice: 2^3 generators survive where a test of the pairs says 0
+    links = [parse_gauss("O1+,U3-;U1+,O2+;U2+,O3-"), *map(corpus.load, corpus.all_names())]
+    for _ in range(80):
+        links.append(random_virtual_code(rng, rng.randint(2, 7), rng.randint(2, 4)))
+    expected = [theta_total_betti(d) for d in links]
+    assert expected[0] == 8 and 0 in expected  # some links vanish, some do not
+    for name, th in PARITY_THEORIES.items():
+        totals = [sum(homology_of(d, th).betti.values()) for d in links]
+        assert totals == expected, name
 
 
 # -- the size guard --------------------------------------------------------------
