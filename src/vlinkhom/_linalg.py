@@ -27,11 +27,10 @@ a vector e_r + (terms off R), since the rows R of d^i have full rank. So
 d^(i+1) e_r lies in the span of d^(i+1) on the columns off R, as
 d^(i+1) d^i = 0.
 
-``composite_check(field)`` checks f_{j+1} o f_j = 0 along a sequence of
-maps handed to it one at a time, without storing any product: it builds one
-output row at a time, as a set of columns added by symmetric difference
-over GF(2) and as plain Python ints otherwise, and holds only the map it was
-last given.
+``first_nonzero(left, right, field)`` finds the first nonzero entry of a
+product without storing it: it builds one output row at a time, as a set of
+columns added by symmetric difference over GF(2) and as plain Python ints
+otherwise, from two maps that ``lift`` has made into such rows once each.
 """
 
 from __future__ import annotations
@@ -230,25 +229,6 @@ def pivot_rows(rows, field, skip=()):
                               for r, cols in rows.items()}, field)
 
 
-def _gf2_check():
-    right = None
-    empty = {}
-
-    def step(left):
-        nonlocal right
-        before, right = right, left
-        if before is None:
-            return None
-        for r in sorted(left):
-            acc = set()
-            for mid in left[r]:
-                acc.symmetric_difference_update(before.get(mid, empty))
-            if acc:
-                return r, min(acc), 1
-        return None
-    return step
-
-
 def _int_rows(rows, field):
     """``({row: {col: int}}, scale)``: the rows times ``scale`` as ints.
 
@@ -265,54 +245,45 @@ def _int_rows(rows, field):
             for r, row in rows.items()}, 1
 
 
-def _int_check(field):
-    p = field.characteristic
-    right = None
-    empty = {}
-
-    def step(rows):
-        nonlocal right
-        before, right = right, _int_rows(rows, field)
-        if before is None:
-            return None
-        (left, left_scale), (prev, prev_scale) = right, before
-        for r in sorted(left):
-            acc = {}
-            for mid, w in left[r].items():
-                for c, v in prev.get(mid, empty).items():
-                    acc[c] = acc.get(c, 0) + w * v
-            if not any(acc.values()):
-                continue
-            hits = [c for c, x in acc.items() if (x % p if p else x)]
-            if hits:
-                c = min(hits)
-                return r, c, field.div(field.from_int(acc[c]),
-                                       field.from_int(left_scale * prev_scale))
-        return None
-    return step
+def lift(rows, field):
+    """The rows ``{row: {col: nonzero}}`` of a map as ``first_nonzero``
+    reads them, ``(rows, scale)``: the rows themselves over GF(2), and
+    ``_int_rows`` otherwise.  A map is lifted once, however many products
+    it is a factor of."""
+    return (rows, 1) if field.characteristic == 2 else _int_rows(rows, field)
 
 
-def composite_check(field):
-    """A step function that checks f_{j+1} o f_j = 0 along a sequence of maps
-    f_0, f_1, ..., each composable after the one before, given one at a time.
+def first_nonzero(left, right, field):
+    """The first nonzero entry ``(row, col, value)`` of left o right, two
+    maps as ``lift`` gives them, in row then column order, or None.
 
-    Called with the rows ``{row: {col: nonzero}}`` of each map in turn, as
-    ``ExactLinearMap.rows`` are, it returns the first nonzero entry
-    ``(row, col, value)`` of the product of that map after the one given
-    before it, or None; the first call returns None. The product is built
-    one output row at a time, in row order, and never stored, so the step
-    keeps only the map it was last given: each map is read as the left
-    factor of one product and the right factor of the next.
-
-    Over GF(2) a row is a set of columns, and adding a row of the right
-    factor is a symmetric difference with its dict of columns. Otherwise
-    each map is converted once to rows of plain ints: GF(p) sums are reduced
-    once per output entry, and over Q each map is first scaled by the lcm
-    L_j of its denominators, which is exact because f_{j+1} o f_j vanishes
-    exactly when (L_{j+1} f_{j+1}) o (L_j f_j) does; the witness is divided
-    back.
+    The product is built one output row at a time and never stored.  Over
+    GF(2) a row is a set of columns, and adding a row of ``right`` is a
+    symmetric difference with its dict of columns.  Otherwise the sums are
+    of plain ints: over GF(p) each is reduced once, and over Q it is exact
+    because left o right vanishes exactly when (L left) o (R right) does,
+    L and R the lifts' scales; the witness is divided back.
     """
-    if field.characteristic == 2:
-        return _gf2_check()
-    return _int_check(field)
-
+    (left, left_scale), (right, right_scale) = left, right
+    p, empty = field.characteristic, {}
+    if p == 2:
+        for r in sorted(left):
+            acc = set()
+            for mid in left[r]:
+                acc.symmetric_difference_update(right.get(mid, empty))
+            if acc:
+                return r, min(acc), 1
+        return None
+    for r in sorted(left):
+        acc = {}
+        for mid, w in left[r].items():
+            for c, v in right.get(mid, empty).items():
+                acc[c] = acc.get(c, 0) + w * v
+        if not any(acc.values()):
+            continue
+        hits = [c for c, x in acc.items() if (x % p if p else x)]
+        if hits:
+            c = min(hits)
+            return r, c, field.div(field.from_int(acc[c]),
+                                   field.from_int(left_scale * right_scale))
+    return None

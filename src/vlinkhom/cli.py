@@ -27,7 +27,7 @@ from . import corpus
 from .algebra import (TheoryParams, preset, theory_from_params,
                       theory_from_triple, verify_4tu, verify_axioms)
 from .diagram import load_diagram, random_moves
-from .errors import InputError, MismatchError, VlinkhomError
+from .errors import InputError, MismatchError, VlinkhomError, cut
 from .fields import QQ, field_by_name
 from .homology import graded_euler_poly, homology_of, stream_homology
 from .jones import kauffman_jones
@@ -65,7 +65,7 @@ def _field(args, own, source):
     where both are given, and the field is q where neither is."""
     named = [field_by_name(x) for x in (own, args.field) if x is not None]
     if len(named) == 2 and named[0] != named[1]:
-        raise InputError(f"--field {args.field} does not match {source}, "
+        raise InputError(f"--field {cut(args.field)} does not match {source}, "
                          f"which is over {named[0].name}")
     return named[0] if named else QQ
 
@@ -81,19 +81,19 @@ def resolve_theory(args, check_constraints=True):
         raise InputError("exactly one of --theory / --params / --triple is required")
     if args.theory:
         th = preset(args.theory)
-        _field(args, th.field.name, f"preset {args.theory!r}")
+        _field(args, th.field.name, f"preset {cut(repr(args.theory))}")
         return th, {"preset": args.theory.strip().lower()}
     if args.params:
         plain, keyed = _split_kv(args.params)
         if plain:
-            raise InputError(f"--params items must be key=value, got {plain!r}")
+            raise InputError(f"--params items must be key=value, got {cut(repr(plain))}")
         fld = _field(args, keyed.pop("field", None), "--params")
         try:
             vals = {k: fld.parse(keyed.pop(k)) for k in ("a", "t", "lambda", "mu", "beta")}
         except KeyError as exc:
             raise InputError(f"--params is missing {exc.args[0]!r}") from None
         if keyed:
-            raise InputError(f"unknown --params keys {sorted(keyed)}")
+            raise InputError(f"unknown --params keys {cut(repr(sorted(keyed)))}")
         params = tuple(vals.values())  # a, t, lambda, mu, beta
         th = (theory_from_params(*params, field=fld) if check_constraints
               else TheoryParams(fld, *params))
@@ -104,7 +104,7 @@ def resolve_theory(args, check_constraints=True):
         raise InputError("--triple needs exactly three values a,lambda,mu")
     fld = _field(args, keyed.pop("field", None), "--triple")
     if keyed:
-        raise InputError(f"unknown --triple keys {sorted(keyed)}")
+        raise InputError(f"unknown --triple keys {cut(repr(sorted(keyed)))}")
     a, lam, mu = (fld.parse(x) for x in plain)
     th = theory_from_triple(a, lam, mu, field=fld)
     return th, {"triple": [fld.to_str(a), fld.to_str(lam), fld.to_str(mu)],
@@ -251,12 +251,11 @@ def cmd_surface(args):
 
 class _Parser(argparse.ArgumentParser):
     """The parser of ``build_parser`` and of its subcommands.  An error is an
-    InputError for ``main`` to report, prefixed by the parser's name and cut
-    to under 200 characters, so that a long value is not echoed in full."""
+    InputError for ``main`` to report, prefixed by the parser's name and
+    ``cut`` like any echo of an outside value."""
 
     def error(self, message):
-        message = f"{self.prog}: {message}"
-        raise InputError(message if len(message) < 200 else message[:196] + "...")
+        raise InputError(cut(f"{self.prog}: {message}"))
 
 
 def build_parser():

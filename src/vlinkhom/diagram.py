@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (BadSyntax, DuplicateRole, LengthMismatch, MissingPassage,
-                     PatternNotFound, SignMismatch)
+                     PatternNotFound, SignMismatch, cut)
 
 
 class Passage(NamedTuple):
@@ -189,11 +189,18 @@ class VirtualLinkDiagram:
 # ---------------------------------------------------------------------------
 # parsing
 
+# The most digits a crossing label may have.  Labels run from 1 to the
+# number of crossings, which is far below 10^18 for any diagram that fits in
+# memory, and int() refuses more than 4,300 digits, leading zeros included.
+MAX_LABEL_DIGITS = 18
+
+
 def parse_gauss(text, name="", classical=False):
     """Parse the text grammar: components split by ';', passages by ','.
 
-    A passage is ('O'|'U') label ('+'|'-'); an empty component is a
-    zero-crossing unknot.  The unicode minus sign is accepted.
+    A passage is ('O'|'U') label ('+'|'-'), the label at most
+    MAX_LABEL_DIGITS ASCII digits; an empty component is a zero-crossing
+    unknot.  The unicode minus sign is accepted.
     """
     components = []
     pos = 0
@@ -216,8 +223,11 @@ def parse_gauss(text, name="", classical=False):
                 raise BadSyntax(where, "passage must end in + or -")
             sign = 1 if body[-1] == "+" else -1
             digits = body[:-1].strip()
-            if not digits.isdigit():
-                raise BadSyntax(where, f"bad crossing label {digits!r}")
+            if not (digits.isascii() and digits.isdigit()):
+                raise BadSyntax(where, f"bad crossing label {cut(repr(digits))}")
+            if len(digits) > MAX_LABEL_DIGITS:
+                raise BadSyntax(where, f"crossing label of {len(digits):,} digits, above "
+                                f"the limit MAX_LABEL_DIGITS = {MAX_LABEL_DIGITS}")
             comp.append(Passage(int(digits), role == "O", sign))
             inner += len(token) + 1
         components.append(comp)
@@ -233,9 +243,9 @@ def diagram_from_json_obj(obj):
                         "a list of lists of passages")
     name, classical = obj.get("name", ""), obj.get("classical", False)
     if not isinstance(name, str):
-        raise BadSyntax("name", f"must be a string, got {name!r}")
+        raise BadSyntax("name", f"must be a string, got {cut(repr(name))}")
     if not isinstance(classical, bool):
-        raise BadSyntax("classical", f"must be true or false, got {classical!r}")
+        raise BadSyntax("classical", f"must be true or false, got {cut(repr(classical))}")
     return VirtualLinkDiagram(
         [[_json_passage(p, f"components[{ci}][{pi}]") for pi, p in enumerate(comp)]
          for ci, comp in enumerate(comps)], name, classical)
@@ -243,15 +253,15 @@ def diagram_from_json_obj(obj):
 
 def _json_passage(p, where):
     if not isinstance(p, dict) or not {"c", "o", "s"} <= p.keys():
-        raise BadSyntax(where, f"a passage needs keys 'c', 'o' and 's', got {p!r}")
+        raise BadSyntax(where, f"a passage needs keys 'c', 'o' and 's', got {cut(repr(p))}")
     c, o, s = p["c"], p["o"], p["s"]
     # bool is a subclass of int, so the exact types are tested
     if type(c) is not int:
-        raise BadSyntax(where, f"'c' must be an integer crossing label, got {c!r}")
+        raise BadSyntax(where, f"'c' must be an integer crossing label, got {cut(repr(c))}")
     if type(o) is not bool:
-        raise BadSyntax(where, f"'o' must be true or false, got {o!r}")
+        raise BadSyntax(where, f"'o' must be true or false, got {cut(repr(o))}")
     if type(s) is not int:
-        raise BadSyntax(where, f"'s' must be 1 or -1, got {s!r}")
+        raise BadSyntax(where, f"'s' must be 1 or -1, got {cut(repr(s))}")
     return Passage(c, o, s)
 
 
@@ -274,6 +284,10 @@ def load_diagram(path):
         except json.JSONDecodeError as exc:
             raise BadSyntax(exc.pos, f"invalid JSON: {exc.msg} (line {exc.lineno}, "
                             f"column {exc.colno})") from None
+        except ValueError:  # an integer past int()'s digit limit
+            raise BadSyntax(0, "invalid JSON: an integer has too many digits") from None
+        except RecursionError:
+            raise BadSyntax(0, "invalid JSON: nested too deeply") from None
         return diagram_from_json_obj(obj)
     return parse_gauss(stripped, name=stem)
 

@@ -4,9 +4,22 @@
 names, malformed configuration); the CLI maps these to exit code 3.
 ``MismatchError`` marks failed cross-checks (exit code 2).  Everything else
 is an ordinary computation error (exit code 1).
+
+A message echoes a value from outside, such as a flag or a file, through
+``cut``, so that a long input is not written back in full; values the
+program computed, such as a residual or a witness, are written in full.
 """
 
 from __future__ import annotations
+
+
+# The most characters of an outside value that an error message echoes.
+ECHO_LIMIT = 120
+
+
+def cut(text):
+    """``text``, cut to ECHO_LIMIT characters ending in '...' if longer."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT - 3] + "..."
 
 
 class VlinkhomError(Exception):
@@ -44,7 +57,7 @@ class ConstraintViolated(InputError):
 class UnknownPreset(InputError):
     def __init__(self, name):
         self.name = name
-        super().__init__(f"unknown theory preset {name!r}")
+        super().__init__(f"unknown theory preset {cut(repr(name))}")
 
 
 # -- diagram parsing and validation ------------------------------------------
@@ -60,7 +73,7 @@ class DuplicateRole(InputError):
     def __init__(self, label, role):
         self.label = label
         self.role = role
-        super().__init__(f"crossing {label} has more than one {role} passage")
+        super().__init__(f"crossing {cut(str(label))} has more than one {role} passage")
 
 
 class MissingPassage(InputError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import InputError, NotInvertible
+from .errors import InputError, NotInvertible, cut
 
 
 class _Field:
@@ -71,11 +71,11 @@ class RationalField(_Field):
         _, e, exponent = text.lower().partition("e")
         try:
             if e and abs(int(exponent)) > MAX_EXPONENT:
-                raise InputError(f"rational {text!r}: its exponent is beyond "
+                raise InputError(f"rational {cut(repr(text))}: its exponent is beyond "
                                  f"the limit MAX_EXPONENT = {MAX_EXPONENT:,}")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {text!r}") from exc
+            raise InputError(f"cannot parse rational {cut(repr(text))}") from exc
 
     def to_str(self, a):
         """``a`` as ``str`` writes it, at any length: an int converted by
@@ -123,7 +123,7 @@ class PrimeField(_Field):
     def __init__(self, p):
         if p >= PRIME_LIMIT:
             raise InputError(f"GF(p) needs p < {PRIME_LIMIT}, where the "
-                             f"primality test is exact; got {p}")
+                             f"primality test is exact; got {cut(str(p))}")
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -157,9 +157,9 @@ class PrimeField(_Field):
         try:
             num, den = int(top), int(bot) if slash else 1
         except ValueError as exc:
-            raise InputError(f"cannot parse GF({self.p}) element {text!r}") from exc
+            raise InputError(f"cannot parse GF({self.p}) element {cut(repr(text))}") from exc
         if den % self.p == 0:
-            raise InputError(f"cannot parse GF({self.p}) element {text!r}: "
+            raise InputError(f"cannot parse GF({self.p}) element {cut(repr(text))}: "
                              f"its denominator is 0 mod {self.p}")
         return self.div(num % self.p, den % self.p)
 
@@ -185,6 +185,6 @@ def field_by_name(name):
         try:
             p = int(name[3:])
         except ValueError:
-            raise InputError(f"field {name!r}: fp:P needs an integer prime P") from None
+            raise InputError(f"field {cut(repr(name))}: fp:P needs an integer prime P") from None
         return PrimeField(p)
-    raise InputError(f"unknown field {name!r} (expected q, f2 or fp:P)")
+    raise InputError(f"unknown field {cut(repr(name))} (expected q, f2 or fp:P)")

@@ -38,13 +38,12 @@ theory only evaluates them:
   which every build runs.
 
 d o d = 0 is asserted eagerly, as each differential is scattered, because
-it is the one global check on the twist convention.  The steps of
-``_linalg.composite_check`` check each d^(i+1) d^i one output row at a
-time over the differentials' rows, without building the product: over
-GF(2) a row is a set of columns added by symmetric difference, over GF(p)
-and Q it is a dict of exact Python ints (each differential over Q scaled
-by the lcm of its denominators first, once).  The first nonzero entry, at
-the lowest degree, row and column, becomes the DSquaredNonzero witness.
+it is the one global check on the twist convention.  ``_guarded`` lifts each
+d^i once (``_linalg.lift``: over GF(p) to ints in (-p/2, p/2], over Q scaled
+by the lcm of its denominators), keeps the lift of d^(i-1), and checks
+d^i d^(i-1) one output row at a time without building the product
+(``_linalg.first_nonzero``).  The first nonzero entry, at the lowest degree,
+row and column, becomes the DSquaredNonzero witness.
 
 Homology is one layered elimination, ``_homology``, which ``homology``,
 ``graded_homology`` and the streamed pass all call.  Each degree is cut into
@@ -88,7 +87,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import tqft
-from ._linalg import ExactLinearMap, composite_check, pivot_rows
+from ._linalg import ExactLinearMap, first_nonzero, lift, pivot_rows
 from .algebra import sparsest_basis, structure_maps
 from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
 from .errors import DSquaredNonzero, InputError, NotGraded
@@ -143,21 +142,6 @@ class HomologyResult:
     betti: dict              # degree -> nonzero Betti number
     euler: int
     qtable: dict = None      # (degree, qdegree) -> dimension, graded runs only
-
-
-def _flip_set(d, smoothings, anchor_flips):
-    """The anchor flips as a set of (state string, circle key) pairs.
-
-    Raises LengthMismatch for a state of the wrong length and an InputError
-    for a selector that names no circle of its state.
-    """
-    flips = set()
-    for state, key in anchor_flips:
-        state = coerce_state(d, state)
-        if key not in smoothings[state].keys:
-            raise InputError(f"anchor flip: state {state} has no circle {key!r}")
-        flips.add((state, key))
-    return flips
 
 
 class _Blocks(dict):
@@ -252,12 +236,21 @@ class Cube:
             how = self._hows[(key, where)] = (key, self._placements[where], where)
         return how
 
-    def edges_with(self, flips):
-        """``by_degree`` under the anchor ``flips`` from ``_flip_set``, itself
-        if none.  A flipped state is a source in its own degree and a target
-        in the one below: only those degrees' lists are copied, and in them
-        only the records with a flipped end are rewritten.  Every other list
-        and record is shared."""
+    def edges_with(self, anchor_flips):
+        """``by_degree`` under ``anchor_flips``, (state, circle key) pairs as
+        ``build_complex`` takes them, itself if none.  The pairs are checked
+        in input order: each state by ``coerce_state`` (BadSyntax or
+        LengthMismatch), then its key, an InputError unless it names a circle
+        of that state.  A flipped state is a source in its own degree and a
+        target in the one below: only those degrees' lists are copied, and in
+        them only the records with a flipped end are rewritten.  Every other
+        list and record is shared."""
+        flips = set()
+        for state, key in anchor_flips:
+            state = coerce_state(self.diagram, state)
+            if key not in self.smoothings[state].keys:
+                raise InputError(f"anchor flip: state {state} has no circle {key!r}")
+            flips.add((state, key))
         if not flips:
             return self.by_degree
         flipped = {s for s, _ in flips}
@@ -327,14 +320,15 @@ def _cube_of(d):
     return _last_cube
 
 
-def _differentials(cube, th, flips):
+def _differentials(by_degree, th):
     """Yield (i, rows of d^i) for each degree i upward, each differential
-    scattered afresh from the edges of its degree into ``{row: {col:
-    value}}`` and handed over: the generator keeps none of them once it
-    resumes, so a consumer that drops d^i holds one differential at a time.
-    This is the one scatter; ``flips`` is the set ``_flip_set`` returns."""
+    scattered afresh from the edges of its degree in the table
+    ``by_degree`` (``Cube.edges_with``) into ``{row: {col: value}}`` and
+    handed over: the generator keeps none of them once it resumes, so a
+    consumer that drops d^i holds one differential at a time.  This is the
+    one scatter."""
     blocks, scatter = _blocks_of(th), tqft.scatter_extended
-    for i, edges in cube.edges_with(flips).items():
+    for i, edges in by_degree.items():
         rows = {}
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
@@ -346,14 +340,17 @@ def _differentials(cube, th, flips):
 def _guarded(groups, field, differentials):
     """Pass on each (i, rows of d^i) of ``differentials`` once d^i d^(i-1) = 0
     is checked.  Raise DSquaredNonzero at the first nonzero entry of some
-    d^(i+1) d^i: the lowest degree, then target index, then source index."""
-    check = composite_check(field)
+    d^(i+1) d^i: the lowest degree, then target index, then source index.
+    Each d^i is lifted once, and only the lift of d^(i-1) is kept."""
+    before = None
     for i, rows in differentials:
-        hit = check(rows)
+        now = lift(rows, field)
+        hit = None if before is None else first_nonzero(now, before, field)
         if hit is not None:
             r, col, v = hit
             raise DSquaredNonzero(i - 1, groups[i - 1].label(col),
                                   groups[i + 1].label(r), field.to_str(v))
+        before = now
         yield i, rows
 
 
@@ -374,8 +371,7 @@ def build_complex(d, th, anchor_flips=(), check=True):
     F = th.field
     cube = _cube_of(d)
     groups = cube.groups
-    flips = _flip_set(d, cube.smoothings, anchor_flips)
-    differentials = _differentials(cube, th, flips)
+    differentials = _differentials(cube.edges_with(anchor_flips), th)
     if check:
         differentials = _guarded(groups, F, differentials)
     differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
@@ -505,9 +501,9 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     ``algebra.sparsest_basis(th)`` (module docstring), which is ``th``
     itself wherever graded homology is defined."""
     cube = _cube_of(d)
-    flips = _flip_set(d, cube.smoothings, anchor_flips)
+    by_degree = cube.edges_with(anchor_flips)
     for basis in sparsest_basis(th), th:
-        differentials = _guarded(cube.groups, th.field, _differentials(cube, basis, flips))
+        differentials = _guarded(cube.groups, th.field, _differentials(by_degree, basis))
         try:
             return cube, _homology(th, cube, differentials, graded)
         except DSquaredNonzero:

@@ -90,8 +90,11 @@ _KINK = '{"c": 1, "o": false, "s": 1}'
     ('{"components": [[{"c": true, "o": true, "s": 1}, %s]]}' % _KINK, "'c' must be an integer"),
     ('{"components": [[{"c": 1.5, "o": true, "s": 1}, %s]]}' % _KINK, "'c' must be an integer"),
     (b'{"name": "caf\xe9", "components": [[]]}', "not UTF-8"),
+    # past int()'s digit limit and the parser's nesting limit
+    ('{"components": [[{"c": %s, "o": true, "s": 1}]]}' % ("1" * 5000), "too many digits"),
+    ('{"components": %s}' % ("[" * 100000 + "]" * 100000), "nested too deeply"),
 ], ids=["missing_s", "truncated", "c_string", "components_int", "o_string",
-        "c_bool", "c_float", "not_utf8"])
+        "c_bool", "c_float", "not_utf8", "c_5000_digits", "nested_100000_deep"])
 def test_compute_malformed_json_diagram(tmp_path, capsys, body, message):
     path = tmp_path / "bad.json"
     if isinstance(body, bytes):
@@ -103,6 +106,35 @@ def test_compute_malformed_json_diagram(tmp_path, capsys, body, message):
     assert code == 3
     error = json.loads(out)["error"]
     assert error["kind"] == "BadSyntax" and message in error["message"]
+
+
+@pytest.mark.parametrize("text, position", [
+    ("O%s+,U%s+" % ("1" * 5000, "1" * 5000), 0),  # past int()'s digit limit
+    ("O1+,U\u00b2+", 4),  # a digit to str.isdigit, not to int()
+    ("O1+,U\uff11+", 4),  # a digit to int(), but not ASCII
+], ids=["label_5000_digits", "superscript_two", "fullwidth_one"])
+def test_compute_refuses_a_label_int_cannot_read(tmp_path, capsys, text, position):
+    path = tmp_path / "bad.gauss"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(capsys, "compute", "--theory", "manturov", "--diagram", str(path))
+    assert code == 3 and len(out.encode()) < 300
+    error = json.loads(out)["error"]
+    assert error["kind"] == "BadSyntax"
+    assert error["message"].startswith(f"bad syntax at position {position}: ")
+
+
+@pytest.mark.parametrize("body", [
+    '{"components": [[{"c": "%s", "o": true, "s": 1}]]}' % ("x" * 5000),
+    '{"components": [[{"c": %s, "o": true, "s": 1}, {"c": %s, "o": true, "s": 1}]]}'
+    % ("1" * 4000, "1" * 4000),
+    '{"name": [%s0], "components": [[]]}' % ("0," * 5000),
+], ids=["c_5000_characters", "duplicate_4000_digit_label", "name_list"])
+def test_an_echoed_diagram_value_is_cut(tmp_path, capsys, body):
+    path = tmp_path / "long.json"
+    path.write_text(body)
+    code, out = run(capsys, "compute", "--theory", "manturov", "--diagram", str(path))
+    assert code == 3 and len(out.encode()) < 300
+    assert "..." in json.loads(out)["error"]["message"]
 
 
 def test_compute_refuses_a_22_crossing_diagram(tmp_path, capsys, monkeypatch):
@@ -157,6 +189,29 @@ def test_a_rational_exponent_past_the_limit_is_refused_at_once(capsys, argv):
     assert code == 3
     error = json.loads(out)["error"]
     assert error["kind"] == "InputError" and "MAX_EXPONENT = 4,300" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("surface", "--genus", "0", "--triple", "1" * 5000 + ",0,1"),
+    ("surface", "--genus", "0", "--theory", "x" * 5000),
+    ("compute", "--params", "a=1,t=0,lambda=0,mu=1,beta=0," + "k" * 5000 + "=1"),
+    ("compute", "--triple", "1,0,1," + "k" * 5000 + "=1"),
+    ("surface", "--genus", "0", "--triple", "1,0,1", "--field", "fp:" + "1" * 5000),
+    ("surface", "--genus", "0", "--triple", "1,0,1", "--field", "fp:" + "7" * 300),
+    ("surface", "--genus", "0", "--triple", "1,0,1", "--field", "fp:" + "7" * 300 + "x"),
+    ("surface", "--genus", "0", "--triple", "1,0,1,field=" + "q" * 5000),
+    ("surface", "--genus", "0", "--theory", "manturov", "--field", "q" + " " * 5000),
+    ("surface", "--genus", "0", "--theory", "manturov" + " " * 5000, "--field", "q"),
+    ("compute", "--params", "a=1,t=0,lambda=0,mu=1,beta=0," + "x" * 5000),
+    ("invariance", "--format", "x" * 5000),
+], ids=["triple_value", "theory", "params_key", "triple_key", "field_5000_digits",
+        "field_300_digits", "field_not_an_int", "triple_field", "field_mismatch",
+        "theory_mismatch", "params_item", "parser"])
+def test_an_echoed_outside_value_is_cut(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 3 and out.endswith("\n") and len(out.encode()) < 300
+    message = json.loads(out)["error"]["message"]
+    assert "..." in message
 
 
 def test_a_rational_exponent_at_the_limit_parses():

@@ -73,6 +73,15 @@ def test_parse_bad_syntax():
             parse_gauss(text)
 
 
+def test_labels_are_ascii_digits_of_bounded_length():
+    assert parse_gauss("O%s1+,U1+" % ("0" * 17)) == parse_gauss("O1+,U1+")
+    for text in ("O1+,U\u00b2+", "O1+,U\u0661+", "O1+,U%s+" % ("1" * 19),
+                 "O1+,U%s1+" % ("0" * 5000)):
+        with pytest.raises(BadSyntax) as info:
+            parse_gauss(text)
+        assert info.value.position == 4, text
+
+
 def test_serialize_roundtrip_corpus():
     for name in corpus.all_names():
         d = corpus.load(name)

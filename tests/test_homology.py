@@ -39,6 +39,7 @@ Q = QQ.from_int
 # the module; ``vlinkhom.homology`` as an attribute is the function homology()
 H = importlib.import_module("vlinkhom.homology")
 D = importlib.import_module("vlinkhom.diagram")
+L = importlib.import_module("vlinkhom._linalg")
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -273,27 +274,37 @@ def test_streamed_pass_reports_d_squared_before_not_graded(monkeypatch):
     # the q-degree shift makes degree 0 of the trefoil not graded; the guard,
     # made to fail on the last pair of degrees, still checks every pair first
     name, degree, index, _ = PINNED_NOT_GRADED[0]
-    qdegrees, check = H._qdegrees, H.composite_check
+    qdegrees, check, seen = H._qdegrees, H.first_nonzero, []
 
     def shifted(c):
         out = qdegrees(c)
         out[degree][index] += 2
         return out
 
-    def failing_last(field):
-        step, seen = check(field), []
+    def failing_last(*maps):
+        # the trefoil has three differentials, so two products to check
+        seen.append(maps)
+        return (0, 0, 1) if len(seen) == 2 else check(*maps)
 
-        def last_fails(rows):
-            seen.append(rows)
-            return (0, 0, 1) if len(seen) == 3 else step(rows)
-        return last_fails
-
-    d = corpus.load(name)
+    d, th = corpus.load(name), preset("manturov")
+    assert d.n == 3 and sparsest_basis(th) is th  # so the pass runs once
     monkeypatch.setattr(H, "_qdegrees", shifted)
-    monkeypatch.setattr(H, "composite_check", failing_last)
+    monkeypatch.setattr(H, "first_nonzero", failing_last)
     with pytest.raises(DSquaredNonzero) as info:
-        stream_homology(d, preset("manturov"), graded=True)
+        stream_homology(d, th, graded=True)
     assert info.value.degree == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_the_guard_lifts_each_differential_once(monkeypatch, field):
+    # d^i is the right factor of one product and the left of the next, and
+    # is lifted to ints only once for both
+    calls = []
+    monkeypatch.setattr(L, "_int_rows", counted(calls, "lift", L._int_rows))
+    d = braid_closure([1, -2] * 3)
+    one = field.one
+    stream_homology(d, theory_from_triple(one, field.zero, one, field=field))
+    assert len(calls) == d.n == 6
 
 
 # -- convention independence --------------------------------------------------------
@@ -390,6 +401,21 @@ def test_anchor_flip_selectors_must_name_a_circle():
     for selector in (("2222", 0), ("010", 12345)):
         with pytest.raises(InputError):
             build_complex(d, th, anchor_flips=[selector])
+
+
+def test_anchor_flip_selectors_are_checked_in_input_order():
+    d = braid_closure([1, 1, 1])
+    th = preset("f2_row2")
+    for flips, error in (([("010", 12345), ("0101", 0)], InputError),
+                         ([("0101", 0), ("010", 12345)], LengthMismatch)):
+        for run in (lambda: build_complex(d, th, anchor_flips=flips),
+                    lambda: stream_homology(d, th, anchor_flips=flips)):
+            with pytest.raises(InputError) as info:
+                run()
+            assert type(info.value) is error, flips
+    with pytest.raises(InputError) as info:
+        homology_of(d, th, anchor_flips=[("010", 12345)])
+    assert str(info.value) == "anchor flip: state 010 has no circle 12345"
 
 
 def test_states_are_0_1_strings_only():
@@ -929,7 +955,7 @@ def sparse_guard_fires(monkeypatch, kind, which, theories):
             cube = H._cube_of(d)
             try:
                 for _ in H._guarded(cube.groups, th.field,
-                                    H._differentials(cube, sparsest_basis(th), set())):
+                                    H._differentials(cube.by_degree, sparsest_basis(th))):
                     pass
             except DSquaredNonzero:
                 fired += 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import first_nonzero_product, rank_fp_dense, rank_qq_dense
-from vlinkhom._linalg import composite_check, pivot_rows, pivot_rows_sparse
+from vlinkhom._linalg import first_nonzero, lift, pivot_rows, pivot_rows_sparse
 from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 from vlinkhom.tqft import ExactLinearMap
 
@@ -100,14 +100,16 @@ COMPOSITE_FIELDS = {"q": QQ, "gf2": GF2, "gf3": PrimeField(3),
 
 
 def first_nonzero_composite(maps, field):
-    """Step ``composite_check`` along the rows of f_0, f_1, ...: the first
-    nonzero entry of some f_{j+1} o f_j as (j, row, col, value), at the
-    lowest j, or None if every product vanishes."""
-    step = composite_check(field)
+    """Lift the rows of f_0, f_1, ... once each and check each f_{j+1} o f_j
+    by ``first_nonzero``: its first nonzero entry as (j, row, col, value),
+    at the lowest j, or None if every product vanishes."""
+    before = None
     for j, rows in enumerate(maps):
-        hit = step(rows)
+        now = lift(rows, field)
+        hit = None if before is None else first_nonzero(now, before, field)
         if hit is not None:
             return (j - 1, *hit)
+        before = now
     return None
 
 
