@@ -347,7 +347,7 @@ def coerce_state(d, state):
     LengthMismatch unless it has one bit per crossing of ``d``."""
     text = state.strip() if isinstance(state, str) else None
     if text is None or any(ch not in "01" for ch in text):
-        raise BadSyntax(0, f"state must be a 0/1 string, got {state!r}")
+        raise BadSyntax(0, f"state must be a 0/1 string, got {cut(repr(state))}")
     if len(text) != d.n:
         raise LengthMismatch(d.n, len(text))
     return text
@@ -603,7 +603,7 @@ def apply_r1(d, site, variant):
     under passage comes first.
     """
     if variant not in range(len(R1_VARIANTS)):
-        raise ValueError(f"not an R1 variant: {variant!r} (0, 1, 2 or 3)")
+        raise ValueError(f"an R1 variant is 0, 1, 2 or 3, got {cut(repr(variant))}")
     sign, order = R1_VARIANTS[variant]
     pair = [Passage(d.n + 1, True, sign), Passage(d.n + 1, False, sign)]
     ci, pos = site
@@ -625,7 +625,7 @@ def apply_r2(d, sites, variant):
     carry opposite signs.
     """
     if variant not in R2_VARIANTS:
-        raise ValueError(f"not an R2 variant: {variant!r} (parallel or antiparallel)")
+        raise ValueError(f"an R2 variant is parallel or antiparallel, got {cut(repr(variant))}")
     (ca, pa), (cb, pb) = sites
     if (ca, pa) == (cb, pb):
         raise PatternNotFound("r2 sites must be distinct")

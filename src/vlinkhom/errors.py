@@ -5,9 +5,10 @@ names, malformed configuration); the CLI maps these to exit code 3.
 ``MismatchError`` marks failed cross-checks (exit code 2).  Everything else
 is an ordinary computation error (exit code 1).
 
-A message echoes a value from outside, such as a flag or a file, through
-``cut``, so that a long input is not written back in full; values the
-program computed, such as a residual or a witness, are written in full.
+A message echoes a value from outside, such as a flag, a file or an
+argument to a library call, through ``cut``, so that a long input is not
+written back in full; values the program computed, such as a residual or a
+witness, are written in full.
 """
 
 from __future__ import annotations

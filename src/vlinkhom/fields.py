@@ -7,6 +7,8 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -75,7 +77,7 @@ class RationalField(_Field):
                                  f"the limit MAX_EXPONENT = {MAX_EXPONENT:,}")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {cut(repr(text))}") from exc
+            raise _unreadable("rational", text) from exc
 
     def to_str(self, a):
         """``a`` as ``str`` writes it, at any length: an int converted by
@@ -122,8 +124,7 @@ class PrimeField(_Field):
 
     def __init__(self, p):
         if p >= PRIME_LIMIT:
-            raise InputError(f"GF(p) needs p < {PRIME_LIMIT}, where the "
-                             f"primality test is exact; got {cut(str(p))}")
+            raise _past_prime_limit(str(Decimal(p)))  # str(p) has a digit limit
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -157,7 +158,7 @@ class PrimeField(_Field):
         try:
             num, den = int(top), int(bot) if slash else 1
         except ValueError as exc:
-            raise InputError(f"cannot parse GF({self.p}) element {cut(repr(text))}") from exc
+            raise _unreadable(f"GF({self.p}) element", text) from exc
         if den % self.p == 0:
             raise InputError(f"cannot parse GF({self.p}) element {cut(repr(text))}: "
                              f"its denominator is 0 mod {self.p}")
@@ -168,6 +169,23 @@ class PrimeField(_Field):
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def _unreadable(what, text):
+    """The InputError for ``text``, a ``what`` that ``int()`` or ``Fraction``
+    refused: it names int()'s digit limit if a run of digits passes it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        return InputError(f"{what} {cut(repr(text))} has a number of more than "
+                          f"{limit:,} digits, the limit of Python's int()")
+    return InputError(f"cannot parse {what} {cut(repr(text))}")
+
+
+def _past_prime_limit(digits):
+    """The InputError for a GF(p) whose p, written as ``digits``, is at or
+    above PRIME_LIMIT."""
+    return InputError(f"GF(p) needs p < {PRIME_LIMIT}, where the primality test "
+                      f"is exact; got {cut(digits)}")
 
 
 QQ = RationalField()
@@ -182,6 +200,9 @@ def field_by_name(name):
     if name == "f2":
         return GF2
     if name.startswith("fp:"):
+        digits = name[3:].lstrip("0")
+        if digits.isdecimal() and len(digits) > len(str(PRIME_LIMIT)):
+            raise _past_prime_limit(digits)  # before int() refuses too many digits
         try:
             p = int(name[3:])
         except ValueError:

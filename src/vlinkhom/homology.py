@@ -20,10 +20,11 @@ The work is split by what it depends on, as in Bar-Natan's geometric
 formalism, where the cube and its saddles belong to the diagram and the
 theory only evaluates them:
 
-- once per diagram object: the smoothings, the chain groups and, from one
-  pass over ``diagram.saddles``, one record per edge in the table of its
-  degree: its block offsets, block key (kind, twist_in, twist_out, phi'd
-  spectators, sign parity), placement, and source and target smoothings.
+- once per diagram object: the smoothings, one table of each state's
+  offset within its degree, the chain groups and, from one pass over
+  ``diagram.saddles``, one record per edge in the list of its degree: its
+  two offsets, block key (kind, twist_in, twist_out, phi'd spectators,
+  sign parity), placement, and source and target smoothings.
   This cube is kept for the last diagram built, by identity, never by
   equality: later builds of that object (every theory, every anchor flip)
   reuse it, and it is dropped before the next diagram is smoothed.
@@ -32,10 +33,10 @@ theory only evaluates them:
   twist_in, twist_out), its negative and its phi-padded variants, built on
   first use into one table per theory.  The tables of the last 4 theories
   built are kept, keyed by the theory's value.
-- once per build: the records of the edges from or to a state with a
-  flipped anchor, rewritten in copies of the tables of their degrees, one
-  scatter pass over all edges, the differentials and the d o d = 0 guard,
-  which every build runs.
+- once per build: under anchor flips, each degree's list rebuilt with the
+  records of the edges from or to a flipped state rewritten and every other
+  record shared, then one scatter pass over all edges, the differentials
+  and the d o d = 0 guard, which every build runs.
 
 d o d = 0 is asserted eagerly, as each differential is scattered, because
 it is the one global check on the twist convention.  ``_guarded`` lifts each
@@ -80,35 +81,34 @@ raised only after the guard has passed every pair of degrees.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from . import tqft
 from ._linalg import ExactLinearMap, first_nonzero, lift, pivot_rows
 from .algebra import sparsest_basis, structure_maps
 from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
-from .errors import DSquaredNonzero, InputError, NotGraded
+from .errors import DSquaredNonzero, InputError, NotGraded, cut
 from .jones import LaurentPoly
 
 
 @dataclass(frozen=True)
 class ChainGroup:
+    """The chain group of one degree.  ``circles`` and ``offsets`` are the
+    cube's, shared by all its groups, and answer for every state of it."""
+
     degree: int
-    states: tuple            # lexicographically sorted state strings
+    states: tuple              # this degree's states, in lexicographic order
     circles: MappingProxyType  # state -> its circle keys, in canonical order
-    offsets: MappingProxyType  # state -> first index of its block
+    offsets: MappingProxyType  # state -> first index of its block in its degree
     dim: int
 
-    @cached_property
-    def _starts(self):
-        return [self.offsets[s] for s in self.states]
-
     def label(self, index):
-        """(state, decoration) of the basis vector at ``index``."""
-        state = self.states[bisect_right(self._starts, index) - 1]
+        """(state, decoration) of the basis vector at ``index``, by a scan of
+        the states: it only names a witness."""
+        state = [s for s in self.states if self.offsets[s] <= index][-1]
         k, local = len(self.circles[state]), index - self.offsets[state]
         return state, "".join("x" if (local >> (k - 1 - i)) & 1 else "1" for i in range(k))
 
@@ -126,8 +126,8 @@ class ChainComplex:
 
     @property
     def edges(self):
-        """The cube's classified edges, ``SaddleDescriptor``s built on first use."""
-        return self.cube.edges
+        """The edges as ``diagram.cube_edges`` gives them; no build reads them."""
+        return tuple(cube_edges(self.diagram, self.smoothings))
 
     @property
     def degrees(self):
@@ -178,8 +178,10 @@ class Cube:
     ``diagram.saddles``, one record per edge from degree i: (row offset,
     column offset, shared (block key, ``tqft.placement``, placement
     arguments) without anchor flips, source ``Smoothing``, target
-    ``Smoothing``).  The smoothings, made from both ends of the cube inward,
-    are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
+    ``Smoothing``).  Each record reads its two offsets from the one table
+    ``offsets``, which gives every state the first index of its block in
+    the group of its degree.  The smoothings, made from both ends of the
+    cube inward, are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
 
     def __init__(self, d):
         n, n_minus = d.n, d.n_minus
@@ -191,41 +193,29 @@ class Cube:
             _refuse_above_cap(n, self.dim, "at least " if len(found) < 1 << n else "")
         smoothings = dict(sorted(found.items()))
         self.smoothings = MappingProxyType(smoothings)
-        by_r = [[] for _ in range(n + 1)]
-        for s, sm in smoothings.items():  # in lexicographic order, kept per group
-            by_r[sm.r].append(s)
-        groups = {}
-        for i in range(-n_minus, n - n_minus + 1):
-            states = tuple(by_r[i + n_minus])
-            offsets, size = {}, 0
-            for s in states:
-                offsets[s] = size
-                size += 1 << smoothings[s].k
-            groups[i] = ChainGroup(
-                i, states, MappingProxyType({s: smoothings[s].keys for s in states}),
-                MappingProxyType(offsets), size)
-        self.groups = MappingProxyType(groups)
+        states = {i: [] for i in range(-n_minus, n - n_minus + 1)}
+        offsets, sizes = {}, dict.fromkeys(states, 0)
+        for s, sm in smoothings.items():  # in lexicographic order, kept per degree
+            i = sm.r - n_minus
+            states[i].append(s)
+            offsets[s] = sizes[i]
+            sizes[i] += 1 << sm.k
+        circles = MappingProxyType({s: sm.keys for s, sm in smoothings.items()})
+        offsets = MappingProxyType(offsets)
+        self.groups = MappingProxyType({i: ChainGroup(i, tuple(states[i]), circles, offsets,
+                                                      sizes[i]) for i in states})
         self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
         self._placements = {}  # placement arguments -> tqft.placement
         self._hows = {}        # (block key, placement arguments) -> how
-        source = None
         for ss, st, _, kind, bottom, top, twist_in, twist_out, sign in saddles(d, smoothings):
-            if ss is not source:  # the edges from one state are consecutive
-                source, i = ss, ss.r - n_minus
-                edges, col0 = self.by_degree[i], groups[i].offsets[ss.state]
-                targets = groups[i + 1].offsets
-            edges.append((targets[st.state], col0,
-                          self._how((kind, twist_in, twist_out, 0, sign & 1),
-                                    (bottom, ss.k, top, st.k)), ss, st))
+            self.by_degree[ss.r - n_minus].append((
+                offsets[st.state], offsets[ss.state],
+                self._how((kind, twist_in, twist_out, 0, sign & 1), (bottom, ss.k, top, st.k)),
+                ss, st))
 
     def dims(self):
         """The chain-group dimensions, from the lowest degree upward."""
         return [g.dim for g in self.groups.values()]
-
-    @cached_property
-    def edges(self):
-        """The edges as ``diagram.cube_edges`` gives them; no build reads them."""
-        return tuple(cube_edges(self.diagram, self.smoothings))
 
     def _how(self, key, where):
         """The shared (block key, ``tqft.placement(*where)``, ``where``)."""
@@ -241,41 +231,38 @@ class Cube:
         ``build_complex`` takes them, itself if none.  The pairs are checked
         in input order: each state by ``coerce_state`` (BadSyntax or
         LengthMismatch), then its key, an InputError unless it names a circle
-        of that state.  A flipped state is a source in its own degree and a
-        target in the one below: only those degrees' lists are copied, and in
-        them only the records with a flipped end are rewritten.  Every other
-        list and record is shared."""
+        of that state.  Each degree's list is then rebuilt by reference: a
+        record with a flipped end goes through ``_flipped``, and every other
+        record is the cube's own."""
         flips = set()
         for state, key in anchor_flips:
             state = coerce_state(self.diagram, state)
             if key not in self.smoothings[state].keys:
-                raise InputError(f"anchor flip: state {state} has no circle {key!r}")
+                raise InputError(f"anchor flip: state {state} has no circle {cut(repr(key))}")
             flips.add((state, key))
         if not flips:
             return self.by_degree
         flipped = {s for s, _ in flips}
-        by_degree = dict(self.by_degree)
-        for i in {self.smoothings[s].r - self.diagram.n_minus - below
-                  for s in flipped for below in (0, 1)} & by_degree.keys():
-            edges = by_degree[i] = list(by_degree[i])
-            for e, (row0, col0, how, ss, st) in enumerate(edges):
-                if ss.state not in flipped and st.state not in flipped:
-                    continue
-                (kind, twist_in, twist_out, _, parity), _, (bottom, k_in, top, k_out) = how
-                src = [(ss.state, key) in flips for key in ss.keys]
-                tgt = [(st.state, key) in flips for key in st.keys]
-                # a flip on a consumed circle toggles its twist bit (phi is an
-                # involution), a spectator flipped on one side only gets phi
-                twist_in = tuple([b ^ src[p] for b, p in zip(twist_in, bottom)])
-                twist_out = tuple([b ^ tgt[q] for b, q in zip(twist_out, top)])
-                phi = [(p, q) for p, q in zip([p for p in range(k_in) if p not in bottom],
-                                              [q for q in range(k_out) if q not in top])
-                       if src[p] != tgt[q]]
-                where = (bottom + tuple([p for p, _ in phi]), k_in,
-                         top + tuple([q for _, q in phi]), k_out)
-                how = self._how((kind, twist_in, twist_out, len(phi), parity), where)
-                edges[e] = (row0, col0, how, ss, st)
-        return by_degree
+        return {i: [self._flipped(e, flips) if e[3].state in flipped or e[4].state in flipped
+                    else e for e in edges]
+                for i, edges in self.by_degree.items()}
+
+    def _flipped(self, record, flips):
+        """``record`` under the anchor flips ``flips``: a flip on a consumed
+        circle toggles its twist bit (phi is an involution), and a spectator
+        flipped on one side only gets phi."""
+        row0, col0, how, ss, st = record
+        (kind, twist_in, twist_out, _, parity), _, (bottom, k_in, top, k_out) = how
+        src = [(ss.state, key) in flips for key in ss.keys]
+        tgt = [(st.state, key) in flips for key in st.keys]
+        twist_in = tuple([b ^ src[p] for b, p in zip(twist_in, bottom)])
+        twist_out = tuple([b ^ tgt[q] for b, q in zip(twist_out, top)])
+        phi = [(p, q) for p, q in zip([p for p in range(k_in) if p not in bottom],
+                                      [q for q in range(k_out) if q not in top])
+               if src[p] != tgt[q]]
+        where = (bottom + tuple([p for p, _ in phi]), k_in,
+                 top + tuple([q for _, q in phi]), k_out)
+        return row0, col0, self._how((kind, twist_in, twist_out, len(phi), parity), where), ss, st
 
 
 # The largest total chain dimension (generators over all degrees) a build

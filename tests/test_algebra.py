@@ -297,8 +297,10 @@ def test_beta_vanishes_away_from_char_two():
 def test_primality_agrees_with_trial_division():
     small = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
     assert [n for n in range(3000) if is_prime(n)] == small
-    with pytest.raises(InputError, match=str(PRIME_LIMIT)):
-        PrimeField(PRIME_LIMIT)
+    for p in PRIME_LIMIT, 10 ** 5000:
+        with pytest.raises(InputError, match=str(PRIME_LIMIT)) as info:
+            PrimeField(p)
+        assert len(str(info.value)) < 300
 
 
 # -- verify_axioms / verify_4tu -------------------------------------------------

@@ -13,7 +13,7 @@ from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, constraint_residuals
 from vlinkhom.cli import build_parser, main
 from vlinkhom.diagram import braid_closure
-from vlinkhom.fields import QQ
+from vlinkhom.fields import PRIME_LIMIT, QQ
 from vlinkhom.jones import LaurentPoly
 from vlinkhom.tqft import MAX_SURFACE_COUNT
 
@@ -212,6 +212,26 @@ def test_an_echoed_outside_value_is_cut(capsys, argv):
     assert code == 3 and out.endswith("\n") and len(out.encode()) < 300
     message = json.loads(out)["error"]["message"]
     assert "..." in message
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--triple", "1" * 5000 + ",0,1"), "rational '111"),
+    (("--triple", "1/" + "1" * 5000 + ",0,1"), "rational '1/111"),
+    (("--triple", "1" * 5000 + ",0,1", "--field", "fp:7"), "GF(7) element '111"),
+    (("--triple", "1/" + "1" * 5000 + ",0,1", "--field", "fp:7"), "GF(7) element '1/111"),
+], ids=["q_numerator", "q_denominator", "gf7_numerator", "gf7_denominator"])
+def test_a_number_past_the_int_digit_limit_is_named(capsys, argv, named):
+    code, out = run(capsys, "surface", "--genus", "0", *argv)
+    assert code == 3 and len(out.encode()) < 300
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(named) and "more than 4,300 digits" in message, message
+
+
+def test_a_prime_past_the_int_digit_limit_is_past_the_prime_limit(capsys):
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", "fp:" + "1" * 5000)
+    assert code == 3 and len(out.encode()) < 300
+    assert f"GF(p) needs p < {PRIME_LIMIT}," in json.loads(out)["error"]["message"]
 
 
 def test_a_rational_exponent_at_the_limit_parses():

@@ -390,6 +390,18 @@ def test_r2_rejects_unknown_variant(variant):
         apply_r2(parse_gauss(TREFOIL), ((0, 1), (0, 4)), variant)
 
 
+@pytest.mark.parametrize("run, error", [
+    (lambda d: smooth(d, "x" * 5000), BadSyntax),
+    (lambda d: apply_r1(d, (0, 0), "x" * 5000), ValueError),
+    (lambda d: apply_r2(d, ((0, 1), (0, 4)), "x" * 5000), ValueError),
+], ids=["smooth_state", "r1_variant", "r2_variant"])
+def test_a_long_library_argument_is_cut_in_its_message(run, error):
+    with pytest.raises(error) as info:
+        run(parse_gauss(TREFOIL))
+    message = str(info.value)
+    assert len(message) < 300 and message.endswith("..."), message
+
+
 def test_r2_inverse_pattern_not_found():
     with pytest.raises(PatternNotFound):
         apply_r2_inverse(parse_gauss(TREFOIL), (0, 0))
