@@ -5,18 +5,24 @@ row-major as ``{row: {col: value}}``, the layout that the structure maps of
 ``algebra``, the saddle blocks of ``tqft``, the cube assembly, the d o d
 check and elimination all read.  A vector is a one-column map.
 
-The two elimination entry points take such ``rows`` dicts, or one q-layer
-of them, never change them, and dispatch on the field.
+Elimination and the d o d check read rows of ints, never change them, and
+are keyed by the characteristic p.  ``_int_rows`` lifts field elements to
+such rows: GF(p) elements to ints in (-p/2, p/2], and rationals times a
+scale, the lcm of their denominators; GF(2) elements are ints already.  The
+streamed pass in ``homology`` lifts each distinct block once and scatters
+ints, and a built complex, which keeps field elements, is lifted once at
+the boundary of its homology; ``_field_rows`` is the way back.
 
-``pivot_rows(rows, field, skip)`` is the one elimination routine. It
-returns the pivot rows of the matrix with the columns ``skip`` removed: the
-keys of a maximal independent set of its rows, so their number is its rank.
-Over Q and GF(p) a copy of the rows, without those columns, is eliminated
-sparsely with Markowitz pivoting (``pivot_rows_sparse``): rows stay
-``{col: nonzero}`` dicts, a column index tracks which live rows hold each
-column, and each pivot is chosen to keep fill-in small. Over GF(2) each row
-becomes a bitmask (a Python int) of its columns not skipped, and rows are
-reduced by XOR (``pivot_rows_gf2``).
+``pivot_rows(rows, p, skip)`` is the one elimination routine. It returns
+the pivot rows of the matrix with the columns ``skip`` removed: the keys of
+a maximal independent set of its rows, so their number is its rank. Over
+GF(2) each row becomes a bitmask (a Python int) of its columns not skipped,
+and rows are reduced by XOR (``pivot_rows_gf2``). Otherwise a copy of the
+rows, without those columns, is eliminated sparsely with Markowitz pivoting
+(``pivot_rows_sparse``): rows stay ``{col: nonzero}`` dicts, a column index
+tracks which live rows hold each column, and each pivot is chosen to keep
+fill-in small.  Each step is reduced mod p over GF(p) and fraction-free
+over Q, so no entry is ever a ``Fraction``.
 
 The columns to skip come from the Gaussian-elimination lemma of Bar-Natan,
 *Fast Khovanov homology computations* (J. Knot Theory Ramifications, 2007,
@@ -28,9 +34,9 @@ d^(i+1) e_r lies in the span of d^(i+1) on the columns off R, as
 d^(i+1) d^i = 0.
 
 ``first_nonzero(left, right, field)`` finds the first nonzero entry of a
-product without storing it: it builds one output row at a time, as a set of
-columns added by symmetric difference over GF(2) and as plain Python ints
-otherwise, from two maps that ``lift`` has made into such rows once each.
+product of two integer maps without storing it: it builds one output row at
+a time, as a set of columns added by symmetric difference over GF(2) and as
+plain Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 
 from .errors import DimensionMismatch
@@ -151,18 +157,27 @@ def pivot_rows_gf2(rows):
     return keys
 
 
-def pivot_rows_sparse(rows, field):
-    """The pivot rows of a sparse matrix ``{row: {col: nonzero}}``, in the
-    order they were pivoted on; ``rows`` is consumed.
+def pivot_rows_sparse(rows, p):
+    """The pivot rows of a sparse integer matrix ``{row: {col: nonzero}}``
+    over GF(p), p odd, or over Q for p = 0, in the order they were pivoted
+    on; ``rows`` is consumed.
 
     Each step pivots on the shortest live row, the first of them in the
     order of ``rows``, at its column held by the fewest live rows, clears
     that column from every other row holding it and retires the pivot row.
     Entries that cancel are dropped at once, so rows and the column index
     hold nonzeros only. A row is only ever changed by adding multiples of
-    pivot rows, so every row that empties out lies in the span of the pivot
-    rows: they are a maximal independent set of the original rows, and their
-    number is the rank.
+    pivot rows, and over Q by scaling it by a nonzero int, so every row that
+    empties out lies in the span of the pivot rows: they are a maximal
+    independent set of the original rows, and their number is the rank.
+
+    Over GF(p) a row gains -f/pv times the pivot row, f its entry and pv the
+    pivot's at the pivot column, reduced mod p.  Over Q the step is
+    fraction-free (Bareiss, Math. Comp. 1968, without its division): with
+    g = gcd(pv, f) the row becomes (pv/g) row - (f/g) pivot row, and it is
+    scaled only when pv/g is not +-1.  That row is a nonzero multiple of the
+    one a step over the rationals would give, so every row has the same
+    zeros, and the same pivots are chosen, as in an elimination over Q.
 
     The shortest row comes off a heap of (length, position, row) entries:
     a row changed by a step is pushed again with its new length, and an entry
@@ -178,7 +193,6 @@ def pivot_rows_sparse(rows, field):
     for r, cols in live.items():
         for c in cols:
             holders.setdefault(c, set()).add(r)
-    add, mul, is_zero = field.add, field.mul, field.is_zero
     pivots = []
     while live:
         length, _, r = heappop(heap)
@@ -190,23 +204,35 @@ def pivot_rows_sparse(rows, field):
         for c in prow:
             holders[c].discard(r)
         pc = min(prow, key=lambda c: len(holders[c]))
-        minus_inv = field.neg(field.inv(prow.pop(pc)))
-        prow = {c: mul(v, minus_inv) for c, v in prow.items()}
+        pv = prow.pop(pc)
+        if p:
+            minus_inv = -pow(pv, -1, p)
         for s in holders.pop(pc):
             row = live[s]
             f = row.pop(pc)
+            # row <- a row + m prow
+            if p:
+                m = f * minus_inv % p
+            else:
+                g = gcd(pv, f)
+                a, m = pv // g, -f // g
+                if a < 0:
+                    a, m = -a, -m
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
             for c, v in prow.items():
                 old = row.get(c)
                 if old is None:
-                    row[c] = mul(f, v)
+                    row[c] = m * v % p if p else m * v
                     holders[c].add(s)
                 else:
-                    x = add(old, mul(f, v))
-                    if is_zero(x):
+                    x = (old + m * v) % p if p else old + m * v
+                    if x:
+                        row[c] = x
+                    else:
                         del row[c]
                         holders[c].discard(s)
-                    else:
-                        row[c] = x
             if row:
                 heappush(heap, (len(row), position[s], s))
             else:
@@ -214,28 +240,34 @@ def pivot_rows_sparse(rows, field):
     return pivots
 
 
-def pivot_rows(rows, field, skip=()):
-    """The pivot rows of ``{row: {col: nonzero}}`` over ``field`` with the
-    columns ``skip`` removed: a maximal independent set of its rows, whose
-    number is its rank. XOR bitsets over GF(2), sparse elimination of a
-    copy otherwise."""
+def pivot_rows(rows, p, skip=()):
+    """The pivot rows of the integer rows ``{row: {col: nonzero}}`` over the
+    field of characteristic ``p`` with the columns ``skip`` removed: a
+    maximal independent set of its rows, whose number is its rank. XOR
+    bitsets over GF(2), sparse elimination of a copy otherwise."""
     skip = set(skip)
-    if field.characteristic == 2:
+    if p == 2:
         # or-ing big ints is much cheaper than adding them
         return pivot_rows_gf2(
             (r, reduce(or_, map((1).__lshift__, filterfalse(skip.__contains__, cols)), 0))
             for r, cols in rows.items())
     return pivot_rows_sparse({r: {c: v for c, v in cols.items() if c not in skip}
-                              for r, cols in rows.items()}, field)
+                              for r, cols in rows.items()}, p)
 
+
+# ---------------------------------------------------------------------------
+# field elements as ints
 
 def _int_rows(rows, field):
     """``({row: {col: int}}, scale)``: the rows times ``scale`` as ints.
 
     Over Q the scale is the lcm of the denominators. GF(p) elements are
-    lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints.
+    lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints;
+    GF(2) elements are ints already, and the rows are returned as they are.
     """
     p = field.characteristic
+    if p == 2:
+        return rows, 1
     if p == 0:
         scale = lcm(*{v.denominator for row in rows.values() for v in row.values()})
         return {r: {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
@@ -245,24 +277,28 @@ def _int_rows(rows, field):
             for r, row in rows.items()}, 1
 
 
-def lift(rows, field):
-    """The rows ``{row: {col: nonzero}}`` of a map as ``first_nonzero``
-    reads them, ``(rows, scale)``: the rows themselves over GF(2), and
-    ``_int_rows`` otherwise.  A map is lifted once, however many products
-    it is a factor of."""
-    return (rows, 1) if field.characteristic == 2 else _int_rows(rows, field)
+def _field_rows(rows, scale, field):
+    """The rows of ints ``rows`` divided by ``scale``, as elements of
+    ``field``: the inverse of ``_int_rows``.  Each distinct value is
+    converted once."""
+    if field.characteristic == 2:
+        return rows
+    of = {v: field.div(field.from_int(v), field.from_int(scale))
+          for v in {v for row in rows.values() for v in row.values()}}
+    return {r: {c: of[v] for c, v in row.items()} for r, row in rows.items()}
 
 
 def first_nonzero(left, right, field):
     """The first nonzero entry ``(row, col, value)`` of left o right, two
-    maps as ``lift`` gives them, in row then column order, or None.
+    maps given as ``(rows of ints, scale)``, each the map times its scale as
+    ``_int_rows`` gives it, in row then column order, or None.
 
     The product is built one output row at a time and never stored.  Over
     GF(2) a row is a set of columns, and adding a row of ``right`` is a
     symmetric difference with its dict of columns.  Otherwise the sums are
     of plain ints: over GF(p) each is reduced once, and over Q it is exact
     because left o right vanishes exactly when (L left) o (R right) does,
-    L and R the lifts' scales; the witness is divided back.
+    L and R their scales; the witness is divided back.
     """
     (left, left_scale), (right, right_scale) = left, right
     p, empty = field.characteristic, {}

@@ -204,7 +204,8 @@ def field_by_name(name):
         if digits.isdecimal() and len(digits) > len(str(PRIME_LIMIT)):
             raise _past_prime_limit(digits)  # before int() refuses too many digits
         try:
-            p = int(name[3:])
+            # leading zeros count toward int()'s digit limit, so they go first
+            p = int(digits if digits.isdecimal() else name[3:])
         except ValueError:
             raise InputError(f"field {cut(repr(name))}: fp:P needs an integer prime P") from None
         return PrimeField(p)

@@ -31,20 +31,25 @@ theory only evaluates them:
   Complexes share its smoothings and groups as read-only views.
 - once per theory: each distinct block, named by its saddle's (kind,
   twist_in, twist_out), its negative and its phi-padded variants, built on
-  first use into one table per theory.  The tables of the last 4 theories
-  built are kept, keyed by the theory's value.
+  first use into one table per theory and lifted to ints once.  The tables
+  of the last 4 theories built are kept, keyed by the theory's value.
 - once per build: under anchor flips, each degree's list rebuilt with the
   records of the edges from or to a flipped state rewritten and every other
   record shared, then one scatter pass over all edges, the differentials
   and the d o d = 0 guard, which every build runs.
 
-d o d = 0 is asserted eagerly, as each differential is scattered, because
-it is the one global check on the twist convention.  ``_guarded`` lifts each
-d^i once (``_linalg.lift``: over GF(p) to ints in (-p/2, p/2], over Q scaled
-by the lcm of its denominators), keeps the lift of d^(i-1), and checks
-d^i d^(i-1) one output row at a time without building the product
-(``_linalg.first_nonzero``).  The first nonzero entry, at the lowest degree,
-row and column, becomes the DSquaredNonzero witness.
+Each differential is scattered as ints, S_i d^i: each distinct block of a
+theory is lifted once (``_Blocks.lifted``, by ``_linalg._int_rows``: over
+GF(p) to ints in (-p/2, p/2], over Q times its scale, the lcm of its
+denominators), and over Q the blocks of degree i are written at one scale
+S_i, the lcm of their scales; S_i is 1 over GF(p).  d o d = 0 is asserted
+eagerly, as each differential is scattered, because it is the one global
+check on the twist convention.  ``_guarded`` keeps S_(i-1) d^(i-1) and
+checks d^i d^(i-1) on those ints one output row at a time without building
+the product (``_linalg.first_nonzero``).  The first nonzero entry, at the
+lowest degree, row and column, becomes the DSquaredNonzero witness, its
+value divided back by the two scales.  ``build_complex`` turns the ints
+back into field elements.
 
 Homology is one layered elimination, ``_homology``, which ``homology``,
 ``graded_homology`` and the streamed pass all call.  Each degree is cut into
@@ -52,7 +57,11 @@ layers by a key per generator that every entry of the differential keeps:
 graded homology (homogeneous theories only) keys each generator by its
 q-degree, and ungraded homology is the one-layer case.  Each row of d^i is
 handed, by reference, to the layer of its row, so the graded Betti numbers
-sum over q to the ungraded ones.  Rank never changes the complex's rows.
+sum over q to the ungraded ones.  Each layer is eliminated on ints by
+``_linalg.pivot_rows``, keyed by the characteristic: the streamed pass hands
+over the scattered ints, and ``homology`` and ``graded_homology`` lift each
+differential of a built complex once (``_int_rows``).  Rank never changes
+the complex's rows.
 
 The degrees are cancelled in turn, upward: each layer of d^(i+1) is
 eliminated without the pivot rows of the same layer of d^i as columns, which
@@ -84,10 +93,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from . import tqft
-from ._linalg import ExactLinearMap, first_nonzero, lift, pivot_rows
+from ._linalg import ExactLinearMap, _field_rows, _int_rows, first_nonzero, pivot_rows
 from .algebra import sparsest_basis, structure_maps
 from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
 from .errors import DSquaredNonzero, InputError, NotGraded, cut
@@ -122,7 +132,6 @@ class ChainComplex:
     groups: MappingProxyType      # degree -> ChainGroup, shared with the cube
     differentials: dict           # degree -> ExactLinearMap C^i -> C^(i+1)
     smoothings: MappingProxyType  # state -> Smoothing, shared with the cube
-    cube: object
 
     @property
     def edges(self):
@@ -147,11 +156,14 @@ class HomologyResult:
 class _Blocks(dict):
     """The blocks of one theory or basis (``algebra.structure_maps``), each
     built on first use: the block of a (kind, twist_in, twist_out) saddle,
-    padded with phi on n_phi spectators, and negated for an odd sign parity."""
+    padded with phi on n_phi spectators, and negated for an odd sign parity.
+    ``lifted`` gives them as ints, each lifted once."""
 
     def __init__(self, th):
         super().__init__()
         self.th, self.phi = th, structure_maps(th)[2]
+        self._lifts = {}   # key -> (the block's rows as ints, its scale)
+        self._scaled = {}  # (key, S) -> the block as those ints times S / its scale
 
     def __missing__(self, key):
         kind, twist_in, twist_out, n_phi, negate = key
@@ -163,6 +175,30 @@ class _Blocks(dict):
             block = tqft.elementary_map(self.th, kind, twist_in, twist_out)
         self[key] = block
         return block
+
+    def lifted(self, edges):
+        """``({key: block}, S)`` for the blocks of the records ``edges``, as
+        ints that scatter to S times the differential: each block is lifted
+        once (``_int_rows``), and its ints are multiplied by S / its scale
+        once per S.  S is 1 over GF(p) and the lcm of the blocks' scales over
+        Q.  GF(2) blocks are ints already: the table is ``self``."""
+        field = self.th.field
+        if field.characteristic == 2:
+            return self, 1
+        keys = {how[0] for _, _, how, _, _ in edges}
+        for key in keys - self._lifts.keys():
+            self._lifts[key] = _int_rows(self[key].rows, field)
+        scale = lcm(*(self._lifts[key][1] for key in keys))
+        for key in keys:
+            if (key, scale) not in self._scaled:
+                (rows, own), block = self._lifts[key], self[key]
+                if own != scale:
+                    m = scale // own
+                    rows = {r: {c: m * v for c, v in row.items()}
+                            for r, row in rows.items()}
+                self._scaled[key, scale] = ExactLinearMap(field, block.nrows,
+                                                          block.ncols, rows)
+        return {key: self._scaled[key, scale] for key in keys}, scale
 
 
 # The block tables of the last 4 theories built, keyed by the theory's
@@ -308,37 +344,37 @@ def _cube_of(d):
 
 
 def _differentials(by_degree, th):
-    """Yield (i, rows of d^i) for each degree i upward, each differential
-    scattered afresh from the edges of its degree in the table
-    ``by_degree`` (``Cube.edges_with``) into ``{row: {col: value}}`` and
-    handed over: the generator keeps none of them once it resumes, so a
-    consumer that drops d^i holds one differential at a time.  This is the
-    one scatter."""
+    """Yield (i, rows of S d^i, S) for each degree i upward, each
+    differential scattered afresh from the edges of its degree in the table
+    ``by_degree`` (``Cube.edges_with``) into ``{row: {col: int}}`` at the
+    scale S of its blocks (``_Blocks.lifted``), and handed over: the
+    generator keeps none of them once it resumes, so a consumer that drops
+    d^i holds one differential at a time.  This is the one scatter."""
     blocks, scatter = _blocks_of(th), tqft.scatter_extended
     for i, edges in by_degree.items():
+        table, scale = blocks.lifted(edges)
         rows = {}
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
         for row0, col0, (key, placement, _), _, _ in edges:
-            scatter(rows, blocks[key], placement, row0, col0)
-        yield i, rows
+            scatter(rows, table[key], placement, row0, col0)
+        yield i, rows, scale
 
 
 def _guarded(groups, field, differentials):
-    """Pass on each (i, rows of d^i) of ``differentials`` once d^i d^(i-1) = 0
-    is checked.  Raise DSquaredNonzero at the first nonzero entry of some
-    d^(i+1) d^i: the lowest degree, then target index, then source index.
-    Each d^i is lifted once, and only the lift of d^(i-1) is kept."""
+    """Pass on each (i, rows of S d^i, S) of ``differentials`` once
+    d^i d^(i-1) = 0 is checked.  Raise DSquaredNonzero at the first nonzero
+    entry of some d^(i+1) d^i: the lowest degree, then target index, then
+    source index.  Only d^(i-1) is kept."""
     before = None
-    for i, rows in differentials:
-        now = lift(rows, field)
-        hit = None if before is None else first_nonzero(now, before, field)
+    for i, rows, scale in differentials:
+        hit = None if before is None else first_nonzero((rows, scale), before, field)
         if hit is not None:
             r, col, v = hit
             raise DSquaredNonzero(i - 1, groups[i - 1].label(col),
                                   groups[i + 1].label(r), field.to_str(v))
-        before = now
-        yield i, rows
+        before = rows, scale
+        yield i, rows, scale
 
 
 def build_complex(d, th, anchor_flips=(), check=True):
@@ -361,26 +397,27 @@ def build_complex(d, th, anchor_flips=(), check=True):
     differentials = _differentials(cube.edges_with(anchor_flips), th)
     if check:
         differentials = _guarded(groups, F, differentials)
-    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim, rows)
-                     for i, rows in differentials}
+    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim,
+                                       _field_rows(rows, scale, F))
+                     for i, rows, scale in differentials}
     return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, groups, differentials,
-                        cube.smoothings, cube)
+                        cube.smoothings)
 
 
-def _layer_pivots(field, layers, below):
+def _layer_pivots(p, layers, below):
     """The pivot rows of each layer of one differential d^i, from
     ``layers`` = {key: rows of d^i in that layer}.  Each layer is eliminated
     without the columns ``below[key]``, the pivot rows of the same layer of
     d^(i-1), which keeps its rank (module docstring)."""
-    return {q: pivot_rows(layer, field, below.get(q, ()))
+    return {q: pivot_rows(layer, p, below.get(q, ()))
             for q, layer in layers.items()}
 
 
 def _homology(th, c, differentials, graded):
     """The homology of the complex or cube ``c`` under ``th``, graded or
-    not, from ``differentials``, which yields (i, rows of d^i) for each
-    degree i upward.  Each row of d^i goes, by reference, to the layer of
-    its generator's key: its q-degree when graded, else 0.  d^i maps each
+    not, from ``differentials``, which yields (i, rows of S d^i as ints, S)
+    for each degree i upward.  Each row of d^i goes, by reference, to the
+    layer of its generator's key: its q-degree when graded, else 0.  d^i maps each
     layer into the same layer of degree i + 1, so its rank at a key is the
     rank of that group of rows, taken with their original indices.  Of d^i
     only its pivot rows are kept, for d^(i+1).  NotGraded (an inhomogeneous
@@ -395,7 +432,7 @@ def _homology(th, c, differentials, graded):
         dims = Counter((i, q) for i, qs in qdeg.items() for q in qs)
     else:
         bad = NotGraded("needs h = t = 0 and theta = 0 (preset manturov/f2_row1)")
-    for i, rows in differentials:
+    for i, rows, _ in differentials:
         if bad is not None:
             continue
         layers = {0: rows}
@@ -412,7 +449,7 @@ def _homology(th, c, differentials, graded):
                 bad = NotGraded(f"differential entry {c.groups[i].label(col)} -> "
                                 f"{c.groups[i + 1].label(r)} changes q-degree")
                 continue
-        below = _layer_pivots(F, layers, below)
+        below = _layer_pivots(F.characteristic, layers, below)
         ranks.update(((i, q), len(pivots)) for q, pivots in below.items())
     if bad is not None:
         raise bad
@@ -428,7 +465,10 @@ def _homology(th, c, differentials, graded):
 
 
 def _rows_of(c):
-    return ((i, c.differentials[i].rows) for i in range(c.min_degree, c.max_degree))
+    """(i, rows of S d^i as ints, S) for each differential of the built
+    complex ``c``, lifted at this boundary (``_int_rows``)."""
+    return ((i, *_int_rows(c.differentials[i].rows, c.theory.field))
+            for i in range(c.min_degree, c.max_degree))
 
 
 def homology(c):

@@ -114,6 +114,37 @@ def rank_fp_dense(rows, p):
     return rank
 
 
+def pivot_rows_markowitz(rows, field):
+    """The pivot rows of a sparse matrix ``{row: {col: nonzero}}`` of field
+    elements, by the field's own arithmetic, in the order they were pivoted
+    on; ``rows`` is left as it is.  The reference for the pivot lists of
+    ``_linalg.pivot_rows`` on ints: the same Markowitz choice (the shortest
+    live row, the first of them in the order of ``rows``, at its column held
+    by the fewest live rows), by a scan of the live rows instead of a heap,
+    and each row cleared by adding -f/pv times the pivot row."""
+    live = {r: dict(cols) for r, cols in rows.items() if cols}
+    order = {r: k for k, r in enumerate(live)}
+    pivots = []
+    while live:
+        r = min(live, key=lambda r: (len(live[r]), order[r]))
+        prow = live.pop(r)
+        pivots.append(r)
+        held = {c: sum(c in cols for cols in live.values()) for c in prow}
+        pc = min(prow, key=held.__getitem__)
+        ratio = field.neg(field.inv(prow[pc]))
+        for s in [s for s, cols in live.items() if pc in cols]:
+            row, m = live[s], field.mul(live[s][pc], ratio)
+            for c, v in prow.items():
+                x = field.add(row.get(c, field.zero), field.mul(m, v))
+                if field.is_zero(x):
+                    row.pop(c, None)
+                else:
+                    row[c] = x
+            if not row:
+                del live[s]
+    return pivots
+
+
 def dense_betti_qq(complex_):
     """Betti numbers recomputed densely with the standalone eliminator."""
     ranks = {}

@@ -465,6 +465,9 @@ GOLDEN = {
     "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
     "compute_triple_101_fp1000033": ("--triple", "1,0,1", "--field", "fp:1000033"),
+    # Q triples whose blocks have denominators in every basis of V
+    "compute_triple_13_12_5_q": ("--triple", "1/3,1/2,5", "--field", "q"),
+    "compute_triple_12_3_m23_q": ("--triple", "1/2,3,-2/3", "--field", "q"),
     "compute_triple_101_q_beyond_corpus": ("--triple", "1,0,1", "--field", "q"),
     "compute_triple_101_fp1000003_beyond_corpus": ("--triple", "1,0,1",
                                                    "--field", "fp:1000003"),
@@ -508,6 +511,21 @@ def test_composite_prime_field_is_input_error(capsys, p):
                     "--field", f"fp:{p}")
     assert code == 3
     assert json.loads(out)["error"]["message"] == f"{p} is not prime"
+
+
+def test_leading_zeros_of_a_prime_do_not_count_toward_the_digit_limit(capsys):
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", "fp:" + "0" * 5000 + "7")
+    assert code == 0
+    assert json.loads(out)["theory"]["field"] == "fp:7"
+
+
+@pytest.mark.parametrize("zeros", ["0", "000"])
+def test_a_prime_of_only_zeros_gets_the_prime_fields_own_error(capsys, zeros):
+    code, out = run(capsys, "surface", "--genus", "0", "--triple", "1,0,1",
+                    "--field", f"fp:{zeros}")
+    assert code == 3
+    assert json.loads(out)["error"] == {"kind": "InputError", "message": "0 is not prime"}
 
 
 def test_prime_field_above_the_exact_test_limit_is_refused(capsys):

@@ -296,15 +296,50 @@ def test_streamed_pass_reports_d_squared_before_not_graded(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
-def test_the_guard_lifts_each_differential_once(monkeypatch, field):
-    # d^i is the right factor of one product and the left of the next, and
-    # is lifted to ints only once for both
-    calls = []
-    monkeypatch.setattr(L, "_int_rows", counted(calls, "lift", L._int_rows))
+def test_the_stream_lifts_each_distinct_block_once(monkeypatch, field):
+    # each block of the basis is lifted to ints on its first use and never
+    # again, and no differential is lifted: the guard and elimination read
+    # the ints the blocks scatter to
+    lifted = []
+
+    def lifting(rows, F):
+        lifted.append(rows)
+        return L._int_rows(rows, F)
+
+    H._blocks_of.cache_clear()
+    monkeypatch.setattr(H, "_int_rows", lifting)
     d = braid_closure([1, -2] * 3)
     one = field.one
-    stream_homology(d, theory_from_triple(one, field.zero, one, field=field))
-    assert len(calls) == d.n == 6
+    th = theory_from_triple(one, field.zero, one, field=field)
+    for _ in range(2):
+        stream_homology(d, th)
+    cube, blocks = H._cube_of(d), H._blocks_of(sparsest_basis(th))
+    used = {how[0] for edges in cube.by_degree.values() for _, _, how, _, _ in edges}
+    assert len(lifted) == len(used) > 1
+    assert sorted(map(id, lifted)) == sorted(id(blocks[key].rows) for key in used)
+
+
+@pytest.mark.parametrize("theory", ["q 1/3,1/2,5", "fp:1000003 1,0,1"])
+def test_the_stream_does_no_field_arithmetic_once_its_blocks_are_lifted(
+        monkeypatch, theory):
+    th, d = MUTATION_THEORIES[theory], braid_closure([1, -2] * 3)
+    stream_homology(d, th)  # builds and lifts the blocks
+    calls, kinds = [], set()
+    for name in ("add", "sub", "mul", "div", "neg", "inv", "from_int", "is_zero"):
+        monkeypatch.setattr(th.field, name, counted(calls, name, getattr(th.field, name)))
+    scatter = H._differentials
+
+    def watching(*args):
+        for i, rows, scale in scatter(*args):
+            kinds.update(type(v) for row in rows.values() for v in row.values())
+            yield i, rows, scale
+
+    monkeypatch.setattr(H, "_differentials", watching)
+    sparsest_basis(th)  # the theory's own arithmetic, once per pass
+    basis_calls = calls[:]
+    calls.clear()
+    assert stream_homology(d, th)[1].betti
+    assert kinds == {int} and calls == basis_calls
 
 
 # -- convention independence --------------------------------------------------------
@@ -533,6 +568,17 @@ def test_complexes_share_a_read_only_cube():
     with pytest.raises(TypeError):
         plain.groups[0].circles["100"] = ()
     assert build_complex(d, preset("f2_row2")).differentials == plain.differentials
+
+
+def test_a_built_complex_does_not_keep_its_cube_alive():
+    # the complex keeps the cube's smoothings and groups, not the cube, so
+    # the cube goes once the next diagram's build drops it
+    d = corpus.load("trefoil")
+    c = build_complex(d, preset("f2_row2"))
+    cube = weakref.ref(H._cube_of(d))
+    build_complex(corpus.load("figure_eight"), preset("f2_row2"))
+    assert cube() is None
+    assert c.dims() == [4, 6, 12, 8] and homology(c).betti
 
 
 def random_virtual_code(rng, n, c=1):
@@ -879,20 +925,21 @@ def test_streamed_pass_holds_at_most_two_differentials(monkeypatch, theory, grad
     scatter = H._differentials
 
     def watching(*args):
-        for i, rows in scatter(*args):
+        for i, rows, scale in scatter(*args):
             rows = WatchedRows(rows)
             watched.append(weakref.ref(rows))
             alive.append(sum(ref() is not None for ref in watched))
-            yield i, rows
+            yield i, rows, scale
 
     monkeypatch.setattr(H, "_differentials", watching)
     d, th = braid_closure([1, -2] * 3), MUTATION_THEORIES[theory]
     _, streamed = stream_homology(d, th, graded=graded)
     assert len(watched) == d.n and max(alive) == 2
     assert all(ref() is None for ref in watched)
-    built = build_complex(d, th)  # keeps all d.n of them, and the watch sees it
-    assert sum(ref() is not None for ref in watched[d.n:]) == d.n
-    assert streamed == (graded_homology if graded else homology)(built)
+    # a consumer that keeps all d.n of them, and the watch sees it
+    kept = list(H._differentials(H._cube_of(d).by_degree, sparsest_basis(th)))
+    assert sum(ref() is not None for ref in watched[d.n:]) == len(kept) == d.n
+    assert streamed == (graded_homology if graded else homology)(build_complex(d, th))
 
 
 # -- the sparsest basis of V --------------------------------------------------------
@@ -1015,6 +1062,21 @@ def test_streamed_betti_match_the_standard_basis_over_odd_fields():
     for d in [corpus.load(name) for name in corpus.all_names()] + links + braids:
         for name, th in theories.items():
             assert homology_of(d, th).betti == homology(build_complex(d, th)).betti, (d, name)
+
+
+def test_streamed_pass_matches_the_built_complex_under_random_rational_triples():
+    # the sparsest bases of these triples have blocks with denominators, so
+    # each d^i is scattered as ints at a scale S_i, the lcm of its blocks'
+    theories = [theory_from_triple(*t) for t in random_rational_triples(10, 25)]
+    diagrams = [corpus.load(name) for name in corpus.all_names()]
+    diagrams += [braid_closure(w) for w in ([1, -2] * 3, [1] * 5, [1, 2, -1, 2])]
+    scales = set()
+    for th in theories:
+        for d in diagrams:
+            assert_stream_matches_build(d, th)
+            cube = H._cube_of(d)
+            scales.update(s for _, _, s in H._differentials(cube.by_degree, sparsest_basis(th)))
+    assert max(scales) >= 625
 
 
 def assert_orientation_count(d):

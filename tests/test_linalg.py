@@ -1,6 +1,7 @@
-"""Sparse exact rank and the row-wise product check against the standalone
-dense and dict-product oracles."""
+"""Sparse exact rank on ints and the row-wise product check against the
+standalone dense, Markowitz and dict-product oracles."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,12 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import first_nonzero_product, rank_fp_dense, rank_qq_dense
-from vlinkhom._linalg import first_nonzero, lift, pivot_rows, pivot_rows_sparse
+from oracles import (first_nonzero_product, pivot_rows_markowitz, rank_fp_dense,
+                     rank_qq_dense)
+from vlinkhom import corpus
+from vlinkhom._linalg import (_field_rows, _int_rows, first_nonzero, pivot_rows,
+                              pivot_rows_sparse)
+from vlinkhom.algebra import sparsest_basis, theory_from_triple
+from vlinkhom.diagram import braid_closure
 from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 from vlinkhom.tqft import ExactLinearMap
 
 PRIMES = (3, 7, 1000003)
+# the module; ``vlinkhom.homology`` as an attribute is the function homology()
+H = importlib.import_module("vlinkhom.homology")
 
 
 def as_map(field, dense, ncols):
@@ -22,11 +30,20 @@ def as_map(field, dense, ncols):
     return ExactLinearMap.make(field, len(dense), ncols, entries)
 
 
+def int_rows(field, dense, ncols):
+    """The rows of ``dense`` read in ``field``, lifted to ints as the stream
+    scatters them."""
+    return _int_rows(as_map(field, dense, ncols).rows, field)[0]
+
+
+def rank(field, dense, ncols, skip=()):
+    return len(pivot_rows(int_rows(field, dense, ncols), field.characteristic, skip))
+
+
 def ranks_agree(dense, ncols):
-    assert len(pivot_rows(as_map(QQ, dense, ncols).rows, QQ)) == rank_qq_dense(dense)
+    assert rank(QQ, dense, ncols) == rank_qq_dense(dense)
     for p in PRIMES:
-        F = PrimeField(p)
-        assert len(pivot_rows(as_map(F, dense, ncols).rows, F)) == rank_fp_dense(dense, p)
+        assert rank(PrimeField(p), dense, ncols) == rank_fp_dense(dense, p)
 
 
 @st.composite
@@ -65,10 +82,10 @@ def test_sparse_rank_seeded_larger_matrices():
 
 @pytest.mark.parametrize("ncols", [0, 1, 5])
 def test_zero_row_shapes_have_rank_zero(ncols):
-    for field in (QQ, PrimeField(7)):
-        assert len(pivot_rows(ExactLinearMap.make(field, 0, ncols, {}).rows, field)) == 0
-        assert len(pivot_rows(ExactLinearMap.make(field, 3, ncols, {}).rows, field)) == 0
-        assert len(pivot_rows_sparse({0: {}, 1: {}}, field)) == 0
+    for p in (0, 7):
+        assert len(pivot_rows(ExactLinearMap.make(QQ, 0, ncols, {}).rows, p)) == 0
+        assert len(pivot_rows(ExactLinearMap.make(QQ, 3, ncols, {}).rows, p)) == 0
+        assert len(pivot_rows_sparse({0: {}, 1: {}}, p)) == 0
 
 
 def test_empty_rows_and_columns_are_skipped():
@@ -80,14 +97,70 @@ def test_empty_rows_and_columns_are_skipped():
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_drops_mod_p(p):
     dense = [[1, 1], [1, 1 + p]]
-    F = PrimeField(p)
-    assert len(pivot_rows(as_map(QQ, dense, 2).rows, QQ)) == rank_qq_dense(dense) == 2
-    assert len(pivot_rows(as_map(F, dense, 2).rows, F)) == rank_fp_dense(dense, p) == 1
+    assert rank(QQ, dense, 2) == rank_qq_dense(dense) == 2
+    assert rank(PrimeField(p), dense, 2) == rank_fp_dense(dense, p) == 1
 
 
 def test_rational_entries():
     dense = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert len(pivot_rows(as_map(QQ, dense, 2).rows, QQ)) == rank_qq_dense(dense) == 1
+    assert rank(QQ, dense, 2) == rank_qq_dense(dense) == 1
+
+
+def non_unit_matrices(seed, count):
+    """``count`` seeded (dense, ncols, skip) cases: integer entries in -3..3,
+    mostly not +-1, so that pivots are not units over Q, with some rows
+    integer combinations of others, and a random set of columns to skip."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        dense = [[rng.choice((-3, -2, 2, 3, -1, 1)) if rng.random() < 0.4 else 0
+                  for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randint(0, nrows // 2)):
+            i, j, k = (rng.randrange(nrows) for _ in range(3))
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            dense[k] = [a * x + b * y for x, y in zip(dense[i], dense[j])]
+        yield dense, ncols, rng.sample(range(ncols), rng.randint(0, ncols // 2))
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_integer_elimination_matches_the_dense_oracles(p):
+    field = PrimeField(p) if p else QQ
+    dense_rank = rank_qq_dense if p == 0 else lambda m: rank_fp_dense(m, p)
+    for dense, ncols, skip in non_unit_matrices(100 + p, 120):
+        kept = [[0 if c in skip else x for c, x in enumerate(row)] for row in dense]
+        assert rank(field, dense, ncols) == dense_rank(dense), dense
+        assert rank(field, dense, ncols, skip) == dense_rank(kept), (dense, skip)
+
+
+def test_a_row_proportional_by_a_non_unit_ratio_cancels():
+    # row 0 pivots at column 1 (pv = 4), and row 1 (f = 6, g = 2) becomes
+    # 2 (3, 6) - 3 (2, 4) = 0; the rows handed in are left as they are
+    rows = {0: {0: 2, 1: 4}, 1: {0: 3, 1: 6}, 2: {0: 4, 2: 6}}
+    before = {r: dict(cols) for r, cols in rows.items()}
+    for p in (0, 7):
+        assert pivot_rows(rows, p) == [0, 2]
+    assert rows == before
+    assert rank_qq_dense([[2, 4, 0], [3, 6, 0], [4, 0, 6]]) == 2
+
+
+@pytest.mark.parametrize("name", ["q", "fp"])
+def test_pivot_lists_match_the_field_markowitz_loop_on_the_corpus(name):
+    # the stream's pivot rows, degree by degree and with the pivot rows of
+    # d^(i-1) skipped, are those of elimination by the field's arithmetic,
+    # in the standard basis and in the sparsest one
+    field = QQ if name == "q" else PrimeField(1000003)
+    th = theory_from_triple(field.one, field.zero, field.one, field=field)
+    diagrams = [corpus.load(n) for n in corpus.all_names()] + [braid_closure([1, -2] * 3)]
+    for d in diagrams:
+        for basis in (th, sparsest_basis(th)):
+            below = ()
+            for i, rows, scale in H._differentials(H._cube_of(d).by_degree, basis):
+                pivots = pivot_rows(rows, field.characteristic, below)
+                reference = pivot_rows_markowitz(
+                    {r: {c: v for c, v in cols.items() if c not in below}
+                     for r, cols in _field_rows(rows, scale, field).items()}, field)
+                assert pivots == reference, (d, basis, i)
+                below = set(pivots)
 
 
 # -- first nonzero entry of a composite ------------------------------------------
@@ -105,7 +178,7 @@ def first_nonzero_composite(maps, field):
     at the lowest j, or None if every product vanishes."""
     before = None
     for j, rows in enumerate(maps):
-        now = lift(rows, field)
+        now = _int_rows(rows, field)
         hit = None if before is None else first_nonzero(now, before, field)
         if hit is not None:
             return (j - 1, *hit)
