@@ -8,10 +8,10 @@ check and elimination all read.  A vector is a one-column map.
 Elimination and the d o d check read rows of ints, never change them, and
 are keyed by the characteristic p.  ``_int_rows`` lifts field elements to
 such rows: GF(p) elements to ints in (-p/2, p/2], and rationals times a
-scale, the lcm of their denominators; GF(2) elements are ints already.  The
-streamed pass in ``homology`` lifts each distinct block once and scatters
-ints, and a built complex, which keeps field elements, is lifted once at
-the boundary of its homology; ``_field_rows`` is the way back.
+scale, the lcm of their denominators.  ``homology`` lifts each distinct
+block of a theory once and scatters ints, which a built complex keeps;
+``_field_rows`` divides them back into field elements only for the
+complex's field view.
 
 ``pivot_rows(rows, p, skip)`` is the one elimination routine. It returns
 the pivot rows of the matrix with the columns ``skip`` removed: the keys of
@@ -262,12 +262,10 @@ def _int_rows(rows, field):
     """``({row: {col: int}}, scale)``: the rows times ``scale`` as ints.
 
     Over Q the scale is the lcm of the denominators. GF(p) elements are
-    lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints;
-    GF(2) elements are ints already, and the rows are returned as they are.
+    lifted to ints in (-p/2, p/2], so the usual entries +-1 cancel as ints,
+    at scale 1.
     """
     p = field.characteristic
-    if p == 2:
-        return rows, 1
     if p == 0:
         scale = lcm(*{v.denominator for row in rows.values() for v in row.values()})
         return {r: {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
@@ -280,7 +278,8 @@ def _int_rows(rows, field):
 def _field_rows(rows, scale, field):
     """The rows of ints ``rows`` divided by ``scale``, as elements of
     ``field``: the inverse of ``_int_rows``.  Each distinct value is
-    converted once."""
+    converted once; GF(2) ints are field elements already, and ``rows``
+    itself is returned."""
     if field.characteristic == 2:
         return rows
     of = {v: field.div(field.from_int(v), field.from_int(scale))

@@ -330,10 +330,6 @@ class Smoothing:
         return tuple(map(Circle, self.keys))
 
     @property
-    def bits(self):
-        return tuple(map(int, self.state))
-
-    @property
     def r(self):
         return self.state.count("1")
 

@@ -48,8 +48,9 @@ check on the twist convention.  ``_guarded`` keeps S_(i-1) d^(i-1) and
 checks d^i d^(i-1) on those ints one output row at a time without building
 the product (``_linalg.first_nonzero``).  The first nonzero entry, at the
 lowest degree, row and column, becomes the DSquaredNonzero witness, its
-value divided back by the two scales.  ``build_complex`` turns the ints
-back into field elements.
+value divided back by the two scales.  ``build_complex`` keeps the ints
+and their scales as they are guarded (``ChainComplex.rows``); its field
+elements (``ChainComplex.differentials``) are divided back on first read.
 
 Homology is one layered elimination, ``_homology``, which ``homology``,
 ``graded_homology`` and the streamed pass all call.  Each degree is cut into
@@ -58,9 +59,9 @@ graded homology (homogeneous theories only) keys each generator by its
 q-degree, and ungraded homology is the one-layer case.  Each row of d^i is
 handed, by reference, to the layer of its row, so the graded Betti numbers
 sum over q to the ungraded ones.  Each layer is eliminated on ints by
-``_linalg.pivot_rows``, keyed by the characteristic: the streamed pass hands
-over the scattered ints, and ``homology`` and ``graded_homology`` lift each
-differential of a built complex once (``_int_rows``).  Rank never changes
+``_linalg.pivot_rows``, keyed by the characteristic, from the scattered
+ints: the streamed pass hands them over as they come, and ``homology`` and
+``graded_homology`` read those a built complex keeps.  Rank never changes
 the complex's rows.
 
 The degrees are cancelled in turn, upward: each layer of d^(i+1) is
@@ -92,7 +93,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from types import MappingProxyType
 
@@ -130,8 +131,17 @@ class ChainComplex:
     min_degree: int
     max_degree: int
     groups: MappingProxyType      # degree -> ChainGroup, shared with the cube
-    differentials: dict           # degree -> ExactLinearMap C^i -> C^(i+1)
+    rows: tuple                   # (i, rows of S_i d^i as ints, S_i), i upward
     smoothings: MappingProxyType  # state -> Smoothing, shared with the cube
+
+    @cached_property
+    def differentials(self):
+        """Degree -> ExactLinearMap C^i -> C^(i+1) over the theory's field:
+        ``rows`` divided by their scales (``_field_rows``) on first read."""
+        F = self.theory.field
+        return {i: ExactLinearMap(F, self.groups[i + 1].dim, self.groups[i].dim,
+                                  _field_rows(rows, scale, F))
+                for i, rows, scale in self.rows}
 
     @property
     def edges(self):
@@ -391,16 +401,11 @@ def build_complex(d, th, anchor_flips=(), check=True):
     on the sum of 2^k(s) as the states are smoothed.  Builds of the same
     diagram object share its cube (see the module docstring).
     """
-    F = th.field
     cube = _cube_of(d)
-    groups = cube.groups
-    differentials = _differentials(cube.edges_with(anchor_flips), th)
+    rows = _differentials(cube.edges_with(anchor_flips), th)
     if check:
-        differentials = _guarded(groups, F, differentials)
-    differentials = {i: ExactLinearMap(F, groups[i + 1].dim, groups[i].dim,
-                                       _field_rows(rows, scale, F))
-                     for i, rows, scale in differentials}
-    return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, groups, differentials,
+        rows = _guarded(cube.groups, th.field, rows)
+    return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, cube.groups, tuple(rows),
                         cube.smoothings)
 
 
@@ -464,16 +469,9 @@ def _homology(th, c, differentials, graded):
     return HomologyResult(betti, euler, table if graded else None)
 
 
-def _rows_of(c):
-    """(i, rows of S d^i as ints, S) for each differential of the built
-    complex ``c``, lifted at this boundary (``_int_rows``)."""
-    return ((i, *_int_rows(c.differentials[i].rows, c.theory.field))
-            for i in range(c.min_degree, c.max_degree))
-
-
 def homology(c):
     """Betti numbers by exact rank computation over the ground field."""
-    return _homology(c.theory, c, _rows_of(c), False)
+    return _homology(c.theory, c, c.rows, False)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,7 @@ def graded_homology(c):
     The theory must have h = t = 0 and theta = 0 (the Manturov preset);
     every differential entry is additionally checked to preserve q-degree.
     """
-    return _homology(c.theory, c, _rows_of(c), True)
+    return _homology(c.theory, c, c.rows, True)
 
 
 def graded_euler_poly(result):

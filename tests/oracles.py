@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from vlinkhom.diagram import splice_pairing
+from vlinkhom.tqft import elementary_map
 
 
 # -- circle counting by union-find -------------------------------------------
@@ -216,6 +217,45 @@ def first_nonzero_d_squared(complex_):
             chain_label(complex_.groups[lo + j + 2], r), value)
 
 
+# -- a differential assembled edge by edge, on decoded basis vectors ----------
+
+def assembled_differential(complex_, i):
+    """{(row, col): nonzero value} of d^i of ``complex_`` over its field,
+    summed edge by edge over ``complex_.edges``.  Each basis vector of an
+    edge's source state is decoded into one decoration bit per circle key
+    (big-endian, 1 before x); the saddle's block (``tqft.elementary_map``)
+    maps the bits of the circles ``bottom`` to those of ``top``, the other
+    circles keep their bits by key, and the image is negated for an odd
+    ``sign_exponent``.  No placement or scatter of the library is used."""
+    th, src, tgt = complex_.theory, complex_.groups[i], complex_.groups[i + 1]
+    F, sms, states = th.field, complex_.smoothings, set(src.states)
+    out = {}
+    for e in complex_.edges:
+        if e.from_state not in states:
+            continue
+        block = elementary_map(th, e.kind, e.twist_in, e.twist_out)
+        src_keys, tgt_keys = sms[e.from_state].keys, sms[e.to_state].keys
+        for local in range(1 << len(src_keys)):
+            bits = {key: local >> (len(src_keys) - 1 - p) & 1
+                    for p, key in enumerate(src_keys)}
+            col = 0
+            for key in e.bottom:
+                col = col << 1 | bits[key]
+            for (r, c), v in block.entries:
+                if c != col:
+                    continue
+                image = {key: b for key, b in bits.items() if key not in e.bottom}
+                image.update((key, r >> (len(e.top) - 1 - p) & 1)
+                             for p, key in enumerate(e.top))
+                row = 0
+                for key in tgt_keys:
+                    row = row << 1 | image.pop(key)
+                assert not image, "the spectators must be circles of the target"
+                at = (tgt.offsets[e.to_state] + row, src.offsets[e.from_state] + local)
+                out[at] = F.add(out.get(at, F.zero), F.neg(v) if e.sign_exponent % 2 else v)
+    return {at: v for at, v in out.items() if not F.is_zero(v)}
+
+
 # -- the placement of a cube edge, by circle keys ------------------------------
 
 def edge_table(smoothings, sd, flips=()):
@@ -348,10 +388,9 @@ def classical_khovanov_f2_betti(d, smoothings):
         for s in states_by_r.get(r, []):
             ss = smoothings[s]
             for j in range(n):
-                if ss.bits[j]:
+                if s[j] == "1":
                     continue
-                tbits = ss.bits[:j] + (1,) + ss.bits[j + 1:]
-                t = "".join(map(str, tbits))
+                t = s[:j] + "1" + s[j + 1:]
                 st = smoothings[t]
                 ends = d.crossing_ends(j + 1)
                 bottom = sorted({ss.arc_circle[e >> 1] for e in ends})

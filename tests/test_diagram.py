@@ -135,7 +135,7 @@ def test_smoothing_against_oracle_corpus():
     for name in corpus.all_names():
         d = corpus.load(name)
         for sm in all_smoothings(d).values():
-            assert sm.k == circle_count(d, sm.bits)
+            assert sm.k == circle_count(d, map(int, sm.state))
 
 
 def test_arcs_partition_into_circles():
@@ -158,13 +158,13 @@ def assert_smoothing_tables(d):
     sms = all_smoothings(d)
     assert list(sms) == ["".join(w) for w in itertools.product("01", repeat=d.n)]
     for state, sm in sms.items():
-        assert sm.state == state == "".join(map(str, sm.bits))
-        assert sm.r == sum(sm.bits)
+        assert sm.state == state
+        assert sm.r == sum(map(int, sm.state))
         assert sm.keys == tuple(c.key for c in sm.circles)
         assert sm.forward >> d.total_arcs == 0
         # each circle leaves an arc by its far end, in the direction it runs,
         # and enters an arc of the same circle at its near end
-        pairing = splice_pairing(d, sm.bits)
+        pairing = splice_pairing(d, map(int, sm.state))
         for a, i in enumerate(sm.arc_circle):
             enter = pairing[2 * a + (sm.forward >> a & 1)]
             b = enter >> 1
@@ -249,7 +249,7 @@ def test_square_faces_anticommute():
         sms = all_smoothings(d)
         exps = {(e.from_state, e.to_state): e.sign_exponent for e in cube_edges(d, sms)}
         for s in sms.values():
-            zeros = [j for j in range(d.n) if s.bits[j] == 0]
+            zeros = [j for j in range(d.n) if s.state[j] == "0"]
             for j1, j2 in itertools.combinations(zeros, 2):
                 t1 = _flip(s.state, j1)
                 t2 = _flip(s.state, j2)
@@ -463,5 +463,5 @@ def test_braid_closure_component_count():
 def test_braid_closures_are_valid_and_smoothable(word):
     d = braid_closure(word)
     for sm in all_smoothings(d).values():
-        assert sm.k == circle_count(d, sm.bits)
+        assert sm.k == circle_count(d, map(int, sm.state))
         assert sm.k >= 1

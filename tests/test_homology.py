@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chain_label, classical_khovanov_f2_betti, dense_betti_qq,
-                     edge_table, first_nonzero_d_squared, orientation_betti,
-                     parity_betti, rank_f2_dense, rank_fp_dense, rank_qq_dense,
-                     theta_total_betti)
+from oracles import (assembled_differential, chain_label, classical_khovanov_f2_betti,
+                     dense_betti_qq, edge_table, first_nonzero_d_squared,
+                     orientation_betti, parity_betti, rank_f2_dense, rank_fp_dense,
+                     rank_qq_dense, theta_total_betti)
 from vlinkhom import corpus
 from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset,
                               random_rational_triples, sparsest_basis,
@@ -342,6 +342,28 @@ def test_the_stream_does_no_field_arithmetic_once_its_blocks_are_lifted(
     assert kinds == {int} and calls == basis_calls
 
 
+@pytest.mark.parametrize("theory, run", [("q 1/3,1/2,5", homology),
+                                         ("fp:1000003 1,0,1", homology),
+                                         ("manturov", graded_homology)])
+def test_homology_of_a_built_complex_converts_nothing(monkeypatch, theory, run):
+    # a built complex keeps the ints it scattered: its homology reads them as
+    # they are, and the field view is made only when it is first read
+    th, d = MUTATION_THEORIES[theory], braid_closure([1, -2] * 3)
+    c, unknot = build_complex(d, th), build_complex(parse_gauss(""), th)
+    calls = []
+    for name in ("_int_rows", "_field_rows"):
+        monkeypatch.setattr(H, name, counted(calls, name, getattr(H, name)))
+    for name in ("add", "sub", "mul", "div", "neg", "inv", "from_int", "is_zero"):
+        monkeypatch.setattr(th.field, name, counted(calls, name, getattr(th.field, name)))
+    run(unknot)  # the theory's own arithmetic, once per call
+    own = calls[:]
+    calls.clear()
+    assert run(c).betti
+    assert calls == own and "_int_rows" not in own
+    assert "differentials" not in vars(c)
+    assert c.differentials and "_field_rows" in calls and "differentials" in vars(c)
+
+
 # -- convention independence --------------------------------------------------------
 
 def test_anchor_flip_identity_on_unknot():
@@ -661,6 +683,21 @@ def test_homology_leaves_the_complex_unchanged(theory):
             m, ref = c.differentials[i], fresh.differentials[i]
             assert (m.nrows, m.ncols, m.entries) == (ref.nrows, ref.ncols, ref.entries), \
                 (name, i)
+
+
+@pytest.mark.parametrize("theory", ["q 1/3,1/2,5", "q 1/2,3,-2/3", "fp:1000003 1,0,1",
+                                    "fp:1000033 1,0,1", "f2_row2"])
+def test_field_view_matches_an_edge_by_edge_assembly(theory):
+    # the field view divides the guarded ints back by their scales: each d^i
+    # must equal the sum over its edges of the saddle's block applied to
+    # decoded basis vectors, which reads no scatter, placement or lift
+    F = PrimeField(1000033)
+    th = {**MUTATION_THEORIES,
+          "fp:1000033 1,0,1": theory_from_triple(F.one, F.zero, F.one, field=F)}[theory]
+    for d in [corpus.load(n) for n in corpus.all_names()] + [braid_closure([1, -2] * 3)]:
+        c = build_complex(d, th)
+        for i in range(c.min_degree, c.max_degree):
+            assert c.differentials[i].entry_map() == assembled_differential(c, i), (d.name, i)
 
 
 # -- the cube's edge table ----------------------------------------------------------
