@@ -29,6 +29,8 @@ or h that disagrees with its parameters; ``theory_from_params``,
 
 ``sparsest_basis`` gives the basis of V with the sparsest blocks over the
 theory's own field, and ``structure_maps`` m, Delta, phi and theta in it.
+``reduced_mod_p`` reduces a Q theory mod a prime p = 1 mod 4, where it
+splits into Lee's idempotents (see below).
 
 Over GF(2), a = 1, squares are the identity, h = beta + lambda + mu*t and
 eq2 reads mu*(lambda + t) = 0, so mu = 1 forces beta = 0, lambda = t and
@@ -76,7 +78,7 @@ from dataclasses import dataclass, field as dc_field
 
 from ._linalg import ExactLinearMap, compose
 from .errors import ConstraintViolated, NotInvertible, UnknownPreset
-from .fields import GF2, QQ
+from .fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,30 @@ def sparsest_basis(th):
     if F.is_zero(th.h):
         return th
     return TheoryParams(F, th.a, F.add(th.t, F.mul(half_h, half_h)), lam, th.mu, th.beta)
+
+
+def reduced_mod_p(th, bound):
+    """The Q theory ``th`` with (a, t, lambda, mu, beta) reduced mod p, a
+    theory over GF(p), where p is the first prime = 1 mod 4 above
+    max(2*bound, 10^6) that divides no denominator of the five and no
+    numerator of a or mu; None for a tuple that fails eq1 or eq2, or if p
+    would reach PRIME_LIMIT.  Reduction mod p is a ring map on rationals
+    with no p in their denominators, so eq1 and eq2 still hold, a and mu
+    stay invertible and ``sparsest_basis`` of it is Lee's idempotents."""
+    params = (th.a, th.t, th.lam, th.mu, th.beta)
+    res = constraint_residuals(QQ, *params)
+    if any((*res["eq1"], res["eq2"])):
+        return None
+    avoid = [v.denominator for v in params] + [th.a.numerator, th.mu.numerator]
+    p = max(2 * bound, 10 ** 6) + 1
+    p += (1 - p) % 4
+    while p < PRIME_LIMIT and not (all(v % p for v in avoid) and is_prime(p)):
+        p += 4
+    if p >= PRIME_LIMIT:
+        return None
+    F = PrimeField(p)
+    return TheoryParams(F, *(F.div(F.from_int(v.numerator), F.from_int(v.denominator))
+                             for v in params))
 
 
 def structure_maps(th):

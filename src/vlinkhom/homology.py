@@ -78,15 +78,27 @@ without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
 differentials are alive.  The pass scatters the blocks of
 ``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
 of basis of each factor V over the theory's own field, twist bits included:
-(1, x - h/2) over Q and GF(p) with p = 3 mod 4, Lee's idempotents over
-GF(p) with p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4
-and 8.  Its ranks (over GF(4) for rows 5, 6) and guard verdict are the same,
+(1, x - h/2) over GF(p) with p = 3 mod 4 and over Q where its reduction
+mod p (below) gives no answer, Lee's idempotents over GF(p) with
+p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4 and 8.  Its ranks (over GF(4) for rows 5, 6) and guard verdict are the same,
 and a failure reruns in (1, x), so a DSquaredNonzero witness is named in
 (1, x).  Graded homology needs h = t = 0 and theta = 0, where that basis is
 (1, x).
 Its errors come in the order of a build followed by its homology: a refusal
 above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded, which is
 raised only after the guard has passed every pair of degrees.
+
+Ungraded homology over Q is taken through one prime first
+(``_through_a_prime``): S_i d^i mod a prime p that divides no denominator
+of (a, t, lambda, mu, beta) and neither a nor mu is S_i, a unit mod p,
+times the complex of the theory's reduction (``algebra.reduced_mod_p``),
+which for p = 1 mod 4 streams in Lee's idempotents.  Two arguments make it
+exact.  The guard: ``_guard_bound`` bounds every entry of the int products
+(S_(i+1) d^(i+1))(S_i d^i) by B < p/2, so a product 0 mod p is 0, and a
+failure mod p reruns over Q in (1, x) for its witness.  The rank: d^i can
+only lose rank e_i >= 0 mod p, and Betti_p(i) = Betti_Q(i) + e_i + e_(i-1)
+(universal coefficients), so where no two adjacent degrees both have
+homology mod p every e_i is 0.  Otherwise the pass runs over Q as above.
 """
 
 from __future__ import annotations
@@ -99,7 +111,7 @@ from types import MappingProxyType
 
 from . import tqft
 from ._linalg import ExactLinearMap, _field_rows, _int_rows, first_nonzero, pivot_rows
-from .algebra import sparsest_basis, structure_maps
+from .algebra import reduced_mod_p, sparsest_basis, structure_maps
 from .diagram import coerce_state, cube_edges, saddles, smoothings_from_both_ends
 from .errors import DSquaredNonzero, InputError, NotGraded, cut
 from .jones import LaurentPoly
@@ -522,18 +534,64 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     result equals that of the same homology of ``build_complex(d, th,
     anchor_flips)``, and so do its errors: a refusal above MAX_CHAIN_DIM
     first, then DSquaredNonzero, then NotGraded.  The cube gives the chain
-    groups (``cube.dims()``) and the smoothings.  Both passes run in
-    ``algebra.sparsest_basis(th)`` (module docstring), which is ``th``
-    itself wherever graded homology is defined."""
+    groups (``cube.dims()``) and the smoothings.  Ungraded homology over Q
+    is first taken mod a prime p above twice the guard bound and kept where
+    no two adjacent degrees have homology mod p (``_through_a_prime``);
+    otherwise the pass runs in ``algebra.sparsest_basis(th)`` (module
+    docstring), which is ``th`` itself wherever graded homology is defined,
+    and a guard failure there reruns in (1, x)."""
     cube = _cube_of(d)
     by_degree = cube.edges_with(anchor_flips)
+    if not graded and th.field.characteristic == 0:
+        result = _through_a_prime(d.n, cube, by_degree, th)
+        if result is not None:
+            return cube, result
     for basis in sparsest_basis(th), th:
-        differentials = _guarded(cube.groups, th.field, _differentials(by_degree, basis))
         try:
-            return cube, _homology(th, cube, differentials, graded)
+            return cube, _streamed(cube, by_degree, th, basis, graded)
         except DSquaredNonzero:
             if basis is th:
                 raise
+
+
+def _streamed(cube, by_degree, th, basis, graded=False):
+    """The homology of ``th`` on the edges ``by_degree`` of ``cube``, each
+    differential scattered in ``basis`` (``th`` or a change of basis of it
+    over its field) and guarded as it comes."""
+    differentials = _guarded(cube.groups, th.field, _differentials(by_degree, basis))
+    return _homology(th, cube, differentials, graded)
+
+
+def _guard_bound(n, by_degree, th):
+    """B with |entry| <= B in every int product (S_(i+1) d^(i+1))(S_i d^i)
+    of ``th`` on the edges ``by_degree``, read off the blocks that
+    ``_Blocks.lifted`` scales to S_i: a row of d^(i+1) meets at most n
+    edges, one block row each, so B is the largest over i of n times the
+    largest row l1-norm of the blocks of degree i + 1 times the largest
+    entry of those of degree i."""
+    blocks, norms, tops = _blocks_of(th), [], []
+    for edges in by_degree.values():
+        rows = [row.values() for block in blocks.lifted(edges)[0].values()
+                for row in block.rows.values()]
+        norms.append(max((sum(map(abs, row)) for row in rows), default=0))
+        tops.append(max((max(map(abs, row)) for row in rows), default=0))
+    return max((n * norm * top for norm, top in zip(norms[1:], tops)), default=0)
+
+
+def _through_a_prime(n, cube, by_degree, th):
+    """The ungraded homology of the Q theory ``th`` on the edges
+    ``by_degree`` from its reduction mod p > 2B, B of ``_guard_bound``,
+    streamed in Lee's idempotents; a guard failure mod p reruns over Q in
+    (1, x).  None where there is no such p or no certificate: two adjacent
+    degrees with homology mod p (module docstring)."""
+    reduced = reduced_mod_p(th, _guard_bound(n, by_degree, th))
+    if reduced is None:
+        return None
+    try:
+        result = _streamed(cube, by_degree, reduced, sparsest_basis(reduced))
+    except DSquaredNonzero:
+        return _streamed(cube, by_degree, th, th)
+    return None if any(i + 1 in result.betti for i in result.betti) else result
 
 
 def homology_of(d, th, anchor_flips=()):

@@ -11,7 +11,7 @@ from vlinkhom.algebra import (TheoryParams, all_presets, constraint_residuals,
                               coproduct_matrix, counit_matrix,
                               four_tube_sides, phi_matrix, preset,
                               product_matrix, random_rational_triples,
-                              sparsest_basis, structure_maps,
+                              reduced_mod_p, sparsest_basis, structure_maps,
                               theory_from_params, theory_from_triple,
                               theta_matrix, unit_matrix, verify_4tu,
                               verify_axioms)
@@ -442,3 +442,50 @@ def test_sparsest_basis_is_a_change_of_basis_over_every_field():
             res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
             assert not all(F.is_zero(r) for r in (*res["eq1"], res["eq2"])), (F, params)
             assert sparsest_basis(th) is th, (F, params)
+
+
+def first_prime_1_mod_4(above, avoid):
+    """The first prime p = 1 mod 4 above ``above`` that divides none of
+    ``avoid``, by trial division."""
+    p = above + 1
+    while not (p % 4 == 1 and all(p % k for k in range(2, int(p ** 0.5) + 1))
+               and all(v % p for v in avoid)):
+        p += 1
+    return p
+
+
+def test_reduced_mod_p_takes_the_first_prime_that_keeps_the_theory():
+    F = Fraction
+    cases = [
+        ((1, 0, 1), 0, 1000033, []),
+        ((1, 0, 1), 10 ** 6, None, []),              # above 2B = 2 * 10^6
+        ((1000033, 0, 1), 0, None, [1000033]),       # p divides a
+        ((F(1, 1000033), 0, 1), 0, None, [1000033]),
+        ((1, 0, 1000033), 0, None, [1000033]),       # p divides mu
+        ((1, F(1, 1000033), 1), 0, None, [1000033]),  # and so the denominator of t
+        ((1, 1000033, 1), 0, 1000033, []),           # a numerator of lambda is kept
+        ((F(1, 3), F(1, 2), 5), 450000000, 900000041, []),
+    ]
+    for triple, bound, p, avoid in cases:
+        th = theory_from_triple(*map(F, triple))
+        reduced = reduced_mod_p(th, bound)
+        expected = p or first_prime_1_mod_4(max(2 * bound, 10 ** 6), avoid)
+        Fp = PrimeField(expected)
+        assert reduced == theory_from_params(*(Fp.parse(str(v)) for v in (
+            th.a, th.t, th.lam, th.mu, th.beta)), field=Fp), triple
+        assert expected > 2 * bound and expected % 4 == 1, triple
+        assert type(sparsest_basis(reduced)).__name__ == "Idempotents", triple
+
+
+def test_reduced_mod_p_refuses_a_tuple_off_eq1_or_eq2_and_a_prime_past_the_limit():
+    for params in ((1, 3, 1, 1, 0), (1, 5, 0, 1, 0), (1, 0, 1, 1, 1)):
+        assert reduced_mod_p(TheoryParams(QQ, *map(Q, params)), 0) is None, params
+    th = q_theory()
+    assert reduced_mod_p(th, PRIME_LIMIT // 2) is None
+    assert reduced_mod_p(th, 10 ** 30) is None
+    # the last prime = 1 mod 4 below the limit is the last one taken
+    p = PRIME_LIMIT - 1
+    while not (p % 4 == 1 and is_prime(p)):
+        p -= 1
+    assert reduced_mod_p(th, (p - 1) // 2).field == PrimeField(p)
+    assert reduced_mod_p(th, p // 2 + 1) is None

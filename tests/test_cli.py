@@ -619,6 +619,9 @@ CLI_GOLDEN = {
            ("manturov", ("--theory", "manturov")),
            ("triple_101_fp1000003", ("--triple", "1,0,1", "--field", "fp:1000003")))
        for fmt, ext in (("json", "json"), ("text", "txt"))},
+    # homology_of over Q, which takes its reduction mod p
+    "invariance_triple_101_q.json": ("invariance", "--seed", "42", "--triple", "1,0,1",
+                                     "--field", "q"),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import random
 import time
 import tracemalloc
+import types
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +20,8 @@ from oracles import (assembled_differential, chain_label, classical_khovanov_f2_
                      rank_qq_dense, theta_total_betti)
 from vlinkhom import corpus
 from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset,
-                              random_rational_triples, sparsest_basis,
-                              theory_from_triple)
+                              random_rational_triples, reduced_mod_p,
+                              sparsest_basis, theory_from_triple)
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
 from vlinkhom.diagram import (VirtualLinkDiagram, all_smoothings, braid_closure,
@@ -28,7 +29,7 @@ from vlinkhom.diagram import (VirtualLinkDiagram, all_smoothings, braid_closure,
                               smoothings_from_both_ends)
 from vlinkhom.errors import (BadSyntax, DSquaredNonzero, InputError, LengthMismatch,
                              NotGraded, VlinkhomError)
-from vlinkhom.fields import QQ, PrimeField
+from vlinkhom.fields import QQ, PrimeField, RationalField
 from vlinkhom.homology import (betti_with_reversed_anchor, build_complex,
                                graded_euler_poly, graded_homology, homology,
                                homology_of, stream_homology)
@@ -297,36 +298,56 @@ def test_streamed_pass_reports_d_squared_before_not_graded(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
 def test_the_stream_lifts_each_distinct_block_once(monkeypatch, field):
-    # each block of the basis is lifted to ints on its first use and never
+    # each block of a basis is lifted to ints on its first use and never
     # again, and no differential is lifted: the guard and elimination read
-    # the ints the blocks scatter to
+    # the ints the blocks scatter to.  The exact pass, called directly,
+    # lifts the blocks of the sparsest basis; over Q the stream lifts those
+    # of (1, x), which bound its guard, and of its reduction mod p
     lifted = []
 
     def lifting(rows, F):
         lifted.append(rows)
         return L._int_rows(rows, F)
 
-    H._blocks_of.cache_clear()
     monkeypatch.setattr(H, "_int_rows", lifting)
     d = braid_closure([1, -2] * 3)
     one = field.one
     th = theory_from_triple(one, field.zero, one, field=field)
-    for _ in range(2):
-        stream_homology(d, th)
-    cube, blocks = H._cube_of(d), H._blocks_of(sparsest_basis(th))
+    cube = H._cube_of(d)
     used = {how[0] for edges in cube.by_degree.values() for _, _, how, _, _ in edges}
-    assert len(lifted) == len(used) > 1
-    assert sorted(map(id, lifted)) == sorted(id(blocks[key].rows) for key in used)
+    assert len(used) > 1
+
+    def assert_lifted_once(run, bases):
+        H._blocks_of.cache_clear()
+        lifted.clear()
+        for _ in range(2):
+            run()
+        assert len(lifted) == len(used) * len(bases)
+        assert sorted(map(id, lifted)) == sorted(id(H._blocks_of(basis)[key].rows)
+                                                 for basis in bases for key in used)
+
+    basis = sparsest_basis(th)
+    assert_lifted_once(lambda: H._streamed(cube, cube.by_degree, th, basis), [basis])
+    if field == QQ:
+        reduced = reduced_mod_p(th, H._guard_bound(d.n, cube.by_degree, th))
+        assert reduced.field == PrimeField(1000033)
+        assert_lifted_once(lambda: stream_homology(d, th), [th, sparsest_basis(reduced)])
+    else:
+        assert_lifted_once(lambda: stream_homology(d, th), [basis])
 
 
 @pytest.mark.parametrize("theory", ["q 1/3,1/2,5", "fp:1000003 1,0,1"])
 def test_the_stream_does_no_field_arithmetic_once_its_blocks_are_lifted(
         monkeypatch, theory):
     th, d = MUTATION_THEORIES[theory], braid_closure([1, -2] * 3)
+    cube, basis = H._cube_of(d), sparsest_basis(th)
     stream_homology(d, th)  # builds and lifts the blocks
+    H._streamed(cube, cube.by_degree, th, basis)  # and those of the exact pass
     calls, kinds = [], set()
-    for name in ("add", "sub", "mul", "div", "neg", "inv", "from_int", "is_zero"):
-        monkeypatch.setattr(th.field, name, counted(calls, name, getattr(th.field, name)))
+    # every field, the reduction's GF(p) too
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "div", "neg", "inv", "from_int", "is_zero"):
+            monkeypatch.setattr(cls, name, counted(calls, name, getattr(cls, name)))
     scatter = H._differentials
 
     def watching(*args):
@@ -335,11 +356,21 @@ def test_the_stream_does_no_field_arithmetic_once_its_blocks_are_lifted(
             yield i, rows, scale
 
     monkeypatch.setattr(H, "_differentials", watching)
-    sparsest_basis(th)  # the theory's own arithmetic, once per pass
-    basis_calls = calls[:]
+    assert H._streamed(cube, cube.by_degree, th, basis).betti
+    assert kinds == {int} and calls == []
+    # the theory's own arithmetic, once per pass: over Q its reduction mod p
+    # and that reduction's sparsest basis
+    if th.field == QQ:
+        reduced = reduced_mod_p(th, H._guard_bound(d.n, cube.by_degree, th))
+        assert reduced.field == PrimeField(675000037)
+        sparsest_basis(reduced)
+    else:
+        sparsest_basis(th)
+    own = calls[:]
     calls.clear()
+    kinds.clear()
     assert stream_homology(d, th)[1].betti
-    assert kinds == {int} and calls == basis_calls
+    assert kinds == {int} and calls == own
 
 
 @pytest.mark.parametrize("theory, run", [("q 1/3,1/2,5", homology),
@@ -525,6 +556,14 @@ def counted(calls, name, fn):
     def wrapped(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
+    return wrapped
+
+
+def recording(seen, fn):
+    """``fn``, appending the result of each call to ``seen``."""
+    def wrapped(*args):
+        seen.append(fn(*args))
+        return seen[-1]
     return wrapped
 
 
@@ -1116,6 +1155,124 @@ def test_streamed_pass_matches_the_built_complex_under_random_rational_triples()
     assert max(scales) >= 625
 
 
+# -- Q through one prime -------------------------------------------------------------
+
+def test_the_q_stream_takes_a_reduction_mod_p_and_matches_exact_q(monkeypatch):
+    # every ungraded Q stream is taken mod p and certified: none falls back
+    theories = [theory_from_triple(*t) for t in random_rational_triples(6, 27)]
+    theories += [MUTATION_THEORIES["q 1/3,1/2,5"], MUTATION_THEORIES["q 1/2,3,-2/3"]]
+    links = random_virtual_links(27, 8, max_n=6)
+    assert {len(d.components) for d in links} == {1, 2, 3}
+    diagrams = [corpus.load(name) for name in corpus.all_names()] + links
+    reduced, results = [], []
+    monkeypatch.setattr(H, "reduced_mod_p", recording(reduced, H.reduced_mod_p))
+    monkeypatch.setattr(H, "_through_a_prime", recording(results, H._through_a_prime))
+    rng, cases = random.Random(27), 0
+    for th in theories:
+        for d in diagrams:
+            sms = all_smoothings(d)
+            selectors = [(s, key) for s in sorted(sms) for key in sms[s].keys]
+            for flips in ((), rng.sample(selectors, min(2, len(selectors)))):
+                assert homology_of(d, th, anchor_flips=flips) == \
+                    homology(build_complex(d, th, anchor_flips=flips)), (d, th, flips)
+                cases += 1
+    assert len(reduced) == len(results) == cases
+    assert None not in results
+    primes = {over.field.characteristic for over in reduced}
+    assert min(primes) == 1000033 and all(p % 4 == 1 for p in primes)
+
+
+def test_a_p_torsion_complex_fails_the_certificate_and_comes_back_exact(monkeypatch):
+    # one differential, the 1x1 matrix [p] at the prime the stream takes:
+    # 0 mod p, so Betti_p is 1 in the adjacent degrees 0 and 1, and over Q
+    # it has rank 1 and no homology; [3] is certified mod p at once
+    th, passes = q_theory(), []
+    prime = reduced_mod_p(th, 0).field.characteristic
+    group = types.SimpleNamespace(dim=1)
+    cube = types.SimpleNamespace(groups={0: group, 1: group}, edges_with=lambda flips: {0: []})
+
+    def one_entry(value):
+        def differentials(by_degree, basis):
+            p = basis.field.characteristic
+            passes.append(p)
+            v = value % p if p else value
+            yield 0, {0: {0: v}} if v else {}, 1
+        return differentials
+
+    monkeypatch.setattr(H, "_cube_of", lambda d: cube)
+    for value, expected in ((prime, [prime, 0]), (3, [prime])):
+        passes.clear()
+        monkeypatch.setattr(H, "_differentials", one_entry(value))
+        got, result = stream_homology(types.SimpleNamespace(n=1), th)
+        assert got is cube and passes == expected, value
+        assert (result.betti, result.euler) == ({}, 0), value
+
+
+def product_peak(c):
+    """The largest entry of |S_(i+1) d^(i+1)| |S_i d^i| over the int rows of
+    the built complex ``c``, entrywise absolute values: a bound on every
+    entry of the products the d o d guard checks."""
+    peak, rows = 0, [rows for _, rows, _ in c.rows]
+    for right, left in zip(rows, rows[1:]):
+        for row in left.values():
+            acc = {}
+            for mid, w in row.items():
+                for col, v in right.get(mid, {}).items():
+                    acc[col] = acc.get(col, 0) + abs(w * v)
+            peak = max(peak, *acc.values())
+    return peak
+
+
+def test_the_prime_passes_twice_the_guard_bound_on_every_build(monkeypatch):
+    # under 1/3,1/2,5 the products pass 10^6, so a prime read off the 10^6
+    # floor alone could hide a nonzero entry of d o d
+    th, seen = MUTATION_THEORIES["q 1/3,1/2,5"], []
+    monkeypatch.setattr(H, "reduced_mod_p",
+                        lambda th, bound: seen.append(bound) or reduced_mod_p(th, bound))
+    diagrams = [corpus.load(name) for name in corpus.all_names()]
+    diagrams += [braid_closure(w) for w in ([1, -2] * 3, [1, -2] * 4, [1] * 5, [1, 2, -1, 2])]
+    peaks = []
+    for d in diagrams:
+        seen.clear()
+        homology_of(d, th)
+        (bound,) = seen
+        peaks.append(product_peak(build_complex(d, th)))
+        p = reduced_mod_p(th, bound).field.characteristic
+        assert peaks[-1] <= bound < p / 2 and 2 * peaks[-1] < p, d
+    assert max(peaks) > 10 ** 6
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_the_reduced_guard_fails_where_the_q_guard_fails(monkeypatch, which):
+    # a flipped sign breaks d o d on the 11 corpus diagrams with a crossing:
+    # the pass mod p fails its guard on those, and the rerun over Q in (1, x)
+    # raises the witness of the built complex
+    monkeypatch.setattr(H, "saddles", mutated_saddles("sign", which))
+    passes, streamed = [], H._streamed
+
+    def watching(cube, by_degree, th, basis, graded=False):
+        passes.append((th.field.characteristic, basis is th))
+        return streamed(cube, by_degree, th, basis, graded)
+
+    monkeypatch.setattr(H, "_streamed", watching)
+    fired = 0
+    for name in corpus.all_names():
+        d = corpus.load(name)
+        for theory in ("q 1,0,1", "q 1/2,3,-2/3", "q 1/3,1/2,5"):
+            th = MUTATION_THEORIES[theory]
+            passes.clear()
+            built = outcome(lambda: homology(build_complex(d, th)))
+            assert outcome(lambda: homology_of(d, th)) == built, (name, theory)
+            p = passes[0][0]
+            assert p % 4 == 1 and not passes[0][1], (name, theory)
+            if isinstance(built, tuple):
+                fired += 1
+                assert passes == [(p, False), (0, True)], (name, theory)
+            else:
+                assert passes == [(p, False)], (name, theory)
+    assert fired == 33
+
+
 def assert_orientation_count(d):
     for row in ("f2_row2", "f2_row5"):
         assert homology_of(d, preset(row)).betti == orientation_betti(d), (row, d)
@@ -1318,29 +1475,50 @@ def recorded_pivots(run):
     return calls
 
 
+def pivot_counts(calls):
+    """The rank of each degree, from the calls ``recorded_pivots`` returns."""
+    return [sum(map(len, pivots.values())) for _, _, pivots in calls]
+
+
 def assert_cancellation_lemma(d, theory):
     """Take the homology of ``d`` and check the pivot rows recorded per layer
     (i, q), one degree at a time: each degree is eliminated without the
     pivot rows of the one below, they number rank(d^i), they are
     independent rows of d^i, and d^(i+1) at the same q without them as
-    columns keeps its rank, all by dense oracles.  The complex is built in
-    the stream's own basis, ``sparsest_basis(th)``: the streamed pass records
-    the same layers and pivot rows, and the ranks per degree are those of
-    the complex in (1, x)."""
+    columns keeps its rank, all by dense oracles.  The exact pass in
+    ``sparsest_basis(th)``, called directly, records the layers and pivot
+    rows of the complex built in that basis, and the stream those of the
+    complex of the theory it eliminates over: ``th``, or over Q its
+    reduction mod p, in that theory's sparsest basis.  The ranks per degree
+    are those of the complex of ``th`` in (1, x)."""
     th = MUTATION_THEORIES[theory]
     graded = theory == "manturov"
     run = graded_homology if graded else homology
-    c = build_complex(d, sparsest_basis(th))
-    calls = recorded_pivots(lambda: run(c))
-    assert recorded_pivots(lambda: stream_homology(d, th, graded=graded)) == calls
-    assert len(calls) == c.max_degree - c.min_degree
+    ranks = pivot_counts(recorded_pivots(lambda: run(build_complex(d, th))))
+    cube, reduced = H._cube_of(d), []
+    exact = recorded_pivots(
+        lambda: H._streamed(cube, cube.by_degree, th, sparsest_basis(th), graded))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(H, "reduced_mod_p", recording(reduced, H.reduced_mod_p))
+        streamed = recorded_pivots(lambda: stream_homology(d, th, graded=graded))
+    assert len(reduced) == (th.field == QQ)
+    passes = [(th, exact), *[(over, streamed) for over in reduced]]
+    if th.field != QQ:
+        assert streamed == exact
+    for over, calls in passes:
+        assert over is not None
+        c = build_complex(d, sparsest_basis(over))
+        assert recorded_pivots(lambda: run(c)) == calls
+        assert len(calls) == c.max_degree - c.min_degree
+        assert pivot_counts(calls) == ranks
+        assert_pivots_keep_their_ranks(over.field, calls, c.min_degree)
 
-    def ranks(calls):
-        return [sum(map(len, pivots.values())) for _, _, pivots in calls]
 
-    assert ranks(recorded_pivots(lambda: run(build_complex(d, th)))) == ranks(calls)
-    field, rows, pivots, previous = th.field, {}, {}, {}
-    for i, (layers, below, found) in enumerate(calls, start=c.min_degree):
+def assert_pivots_keep_their_ranks(field, calls, min_degree):
+    """The dense-oracle checks of ``assert_cancellation_lemma`` on the
+    ``_layer_pivots`` calls of one pass over ``field``."""
+    rows, pivots, previous = {}, {}, {}
+    for i, (layers, below, found) in enumerate(calls, start=min_degree):
         assert below is previous or below == previous == {}, i
         rows[i] = layers
         pivots.update(((i, q), p) for q, p in found.items())
