@@ -252,9 +252,15 @@ def cmd_surface(args):
 class _Parser(argparse.ArgumentParser):
     """The parser of ``build_parser`` and of its subcommands.  An error is an
     InputError for ``main`` to report, prefixed by the parser's name and
-    ``cut`` like any echo of an outside value."""
+    ``cut`` like any echo of an outside value.  argparse reads a value that
+    starts with '-' (say --triple -1,3,1) as a flag, so a flag left without
+    its value is told to take it after '='."""
 
     def error(self, message):
+        head, missing, _ = message.partition(": expected one argument")
+        if missing and head.startswith("argument --"):
+            flag = head.removeprefix("argument ")
+            message += f"; write {flag}=VALUE for a value that starts with '-'"
         raise InputError(cut(f"{self.prog}: {message}"))
 
 

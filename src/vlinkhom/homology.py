@@ -8,7 +8,10 @@ groups the states by r(s).  Each cube edge contributes (-1)^<s,t> times the
 block of its saddle, scattered over the unaffected circles by bit
 arithmetic on the basis indices straight into the differential's rows
 ``{row: {col: value}}``; nothing is sorted or filtered, as the blocks are
-zero-free and distinct edges fill disjoint blocks.  The cube keeps one
+zero-free and distinct edges fill disjoint blocks.  Every row and column
+key is the int object ``ints[index]`` of the cube's one table ``ints``, so
+an index is one int, shared by every differential, guard, layer and pivot
+list that names it, not a fresh int per entry.  The cube keeps one
 record per edge, in one table per degree, and one generator scatters the
 differentials one degree at a time, upward: ``build_complex`` keeps them
 all, the streamed pass one at a time.  An anchor flip enters as a toggled
@@ -21,7 +24,8 @@ formalism, where the cube and its saddles belong to the diagram and the
 theory only evaluates them:
 
 - once per diagram object: the smoothings, one table of each state's
-  offset within its degree, the chain groups and, from one pass over
+  offset within its degree, the chain groups, the index table ``ints`` as
+  long as the largest of them and, from one pass over
   ``diagram.saddles``, one record per edge in the list of its degree: its
   two offsets, block key (kind, twist_in, twist_out, phi'd spectators,
   sign parity), placement, and source and target smoothings.
@@ -238,8 +242,10 @@ class Cube:
     arguments) without anchor flips, source ``Smoothing``, target
     ``Smoothing``).  Each record reads its two offsets from the one table
     ``offsets``, which gives every state the first index of its block in
-    the group of its degree.  The smoothings, made from both ends of the
-    cube inward, are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
+    the group of its degree.  ``ints`` is ``list(range(largest group
+    dim))``: each index's one int object, the key of every row and column
+    that names it.  The smoothings, made from both ends of the cube inward,
+    are refused once the sum of 2^k(s) passes MAX_CHAIN_DIM."""
 
     def __init__(self, d):
         n, n_minus = d.n, d.n_minus
@@ -260,6 +266,7 @@ class Cube:
             sizes[i] += 1 << sm.k
         circles = MappingProxyType({s: sm.keys for s, sm in smoothings.items()})
         offsets = MappingProxyType(offsets)
+        self.ints = list(range(max(sizes.values())))
         self.groups = MappingProxyType({i: ChainGroup(i, tuple(states[i]), circles, offsets,
                                                       sizes[i]) for i in states})
         self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
@@ -325,10 +332,10 @@ class Cube:
 
 # The largest total chain dimension (generators over all degrees) a build
 # accepts.  Taken degree by degree, as the CLI does, homology costs about
-# 0.65 KB of memory per generator graded and 1.5 KB ungraded over GF(2):
-# T(2,12), with 531,444 generators, peaked at 342 MB max RSS under
-# `compute --theory manturov --graded`, 766 MB under f2_row7 and 720 MB under
-# f2_row2 (one run each, Python 3.11, 2-vCPU Linux).  So the cap allows
+# 0.51 KB of memory per generator graded and 1.3 KB ungraded over GF(2):
+# T(2,12), with 531,444 generators, peaked at 271 MB max RSS under
+# `compute --theory manturov --graded`, 705 MB under f2_row7 and 688 MB under
+# f2_row2 (two runs each, Python 3.11, 2-vCPU Linux).  So the cap allows
 # about twice that; build_complex, which keeps every differential, needs more.
 MAX_CHAIN_DIM = 1 << 20
 
@@ -365,11 +372,12 @@ def _cube_of(d):
     return _last_cube
 
 
-def _differentials(by_degree, th):
+def _differentials(by_degree, th, ints):
     """Yield (i, rows of S d^i, S) for each degree i upward, each
     differential scattered afresh from the edges of its degree in the table
     ``by_degree`` (``Cube.edges_with``) into ``{row: {col: int}}`` at the
-    scale S of its blocks (``_Blocks.lifted``), and handed over: the
+    scale S of its blocks (``_Blocks.lifted``), keyed by ``Cube.ints``,
+    and handed over: the
     generator keeps none of them once it resumes, so a consumer that drops
     d^i holds one differential at a time.  This is the one scatter."""
     blocks, scatter = _blocks_of(th), tqft.scatter_extended
@@ -379,7 +387,7 @@ def _differentials(by_degree, th):
         # distinct edges join distinct state pairs, so their blocks are
         # disjoint, and a block has no zero entry to filter out
         for row0, col0, (key, placement, _), _, _ in edges:
-            scatter(rows, table[key], placement, row0, col0)
+            scatter(rows, table[key], placement, row0, col0, ints)
         yield i, rows, scale
 
 
@@ -414,7 +422,7 @@ def build_complex(d, th, anchor_flips=(), check=True):
     diagram object share its cube (see the module docstring).
     """
     cube = _cube_of(d)
-    rows = _differentials(cube.edges_with(anchor_flips), th)
+    rows = _differentials(cube.edges_with(anchor_flips), th, cube.ints)
     if check:
         rows = _guarded(cube.groups, th.field, rows)
     return ChainComplex(d, th, -d.n_minus, d.n - d.n_minus, cube.groups, tuple(rows),
@@ -558,7 +566,8 @@ def _streamed(cube, by_degree, th, basis, graded=False):
     """The homology of ``th`` on the edges ``by_degree`` of ``cube``, each
     differential scattered in ``basis`` (``th`` or a change of basis of it
     over its field) and guarded as it comes."""
-    differentials = _guarded(cube.groups, th.field, _differentials(by_degree, basis))
+    differentials = _guarded(cube.groups, th.field,
+                             _differentials(by_degree, basis, cube.ints))
     return _homology(th, cube, differentials, graded)
 
 

@@ -53,25 +53,32 @@ def placement(in_pos, k_in, out_pos, k_out):
             _factor_masks(spectators_out, k_out), _factor_masks(spectators_in, k_in))
 
 
-def scatter_extended(rows_out, block, masks, row0, col0):
+def scatter_extended(rows_out, block, masks, row0, col0, ints):
     """Write the entries of ``block`` padded with identities, shifted by
     ``row0`` and ``col0``, into the rows ``{row: {col: value}}`` of
-    ``rows_out``, at the factor placement ``masks`` (see ``placement``)."""
+    ``rows_out``, at the factor placement ``masks`` (see ``placement``).
+    Every row and column key is the int object ``ints[index]``, so each
+    index is one int of that table however many rows and entries name it."""
     rows, cols, spectator_rows, spectator_cols = masks
     if block.ncols != len(cols) or block.nrows != len(rows):
         raise DimensionMismatch("block shape does not match its factor positions")
     # block and spectator bits are disjoint, so or-ing them is adding them
-    placed = [(row0 + rows[r], [(cols[c], v) for c, v in row.items()])
+    placed = [(row0 + rows[r], [(col0 + cols[c], v) for c, v in row.items()])
               for r, row in block.rows.items()]
+    get = rows_out.get
     for sr, sc in zip(spectator_rows, spectator_cols):
-        c0 = col0 + sc
         for r, row in placed:
-            target = rows_out.get(r + sr)
+            r = ints[r + sr]
+            target = get(r)
             if target is None:
-                rows_out[r + sr] = {c0 + c: v for c, v in row}
+                if len(row) == 1:
+                    (c, v), = row
+                    rows_out[r] = {ints[c + sc]: v}
+                else:
+                    rows_out[r] = {ints[c + sc]: v for c, v in row}
             else:
                 for c, v in row:
-                    target[c0 + c] = v
+                    target[ints[c + sc]] = v
 
 
 # ---------------------------------------------------------------------------

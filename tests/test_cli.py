@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from vlinkhom import corpus
-from vlinkhom.algebra import PRESET_NAMES, constraint_residuals
+from vlinkhom.algebra import PRESET_NAMES, constraint_residuals, theory_from_triple
 from vlinkhom.cli import build_parser, main
 from vlinkhom.diagram import braid_closure
 from vlinkhom.fields import PRIME_LIMIT, QQ
+from vlinkhom.homology import homology_of
 from vlinkhom.jones import LaurentPoly
 from vlinkhom.tqft import MAX_SURFACE_COUNT
 
@@ -38,6 +39,25 @@ def test_compute_trefoil_triple(tmp_path, capsys):
     assert rep["euler"] == 2 and rep["jones_at_one"] == 2
     assert rep["euler_matches_jones"] is True
     assert rep["theory"] == {"triple": ["1", "0", "1"], "field": "q"}
+
+
+def test_a_triple_that_starts_with_minus_goes_after_equals(tmp_path, capsys):
+    # argparse reads "-1,3,1" as a flag; the error names the form it takes
+    code, out = run(capsys, "compute", "--triple", "-1,3,1", "--field", "q")
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("vlinkhom compute: argument --triple: expected one argument")
+    assert "--triple=VALUE" in message
+    path = tmp_path / "trefoil.gauss"
+    path.write_text("O1+,U2+,O3+,U1+,O2+,U3+\n")
+    code, out = run(capsys, "compute", "--diagram", str(path), "--triple=-1,3,1",
+                    "--field", "q")
+    assert code == 0
+    (rep,) = json.loads(out)
+    th = theory_from_triple(QQ.from_int(-1), QQ.from_int(3), QQ.from_int(1))
+    assert rep["betti"] == {str(i): b for i, b in
+                            homology_of(corpus.load("trefoil"), th).betti.items()}
+    assert rep["theory"] == {"triple": ["-1", "3", "1"], "field": "q"}
 
 
 def test_compute_graded_unknot(tmp_path, capsys):

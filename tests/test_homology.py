@@ -1013,9 +1013,60 @@ def test_streamed_pass_holds_at_most_two_differentials(monkeypatch, theory, grad
     assert len(watched) == d.n and max(alive) == 2
     assert all(ref() is None for ref in watched)
     # a consumer that keeps all d.n of them, and the watch sees it
-    kept = list(H._differentials(H._cube_of(d).by_degree, sparsest_basis(th)))
+    cube = H._cube_of(d)
+    kept = list(H._differentials(cube.by_degree, sparsest_basis(th), cube.ints))
     assert sum(ref() is not None for ref in watched[d.n:]) == len(kept) == d.n
     assert streamed == (graded_homology if graded else homology)(build_complex(d, th))
+
+
+def two_anchor_flips(d):
+    """The first circle of the lowest state and the last of the highest."""
+    sms = H._cube_of(d).smoothings
+    first, last = min(sms), max(sms)
+    return ((first, sms[first].keys[0]), (last, sms[last].keys[-1]))
+
+
+@pytest.mark.parametrize("theory, graded, flips", [
+    ("manturov", True, False), ("f2_row2", False, True),
+    ("fp:1000003 1,0,1", False, False), ("q 1/3,1/2,5", False, False),
+])
+def test_every_index_is_one_int_of_the_cube(monkeypatch, theory, graded, flips):
+    # each generator index is the object ints[k] of its cube's table, in the
+    # rows the scatter yields, in those a built complex keeps and in every
+    # pivot list, so no index is held as a second int object.  Python shares
+    # the ints up to 256 anyway: (s1 s2^-1)^4 has a chain group of 290
+    th, seen, top = MUTATION_THEORIES[theory], [], 0
+    scatter, eliminate = H._differentials, H.pivot_rows
+
+    def watching(*args):
+        for i, rows, scale in scatter(*args):
+            seen.append(rows)
+            yield i, rows, scale
+
+    def recording(rows, p, skip=()):
+        pivots = eliminate(rows, p, skip)
+        seen.append({r: () for r in pivots})
+        return pivots
+
+    monkeypatch.setattr(H, "_differentials", watching)
+    monkeypatch.setattr(H, "pivot_rows", recording)
+    diagrams = [corpus.load(name) for name in corpus.all_names()]
+    diagrams += [braid_closure([1, -2] * 3), braid_closure([1, -2] * 4)]
+    for d in diagrams:
+        anchor_flips = two_anchor_flips(d) if flips else ()
+        seen.clear()
+        stream_homology(d, th, graded=graded, anchor_flips=anchor_flips)
+        c = build_complex(d, th, anchor_flips)
+        seen.extend(rows for _, rows, _ in c.rows)
+        (graded_homology if graded else homology)(c)
+        ints = H._cube_of(d).ints
+        assert len(ints) == max(c.dims())
+        for rows in seen:
+            for r, cols in rows.items():
+                assert r is ints[r], (d.name, r)
+                assert all(col is ints[col] for col in cols), (d.name, r)
+                top = max(top, r, *cols)
+    assert top > 256
 
 
 # -- the sparsest basis of V --------------------------------------------------------
@@ -1085,7 +1136,8 @@ def sparse_guard_fires(monkeypatch, kind, which, theories):
             cube = H._cube_of(d)
             try:
                 for _ in H._guarded(cube.groups, th.field,
-                                    H._differentials(cube.by_degree, sparsest_basis(th))):
+                                    H._differentials(cube.by_degree, sparsest_basis(th),
+                                                     cube.ints)):
                     pass
             except DSquaredNonzero:
                 fired += 1
@@ -1151,7 +1203,8 @@ def test_streamed_pass_matches_the_built_complex_under_random_rational_triples()
         for d in diagrams:
             assert_stream_matches_build(d, th)
             cube = H._cube_of(d)
-            scales.update(s for _, _, s in H._differentials(cube.by_degree, sparsest_basis(th)))
+            scales.update(s for _, _, s in H._differentials(cube.by_degree, sparsest_basis(th),
+                                                            cube.ints))
     assert max(scales) >= 625
 
 
@@ -1189,10 +1242,11 @@ def test_a_p_torsion_complex_fails_the_certificate_and_comes_back_exact(monkeypa
     th, passes = q_theory(), []
     prime = reduced_mod_p(th, 0).field.characteristic
     group = types.SimpleNamespace(dim=1)
-    cube = types.SimpleNamespace(groups={0: group, 1: group}, edges_with=lambda flips: {0: []})
+    cube = types.SimpleNamespace(groups={0: group, 1: group}, edges_with=lambda flips: {0: []},
+                                 ints=[0])
 
     def one_entry(value):
-        def differentials(by_degree, basis):
+        def differentials(by_degree, basis, ints):
             p = basis.field.characteristic
             passes.append(p)
             v = value % p if p else value

@@ -154,7 +154,8 @@ def test_pivot_lists_match_the_field_markowitz_loop_on_the_corpus(name):
     for d in diagrams:
         for basis in (th, sparsest_basis(th)):
             below = ()
-            for i, rows, scale in H._differentials(H._cube_of(d).by_degree, basis):
+            cube = H._cube_of(d)
+            for i, rows, scale in H._differentials(cube.by_degree, basis, cube.ints):
                 pivots = pivot_rows(rows, field.characteristic, below)
                 reference = pivot_rows_markowitz(
                     {r: {c: v for c, v in cols.items() if c not in below}

@@ -95,9 +95,10 @@ def test_cup_cap_sphere():
 def test_extended_entries_phi_on_each_of_two():
     th = preset("f2_row2")
     phi, ident = phi_matrix(th), ExactLinearMap.identity(GF2, 2)
+    ints = list(range(4))
     for pos, expected in ((0, phi.kron(ident)), (1, ident.kron(phi))):
         ext = {}
-        scatter_extended(ext, phi, placement((pos,), 2, (pos,), 2), 0, 0)
+        scatter_extended(ext, phi, placement((pos,), 2, (pos,), 2), 0, 0, ints)
         assert ExactLinearMap(GF2, 4, 4, ext) == expected
 
 
@@ -105,7 +106,8 @@ def test_extended_entries_shape_mismatch():
     th = preset("manturov")
     with pytest.raises(DimensionMismatch):
         # a 2 -> 1 block placed as if it acted on one factor
-        scatter_extended({}, product_matrix(th), placement((0,), 2, (0,), 2), 0, 0)
+        scatter_extended({}, product_matrix(th), placement((0,), 2, (0,), 2), 0, 0,
+                         list(range(4)))
 
 
 def test_compose_dimension_mismatch():
