@@ -258,7 +258,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         head, missing, _ = message.partition(": expected one argument")
-        if missing and head.startswith("argument --"):
+        if missing:
             flag = head.removeprefix("argument ")
             message += f"; write {flag}=VALUE for a value that starts with '-'"
         raise InputError(cut(f"{self.prog}: {message}"))

@@ -68,14 +68,10 @@ def scatter_extended(rows_out, block, masks, row0, col0, ints):
     get = rows_out.get
     for sr, sc in zip(spectator_rows, spectator_cols):
         for r, row in placed:
-            r = ints[r + sr]
-            target = get(r)
+            key = ints[r + sr]
+            target = get(key)
             if target is None:
-                if len(row) == 1:
-                    (c, v), = row
-                    rows_out[r] = {ints[c + sc]: v}
-                else:
-                    rows_out[r] = {ints[c + sc]: v for c, v in row}
+                rows_out[key] = {ints[c + sc]: v for c, v in row}
             else:
                 for c, v in row:
                     target[ints[c + sc]] = v

@@ -505,14 +505,21 @@ GOLDEN_DIAGRAMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_compute_matches_golden(tmp_path, capsys, name):
+def golden_argv(name, directory):
+    """The ``compute`` arguments of the golden ``name``: its flags, then a
+    ``--diagram`` for each of its GOLDEN_DIAGRAMS, written as a JSON file
+    into ``directory``.  CI runs the same arguments as a process."""
     argv = list(GOLDEN[name])
     for d in GOLDEN_DIAGRAMS.get(name, lambda: ())():
-        path = tmp_path / f"{d.name}.json"
+        path = Path(directory) / f"{d.name}.json"
         path.write_text(json.dumps(d.to_json_obj()))
         argv += ["--diagram", str(path)]
-    code, out = run(capsys, "compute", *argv)
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_compute_matches_golden(tmp_path, capsys, name):
+    code, out = run(capsys, "compute", *golden_argv(name, tmp_path))
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
