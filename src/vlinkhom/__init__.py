@@ -5,9 +5,8 @@ from ._linalg import ExactLinearMap, compose
 from .algebra import (AxiomReport, TheoryParams, all_presets, preset,
                       theory_from_params, theory_from_triple, verify_4tu,
                       verify_axioms)
-from .diagram import (Circle, SaddleDescriptor, Smoothing, VirtualLinkDiagram,
-                      apply_r1, apply_r1_inverse, apply_r2, apply_r2_inverse,
-                      braid_closure, cube_edges, parse_gauss, smooth)
+from .diagram import (Smoothing, VirtualLinkDiagram, apply_r1, apply_r1_inverse,
+                      apply_r2, apply_r2_inverse, braid_closure, parse_gauss)
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
 from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        build_complex, graded_euler_poly, graded_homology,

@@ -103,27 +103,22 @@ class VirtualLinkDiagram:
     # Arc (comp, pos) runs from passage pos to passage pos+1 (cyclically);
     # its tail end is 2*arc and its head end 2*arc+1.
 
-    def arc_id(self, comp, pos):
-        return self._offsets[comp] + pos % len(self.components[comp])
-
-    def crossing_ends(self, label):
-        """The four arc-ends at a crossing: (Oi, Oo, Ui, Uo)."""
-        cr = self.crossings[label]
-        oc, op = cr.over
-        uc, up = cr.under
-        oi = 2 * self.arc_id(oc, op - 1) + 1
-        oo = 2 * self.arc_id(oc, op)
-        ui = 2 * self.arc_id(uc, up - 1) + 1
-        uo = 2 * self.arc_id(uc, up)
-        return oi, oo, ui, uo
-
     @cached_property
     def ends(self):
-        """``crossing_ends`` of every crossing, indexed by label - 1.
+        """The four arc ends (Oi, Oo, Ui, Uo) at every crossing, indexed by
+        label - 1: over-in, the head of the arc into the over passage, then
+        over-out, the tail of the arc out of it, and likewise under.
 
         Computed on first use, not in the constructor: move sequences build
         many diagrams that are never smoothed."""
-        return tuple(self.crossing_ends(label) for label in range(1, self.n + 1))
+        out = []
+        for label in range(1, self.n + 1):
+            cr, quad = self.crossings[label], []
+            for comp, pos in (cr.over, cr.under):
+                start, m = self._offsets[comp], len(self.components[comp])
+                quad += [2 * (start + (pos - 1) % m) + 1, 2 * (start + pos)]
+            out.append(tuple(quad))
+        return tuple(out)
 
     @cached_property
     def splices(self):
@@ -349,24 +344,14 @@ def coerce_state(d, state):
     return text
 
 
-def splice_pairing(d, bits):
-    """End-to-end pairing of the smoothed diagram: each crossing joins the
-    two end pairs that ``d.splices`` gives for its bit; -1 marks the slots
-    of free loops."""
+def _smooth(d, state):
+    """The smoothing of the 0/1 string ``state``: each crossing joins the two
+    end pairs that ``d.splices`` gives for its bit, and the circles are
+    traced through that end-to-end pairing."""
     pairing = [-1] * (2 * d.total_arcs)
-    for splice, bit in zip(d.splices, bits):
+    for splice, bit in zip(d.splices, map(int, state)):
         e1, e2, e3, e4 = splice[bit]
         pairing[e1], pairing[e2], pairing[e3], pairing[e4] = e2, e1, e4, e3
-    return pairing
-
-
-def smooth(d, state):
-    """Smooth every crossing of ``d`` according to ``state`` and trace circles."""
-    return _smooth(d, coerce_state(d, state))
-
-
-def _smooth(d, state):
-    pairing = splice_pairing(d, map(int, state))
     arc_circle = [-1] * d.total_arcs
     forward = 0
     keys = []

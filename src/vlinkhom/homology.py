@@ -75,34 +75,38 @@ in the ``_linalg`` docstring, where ``pivot_rows`` applies the ``skip``).
 
 So once d^i is guarded and eliminated only its pivot-row keys are read
 again, and ``stream_homology`` (which ``homology_of`` and the CLI use) takes
-homology in one upward pass over the degrees.  Step i scatters d^i from the
+homology in upward passes over the degrees: one fast pass and, only where
+it gives no answer, one exact pass.  Step i of a pass scatters d^i from the
 edges of degree i, checks d^i d^(i-1) = 0, splits its rows into layers (on
 the graded path checking that every entry keeps q), eliminates each layer
 without the pivot rows of d^(i-1) and drops d^(i-1), so at most two
-differentials are alive.  The pass scatters the blocks of
-``algebra.sparsest_basis(th)``, the complex of ``th`` conjugated by a change
-of basis of each factor V over the theory's own field, twist bits included:
-(1, x - h/2) over GF(p) with p = 3 mod 4 and over Q where its reduction
-mod p (below) gives no answer, Lee's idempotents over GF(p) with
-p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4 and 8.  Its ranks (over GF(4) for rows 5, 6) and guard verdict are the same,
-and a failure reruns in (1, x), so a DSquaredNonzero witness is named in
-(1, x).  Graded homology needs h = t = 0 and theta = 0, where that basis is
-(1, x).
-Its errors come in the order of a build followed by its homology: a refusal
+differentials are alive.  The exact pass scatters ``th`` itself, in the
+basis (1, x) over its own field: it is the route of ``build_complex``
+followed by ``homology``, and it names every DSquaredNonzero witness.  The
+fast pass scatters the blocks of a sparsest basis, the complex conjugated
+by a change of basis of each factor V, twist bits included, which keeps its
+ranks (over GF(4) for rows 5, 6) and guard verdict: for ungraded homology
+over Q the reduction of ``th`` mod a prime (below), in Lee's idempotents,
+and otherwise ``algebra.sparsest_basis(th)``, which is (1, x - h/2) over
+GF(p) with p = 3 mod 4 and over Q, Lee's idempotents over GF(p) with
+p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4 and 8.  Its
+result stands unless its guard fails or, mod p, two adjacent degrees have
+homology; then the exact pass gives the exact result or the witness.
+Graded homology needs h = t = 0 and theta = 0, where the sparsest basis is
+(1, x): there the fast pass is the exact pass, and runs once.
+Errors come in the order of a build followed by its homology: a refusal
 above MAX_CHAIN_DIM first, then DSquaredNonzero, then NotGraded, which is
 raised only after the guard has passed every pair of degrees.
 
-Ungraded homology over Q is taken through one prime first
-(``_through_a_prime``): S_i d^i mod a prime p that divides no denominator
-of (a, t, lambda, mu, beta) and neither a nor mu is S_i, a unit mod p,
-times the complex of the theory's reduction (``algebra.reduced_mod_p``),
-which for p = 1 mod 4 streams in Lee's idempotents.  Two arguments make it
-exact.  The guard: ``_guard_bound`` bounds every entry of the int products
-(S_(i+1) d^(i+1))(S_i d^i) by B < p/2, so a product 0 mod p is 0, and a
-failure mod p reruns over Q in (1, x) for its witness.  The rank: d^i can
-only lose rank e_i >= 0 mod p, and Betti_p(i) = Betti_Q(i) + e_i + e_(i-1)
-(universal coefficients), so where no two adjacent degrees both have
-homology mod p every e_i is 0.  Otherwise the pass runs over Q as above.
+The prime of the Q fast pass (``algebra.reduced_mod_p``) divides no
+denominator of (a, t, lambda, mu, beta) and neither a nor mu, so S_i d^i mod
+p is S_i, a unit mod p, times the complex of the theory's reduction.  Two
+arguments make the pass exact.  The guard: ``_guard_bound`` bounds every
+entry of the int products (S_(i+1) d^(i+1))(S_i d^i) by B < p/2, so a
+product 0 mod p is 0.  The rank: d^i can only lose rank e_i >= 0 mod p, and
+Betti_p(i) = Betti_Q(i) + e_i + e_(i-1) (universal coefficients), so where
+no two adjacent degrees both have homology mod p every e_i is 0.  Where
+there is no such prime the Q fast pass runs in ``sparsest_basis(th)``.
 """
 
 from __future__ import annotations
@@ -534,32 +538,33 @@ def graded_euler_poly(result):
 # the streamed pass
 
 def stream_homology(d, th, graded=False, anchor_flips=()):
-    """(cube, result): the homology of ``d`` under ``th`` in one upward pass,
-    graded as ``graded_homology`` or not as ``homology``, with
-    ``anchor_flips`` as in ``build_complex``.  Each d^i is scattered,
-    checked against d^(i-1) by the d o d guard, split into layers, eliminated
-    and dropped, so at most two differentials are held at a time.  The
-    result equals that of the same homology of ``build_complex(d, th,
-    anchor_flips)``, and so do its errors: a refusal above MAX_CHAIN_DIM
-    first, then DSquaredNonzero, then NotGraded.  The cube gives the chain
-    groups (``cube.dims()``) and the smoothings.  Ungraded homology over Q
-    is first taken mod a prime p above twice the guard bound and kept where
-    no two adjacent degrees have homology mod p (``_through_a_prime``);
-    otherwise the pass runs in ``algebra.sparsest_basis(th)`` (module
-    docstring), which is ``th`` itself wherever graded homology is defined,
-    and a guard failure there reruns in (1, x)."""
+    """(cube, result): the homology of ``d`` under ``th``, graded as
+    ``graded_homology`` or not as ``homology``, with ``anchor_flips`` as in
+    ``build_complex``.  Each pass scatters each d^i, checks it against
+    d^(i-1) by the d o d guard, splits it into layers, eliminates and drops
+    it, so at most two differentials are held at a time.  The fast pass
+    runs in a sparsest basis, mod a prime p above twice the guard bound for
+    ungraded Q, and its result stands unless its guard fails or, mod p, two
+    adjacent degrees have homology; then the exact pass, ``th`` in (1, x),
+    gives the result or the witness (module docstring).  The result equals
+    that of the same homology of ``build_complex(d, th, anchor_flips)``,
+    and so do its errors: a refusal above MAX_CHAIN_DIM first, then
+    DSquaredNonzero, then NotGraded.  The cube gives the chain groups
+    (``cube.dims()``) and the smoothings."""
     cube = _cube_of(d)
     by_degree = cube.edges_with(anchor_flips)
+    fast = th
     if not graded and th.field.characteristic == 0:
-        result = _through_a_prime(d.n, cube, by_degree, th)
-        if result is not None:
+        fast = reduced_mod_p(th, _guard_bound(d.n, by_degree, th)) or th
+    basis = sparsest_basis(fast)
+    try:
+        result = _streamed(cube, by_degree, fast, basis, graded)
+        if fast is th or not any(i + 1 in result.betti for i in result.betti):
             return cube, result
-    for basis in sparsest_basis(th), th:
-        try:
-            return cube, _streamed(cube, by_degree, th, basis, graded)
-        except DSquaredNonzero:
-            if basis is th:
-                raise
+    except DSquaredNonzero:
+        if basis is th:
+            raise
+    return cube, _streamed(cube, by_degree, th, th, graded)
 
 
 def _streamed(cube, by_degree, th, basis, graded=False):
@@ -585,22 +590,6 @@ def _guard_bound(n, by_degree, th):
         norms.append(max((sum(map(abs, row)) for row in rows), default=0))
         tops.append(max((max(map(abs, row)) for row in rows), default=0))
     return max((n * norm * top for norm, top in zip(norms[1:], tops)), default=0)
-
-
-def _through_a_prime(n, cube, by_degree, th):
-    """The ungraded homology of the Q theory ``th`` on the edges
-    ``by_degree`` from its reduction mod p > 2B, B of ``_guard_bound``,
-    streamed in Lee's idempotents; a guard failure mod p reruns over Q in
-    (1, x).  None where there is no such p or no certificate: two adjacent
-    degrees with homology mod p (module docstring)."""
-    reduced = reduced_mod_p(th, _guard_bound(n, by_degree, th))
-    if reduced is None:
-        return None
-    try:
-        result = _streamed(cube, by_degree, reduced, sparsest_basis(reduced))
-    except DSquaredNonzero:
-        return _streamed(cube, by_degree, th, th)
-    return None if any(i + 1 in result.betti for i in result.betti) else result
 
 
 def homology_of(d, th, anchor_flips=()):

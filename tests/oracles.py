@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own machinery where the point is to
-cross-check it: circle counting by union-find instead of tracing, a dense
-classical Khovanov construction with no twist data, and a standalone dense
-elimination for ranks.
+cross-check it: arc ends and splices read off the Gauss code, circle
+counting by union-find instead of tracing, a dense classical Khovanov
+construction with no twist data, and a standalone dense elimination for
+ranks.  Of the library they import only ``tqft.elementary_map``, the
+blocks that ``assembled_differential`` places by hand.
 """
 
 from __future__ import annotations
@@ -11,16 +13,48 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from vlinkhom.diagram import splice_pairing
 from vlinkhom.tqft import elementary_map
+
+
+# -- arc ends and splices, read off the Gauss code ------------------------------
+
+def crossing_ends(d):
+    """{label: (Oi, Oo, Ui, Uo)}, the four arc ends at each crossing.  The
+    arcs are numbered along the components in order, arc k running from its
+    passage to the next one (cyclically), with tail end 2k and head end
+    2k + 1; a passage is entered by the head of the arc before it (in) and
+    left by the tail of its own arc (out)."""
+    ends, first = {}, 0
+    for comp in d.components:
+        for pos, (label, over, _) in enumerate(comp):
+            into = 2 * (first + (pos - 1) % len(comp)) + 1
+            ends.setdefault(label, {})[over] = (into, 2 * (first + pos))
+        first += len(comp)
+    return {label: at[True] + at[False] for label, at in ends.items()}
+
+
+def splice_pairing(d, bits):
+    """{end: the end it is joined to} once crossing j (from 1) is smoothed by
+    the j-th of ``bits``.  A positive crossing's 0-smoothing keeps the flow
+    (over-in to under-out, under-in to over-out), and its 1-smoothing joins
+    the two ins and the two outs; at a negative crossing the two swap."""
+    sign = {label: s for comp in d.components for label, _, s in comp}
+    ends, pairing = crossing_ends(d), {}
+    for label, bit in zip(sorted(ends), bits):
+        oi, oo, ui, uo = ends[label]
+        flow = (bit == 0) == (sign[label] > 0)
+        for a, b in ((oi, uo), (ui, oo)) if flow else ((oi, ui), (oo, uo)):
+            pairing[a], pairing[b] = b, a
+    return pairing
 
 
 # -- circle counting by union-find -------------------------------------------
 
 def circle_count(d, bits):
     """k(s) computed by union-find over arc ends (no tracing)."""
-    pairing = splice_pairing(d, tuple(bits))
-    parent = list(range(2 * d.total_arcs))
+    pairing = splice_pairing(d, bits)
+    arcs = sum(map(len, d.components))
+    parent = list(range(2 * arcs))
 
     def find(x):
         while parent[x] != x:
@@ -33,12 +67,11 @@ def circle_count(d, bits):
         if rx != ry:
             parent[rx] = ry
 
-    for arc in range(d.total_arcs):
+    for arc in range(arcs):
         union(2 * arc, 2 * arc + 1)
-    for e, partner in enumerate(pairing):
-        if partner >= 0:
-            union(e, partner)
-    roots = {find(2 * arc) for arc in range(d.total_arcs)}
+    for e, partner in pairing.items():
+        union(e, partner)
+    roots = {find(2 * arc) for arc in range(arcs)}
     free_loops = sum(1 for comp in d.components if not comp)
     return len(roots) + free_loops
 
@@ -380,7 +413,7 @@ def classical_khovanov_f2_betti(d, smoothings):
             idx = (idx << 1) | b
         return idx
 
-    ranks = {}
+    ends_at, ranks = crossing_ends(d), {}
     for r in range(n):
         src_off, src_dim = group(r)
         tgt_off, tgt_dim = group(r + 1)
@@ -392,7 +425,7 @@ def classical_khovanov_f2_betti(d, smoothings):
                     continue
                 t = s[:j] + "1" + s[j + 1:]
                 st = smoothings[t]
-                ends = d.crossing_ends(j + 1)
+                ends = ends_at[j + 1]
                 bottom = sorted({ss.arc_circle[e >> 1] for e in ends})
                 top = sorted({st.arc_circle[e >> 1] for e in ends})
                 assert {len(bottom), len(top)} == {1, 2}, \

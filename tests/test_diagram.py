@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circle_count
+from oracles import circle_count, splice_pairing
 from vlinkhom import corpus
 from vlinkhom.diagram import (all_smoothings,
                               apply_r1, apply_r1_inverse, apply_r2,
-                              apply_r2_inverse, braid_closure,
+                              apply_r2_inverse, braid_closure, coerce_state,
                               cube_edges, parse_gauss,
                               r1_inverse_sites, r2_inverse_sites, random_moves,
-                              smooth, splice_pairing, diagram_from_json_obj)
+                              smoothings_from_both_ends, diagram_from_json_obj)
 from vlinkhom.errors import (BadSyntax, DuplicateRole, LengthMismatch,
                              MissingPassage, PatternNotFound, SignMismatch)
 
@@ -99,13 +99,13 @@ def test_json_roundtrip():
 
 def test_smooth_unknot():
     d = parse_gauss("")
-    sm = smooth(d, "")
+    sm = all_smoothings(d)[""]
     assert sm.k == 1 and sm.r == 0
 
 
 def test_smooth_length_mismatch():
     with pytest.raises(LengthMismatch):
-        smooth(parse_gauss(TREFOIL), "00")
+        coerce_state(parse_gauss(TREFOIL), "00")
 
 
 # k(s) for the right trefoil, frozen from the union-find oracle
@@ -115,9 +115,10 @@ TREFOIL_K = {"000": 2, "001": 1, "010": 1, "100": 1,
 
 def test_trefoil_circle_counts():
     d = parse_gauss(TREFOIL)
+    sms = all_smoothings(d)
     for state, expected in TREFOIL_K.items():
         assert circle_count(d, [int(b) for b in state]) == expected
-        assert smooth(d, state).k == expected
+        assert sms[state].k == expected
 
 
 # k(s) for the virtual trefoil, frozen from the union-find oracle
@@ -126,9 +127,10 @@ VTREFOIL_K = {"00": 1, "01": 1, "10": 1, "11": 2}
 
 def test_virtual_trefoil_circle_counts():
     d = parse_gauss(VTREFOIL)
+    sms = all_smoothings(d)
     for state, expected in VTREFOIL_K.items():
         assert circle_count(d, [int(b) for b in state]) == expected
-        assert smooth(d, state).k == expected
+        assert sms[state].k == expected
 
 
 def test_smoothing_against_oracle_corpus():
@@ -154,7 +156,8 @@ def test_arcs_partition_into_circles():
 
 def assert_smoothing_tables(d):
     """Each smoothing's stored state, circle keys and arc directions agree
-    with its bits and circles."""
+    with its bits and circles and with the splices read off the Gauss code,
+    and the smoothings made from both ends of the cube are the same."""
     sms = all_smoothings(d)
     assert list(sms) == ["".join(w) for w in itertools.product("01", repeat=d.n)]
     for state, sm in sms.items():
@@ -170,7 +173,7 @@ def assert_smoothing_tables(d):
             b = enter >> 1
             assert sm.arc_circle[b] == i
             assert enter == 2 * b + 1 - (sm.forward >> b & 1)
-        assert smooth(d, state) == sm
+    assert {sm.state: sm for sm in smoothings_from_both_ends(d)} == sms
 
 
 def test_smoothing_tables_on_the_corpus():
@@ -391,7 +394,7 @@ def test_r2_rejects_unknown_variant(variant):
 
 
 @pytest.mark.parametrize("run, error", [
-    (lambda d: smooth(d, "x" * 5000), BadSyntax),
+    (lambda d: coerce_state(d, "x" * 5000), BadSyntax),
     (lambda d: apply_r1(d, (0, 0), "x" * 5000), ValueError),
     (lambda d: apply_r2(d, ((0, 1), (0, 4)), "x" * 5000), ValueError),
 ], ids=["smooth_state", "r1_variant", "r2_variant"])

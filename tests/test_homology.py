@@ -25,7 +25,7 @@ from vlinkhom.algebra import (PRESET_NAMES, all_presets, preset,
 from vlinkhom import tqft
 from vlinkhom.cli import EXIT_COMPUTE, EXIT_MISMATCH, main
 from vlinkhom.diagram import (VirtualLinkDiagram, all_smoothings, braid_closure,
-                              cube_edges, parse_gauss, saddles, smooth,
+                              coerce_state, cube_edges, parse_gauss, saddles,
                               smoothings_from_both_ends)
 from vlinkhom.errors import (BadSyntax, DSquaredNonzero, InputError, LengthMismatch,
                              NotGraded, VlinkhomError)
@@ -519,7 +519,7 @@ def test_a_long_anchor_flip_is_cut_in_its_message():
 def test_states_are_0_1_strings_only():
     d = braid_closure([1, 1, 1])
     with pytest.raises(BadSyntax):
-        smooth(d, (0, 1, 0))
+        coerce_state(d, (0, 1, 0))
     with pytest.raises(BadSyntax):
         build_complex(d, preset("f2_row2"), anchor_flips=[((0, 1, 0), 0)])
 
@@ -1154,8 +1154,8 @@ def test_sparsest_basis_fails_the_guard_on_the_same_builds(monkeypatch, which):
     assert sparse_guard_fires(monkeypatch, "twist", which, theories) == 20
 
 
-# Q and GF(p), p = 3 mod 4, stream in (1, x - h/2), GF(p), p = 1 mod 4, in
-# Lee's idempotents
+# the sparsest basis is (1, x - h/2) over Q and GF(p), p = 3 mod 4, and
+# Lee's idempotents over GF(p), p = 1 mod 4; ungraded Q streams mod a prime
 ODD_FIELDS = [QQ] + [PrimeField(p) for p in (3, 5, 7, 13, 1000003, 1000033)]
 
 
@@ -1210,36 +1210,53 @@ def test_streamed_pass_matches_the_built_complex_under_random_rational_triples()
 
 # -- Q through one prime -------------------------------------------------------------
 
+def record_passes(monkeypatch):
+    """The list that gets (characteristic of th, basis is th) for each
+    ``_streamed`` pass from here on."""
+    passes, streamed = [], H._streamed
+
+    def watching(cube, by_degree, th, basis, graded=False):
+        passes.append((th.field.characteristic, basis is th))
+        return streamed(cube, by_degree, th, basis, graded)
+
+    monkeypatch.setattr(H, "_streamed", watching)
+    return passes
+
+
 def test_the_q_stream_takes_a_reduction_mod_p_and_matches_exact_q(monkeypatch):
-    # every ungraded Q stream is taken mod p and certified: none falls back
+    # every ungraded Q stream is one pass mod p, certified: none goes on to
+    # the exact pass
     theories = [theory_from_triple(*t) for t in random_rational_triples(6, 27)]
     theories += [MUTATION_THEORIES["q 1/3,1/2,5"], MUTATION_THEORIES["q 1/2,3,-2/3"]]
     links = random_virtual_links(27, 8, max_n=6)
     assert {len(d.components) for d in links} == {1, 2, 3}
     diagrams = [corpus.load(name) for name in corpus.all_names()] + links
-    reduced, results = [], []
+    reduced = []
     monkeypatch.setattr(H, "reduced_mod_p", recording(reduced, H.reduced_mod_p))
-    monkeypatch.setattr(H, "_through_a_prime", recording(results, H._through_a_prime))
+    passes = record_passes(monkeypatch)
     rng, cases = random.Random(27), 0
     for th in theories:
         for d in diagrams:
             sms = all_smoothings(d)
             selectors = [(s, key) for s in sorted(sms) for key in sms[s].keys]
             for flips in ((), rng.sample(selectors, min(2, len(selectors)))):
+                passes.clear()
                 assert homology_of(d, th, anchor_flips=flips) == \
                     homology(build_complex(d, th, anchor_flips=flips)), (d, th, flips)
+                (p, own_basis), = passes
+                assert p == reduced[-1].field.characteristic and p % 4 == 1, (d, th, flips)
+                assert not own_basis, (d, th, flips)
                 cases += 1
-    assert len(reduced) == len(results) == cases
-    assert None not in results
-    primes = {over.field.characteristic for over in reduced}
-    assert min(primes) == 1000033 and all(p % 4 == 1 for p in primes)
+    assert len(reduced) == cases
+    assert min(over.field.characteristic for over in reduced) == 1000033
 
 
 def test_a_p_torsion_complex_fails_the_certificate_and_comes_back_exact(monkeypatch):
     # one differential, the 1x1 matrix [p] at the prime the stream takes:
     # 0 mod p, so Betti_p is 1 in the adjacent degrees 0 and 1, and over Q
-    # it has rank 1 and no homology; [3] is certified mod p at once
-    th, passes = q_theory(), []
+    # it has rank 1 and no homology; [3] is certified mod p at once.  The
+    # pass after a failed certificate is the exact one, th in (1, x)
+    th = q_theory()
     prime = reduced_mod_p(th, 0).field.characteristic
     group = types.SimpleNamespace(dim=1)
     cube = types.SimpleNamespace(groups={0: group, 1: group}, edges_with=lambda flips: {0: []},
@@ -1248,13 +1265,13 @@ def test_a_p_torsion_complex_fails_the_certificate_and_comes_back_exact(monkeypa
     def one_entry(value):
         def differentials(by_degree, basis, ints):
             p = basis.field.characteristic
-            passes.append(p)
             v = value % p if p else value
             yield 0, {0: {0: v}} if v else {}, 1
         return differentials
 
     monkeypatch.setattr(H, "_cube_of", lambda d: cube)
-    for value, expected in ((prime, [prime, 0]), (3, [prime])):
+    passes = record_passes(monkeypatch)
+    for value, expected in ((prime, [(prime, False), (0, True)]), (3, [(prime, False)])):
         passes.clear()
         monkeypatch.setattr(H, "_differentials", one_entry(value))
         got, result = stream_homology(types.SimpleNamespace(n=1), th)

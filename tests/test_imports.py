@@ -1,11 +1,14 @@
 """The package stays stdlib-only: every import in src/vlinkhom/ names a
-standard-library module or vlinkhom itself."""
+standard-library module or vlinkhom itself.  The test oracles stay
+independent of the code they check: of vlinkhom they import only the TQFT
+blocks."""
 
 import ast
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vlinkhom"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def imported_roots(tree):
@@ -25,3 +28,20 @@ def test_package_imports_only_the_standard_library():
                for root in imported_roots(ast.parse(path.read_text(encoding="utf-8")))
                if root not in allowed]
     assert not outside
+
+
+def test_the_oracles_import_only_the_blocks_from_vlinkhom():
+    # a splice rule, arc table or saddle classifier borrowed from the package
+    # would agree with the package whatever it does
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    borrowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            borrowed.update(alias.name for alias in node.names
+                            if alias.name.split(".")[0] == "vlinkhom")
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "vlinkhom":
+            borrowed.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert borrowed == {"vlinkhom.tqft.elementary_map"}
+    # nor do they read a diagram's own tables of arc ends and splices
+    assert not {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)} & {"ends", "splices"}
