@@ -278,10 +278,7 @@ def _int_rows(rows, field):
 def _field_rows(rows, scale, field):
     """The rows of ints ``rows`` divided by ``scale``, as elements of
     ``field``: the inverse of ``_int_rows``.  Each distinct value is
-    converted once; GF(2) ints are field elements already, and ``rows``
-    itself is returned."""
-    if field.characteristic == 2:
-        return rows
+    converted once."""
     of = {v: field.div(field.from_int(v), field.from_int(scale))
           for v in {v for row in rows.values() for v in row.values()}}
     return {r: {c: of[v] for c, v in row.items()} for r, row in rows.items()}

@@ -85,13 +85,14 @@ basis (1, x) over its own field: it is the route of ``build_complex``
 followed by ``homology``, and it names every DSquaredNonzero witness.  The
 fast pass scatters the blocks of a sparsest basis, the complex conjugated
 by a change of basis of each factor V, twist bits included, which keeps its
-ranks (over GF(4) for rows 5, 6) and guard verdict: for ungraded homology
-over Q the reduction of ``th`` mod a prime (below), in Lee's idempotents,
-and otherwise ``algebra.sparsest_basis(th)``, which is (1, x - h/2) over
-GF(p) with p = 3 mod 4 and over Q, Lee's idempotents over GF(p) with
-p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4 and 8.  Its
-result stands unless its guard fails or, mod p, two adjacent degrees have
-homology; then the exact pass gives the exact result or the witness.
+ranks (over GF(4) for rows 5, 6) and guard verdict: over Q the reduction
+of ``th`` mod a prime (below), in Lee's idempotents, and otherwise
+``algebra.sparsest_basis(th)``, which is (1, x - h/2) over GF(p) with
+p = 3 mod 4 and over Q where no prime is found, Lee's idempotents over
+GF(p) with p = 1 mod 4 and for rows 2, 3, 5, 6, and (1, x + 1) for rows 4
+and 8.  Its result stands unless its guard fails or, mod p, two adjacent
+degrees have homology; then the exact pass gives the exact result or the
+witness.
 Graded homology needs h = t = 0 and theta = 0, where the sparsest basis is
 (1, x): there the fast pass is the exact pass, and runs once.
 Errors come in the order of a build followed by its homology: a refusal
@@ -100,13 +101,13 @@ raised only after the guard has passed every pair of degrees.
 
 The prime of the Q fast pass (``algebra.reduced_mod_p``) divides no
 denominator of (a, t, lambda, mu, beta) and neither a nor mu, so S_i d^i mod
-p is S_i, a unit mod p, times the complex of the theory's reduction.  Two
+p is S_i, a unit mod p, times the complex of the theory's reduction; as
+mu != 0 mod p, graded Q raises mod p the NotGraded it raises over Q.  Two
 arguments make the pass exact.  The guard: ``_guard_bound`` bounds every
 entry of the int products (S_(i+1) d^(i+1))(S_i d^i) by B < p/2, so a
 product 0 mod p is 0.  The rank: d^i can only lose rank e_i >= 0 mod p, and
 Betti_p(i) = Betti_Q(i) + e_i + e_(i-1) (universal coefficients), so where
-no two adjacent degrees both have homology mod p every e_i is 0.  Where
-there is no such prime the Q fast pass runs in ``sparsest_basis(th)``.
+no two adjacent degrees both have homology mod p every e_i is 0.
 """
 
 from __future__ import annotations
@@ -127,20 +128,19 @@ from .jones import LaurentPoly
 
 @dataclass(frozen=True)
 class ChainGroup:
-    """The chain group of one degree.  ``circles`` and ``offsets`` are the
+    """The chain group of one degree.  ``smoothings`` and ``offsets`` are the
     cube's, shared by all its groups, and answer for every state of it."""
 
-    degree: int
-    states: tuple              # this degree's states, in lexicographic order
-    circles: MappingProxyType  # state -> its circle keys, in canonical order
-    offsets: MappingProxyType  # state -> first index of its block in its degree
+    states: tuple                 # this degree's states, in lexicographic order
+    smoothings: MappingProxyType  # state -> Smoothing, the cube's own
+    offsets: MappingProxyType     # state -> first index of its block in its degree
     dim: int
 
     def label(self, index):
         """(state, decoration) of the basis vector at ``index``, by a scan of
         the states: it only names a witness."""
         state = [s for s in self.states if self.offsets[s] <= index][-1]
-        k, local = len(self.circles[state]), index - self.offsets[state]
+        k, local = self.smoothings[state].k, index - self.offsets[state]
         return state, "".join("x" if (local >> (k - 1 - i)) & 1 else "1" for i in range(k))
 
 
@@ -222,10 +222,8 @@ class _Blocks(dict):
         for key in keys:
             if (key, scale) not in self._scaled:
                 (rows, own), block = self._lifts[key], self[key]
-                if own != scale:
-                    m = scale // own
-                    rows = {r: {c: m * v for c, v in row.items()}
-                            for r, row in rows.items()}
+                m = scale // own
+                rows = {r: {c: m * v for c, v in row.items()} for r, row in rows.items()}
                 self._scaled[key, scale] = ExactLinearMap(field, block.nrows,
                                                           block.ncols, rows)
         return {key: self._scaled[key, scale] for key in keys}, scale
@@ -268,11 +266,10 @@ class Cube:
             states[i].append(s)
             offsets[s] = sizes[i]
             sizes[i] += 1 << sm.k
-        circles = MappingProxyType({s: sm.keys for s, sm in smoothings.items()})
         offsets = MappingProxyType(offsets)
         self.ints = list(range(max(sizes.values())))
-        self.groups = MappingProxyType({i: ChainGroup(i, tuple(states[i]), circles, offsets,
-                                                      sizes[i]) for i in states})
+        self.groups = MappingProxyType({i: ChainGroup(tuple(states[i]), self.smoothings,
+                                                      offsets, sizes[i]) for i in states})
         self.by_degree = {i: [] for i in range(-n_minus, n - n_minus)}
         self._placements = {}  # placement arguments -> tqft.placement
         self._hows = {}        # (block key, placement arguments) -> how
@@ -511,7 +508,7 @@ def _qdegrees(c):
     for i, grp in c.groups.items():
         shift = i + d.n_plus - d.n_minus  # r(s) = i + n_minus
         out[i] = [k + shift - 2 * local.bit_count()
-                  for k in (len(grp.circles[s]) for s in grp.states)
+                  for k in (grp.smoothings[s].k for s in grp.states)
                   for local in range(1 << k)]
     return out
 
@@ -543,8 +540,8 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     ``build_complex``.  Each pass scatters each d^i, checks it against
     d^(i-1) by the d o d guard, splits it into layers, eliminates and drops
     it, so at most two differentials are held at a time.  The fast pass
-    runs in a sparsest basis, mod a prime p above twice the guard bound for
-    ungraded Q, and its result stands unless its guard fails or, mod p, two
+    runs in a sparsest basis, over Q mod a prime p above twice the guard
+    bound, and its result stands unless its guard fails or, mod p, two
     adjacent degrees have homology; then the exact pass, ``th`` in (1, x),
     gives the result or the witness (module docstring).  The result equals
     that of the same homology of ``build_complex(d, th, anchor_flips)``,
@@ -554,7 +551,7 @@ def stream_homology(d, th, graded=False, anchor_flips=()):
     cube = _cube_of(d)
     by_degree = cube.edges_with(anchor_flips)
     fast = th
-    if not graded and th.field.characteristic == 0:
+    if th.field.characteristic == 0:
         fast = reduced_mod_p(th, _guard_bound(d.n, by_degree, th)) or th
     basis = sparsest_basis(fast)
     try:

@@ -232,7 +232,7 @@ def chain_label(group, index):
     over the states' offsets; decorations are big-endian, 1 before x."""
     state = max((s for s in group.states if group.offsets[s] <= index),
                 key=group.offsets.get)
-    k = len(group.circles[state])
+    k = len(group.smoothings[state].keys)
     local = index - group.offsets[state]
     return state, "".join("x" if (local >> (k - 1 - i)) & 1 else "1" for i in range(k))
 

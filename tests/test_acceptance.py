@@ -228,8 +228,8 @@ def test_criterion_11_manturov_single_cycle_blocks():
                 grp_s, grp_t = c.groups[i], c.groups[i + 1]
                 col0 = grp_s.offsets[sd.from_state]
                 row0 = grp_t.offsets[sd.to_state]
-                cols = range(col0, col0 + (1 << len(grp_s.circles[sd.from_state])))
-                rows = range(row0, row0 + (1 << len(grp_t.circles[sd.to_state])))
+                cols = range(col0, col0 + (1 << grp_s.smoothings[sd.from_state].k))
+                rows = range(row0, row0 + (1 << grp_t.smoothings[sd.to_state].k))
                 for (r, cc), v in c.differentials[i].entries:
                     assert not (r in rows and cc in cols), \
                         f"{name}: nonzero single-cycle block entry {v}"

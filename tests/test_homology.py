@@ -211,13 +211,26 @@ def test_graded_and_ungraded_homology_agree(d):
     assert graded.euler == plain.euler
 
 
-def test_graded_rejects_inhomogeneous_theories():
+def test_graded_rejects_inhomogeneous_theories(monkeypatch):
     d = corpus.load("trefoil")
     for bad in ("f2_row2", "f2_row4", "f2_row7", "f2_row8"):
         with pytest.raises(NotGraded):
             graded_homology(build_complex(d, preset(bad)))
     with pytest.raises(NotGraded):
         graded_homology(build_complex(d, q_theory(1, 0, 1)))
+    # streamed, graded Q takes the prime as ungraded Q does: mu != 0 mod p,
+    # so the one pass mod p raises the same NotGraded once its guard passes
+    th, passes = MUTATION_THEORIES["q 1/3,1/2,5"], record_passes(monkeypatch)
+    for name in ("trefoil", "virtual_trefoil"):
+        d = corpus.load(name)
+        with pytest.raises(NotGraded) as built:
+            graded_homology(build_complex(d, th))
+        passes.clear()
+        with pytest.raises(NotGraded) as streamed:
+            stream_homology(d, th, graded=True)
+        assert str(streamed.value) == str(built.value)
+        (p, own_basis), = passes
+        assert p % 4 == 1 and not own_basis, name
 
 
 # one generator's q-degree shifted by 2: a row of d^0 on the trefoil, a column
@@ -444,7 +457,7 @@ def _flip_conjugator(c, i, flips):
     entries = {}
     for s in grp.states:
         block = one
-        for key in grp.circles[s]:
+        for key in grp.smoothings[s].keys:
             block = block.kron(phi_matrix(th) if (s, key) in flips else ident)
         off = grp.offsets[s]
         for (r, col), v in block.entries:
@@ -626,8 +639,9 @@ def test_complexes_share_a_read_only_cube():
         plain.groups[0] = None
     with pytest.raises(TypeError):
         plain.groups[0].offsets["100"] = 0
+    assert plain.groups[0].smoothings is plain.smoothings
     with pytest.raises(TypeError):
-        plain.groups[0].circles["100"] = ()
+        plain.groups[0].smoothings["100"] = None
     assert build_complex(d, preset("f2_row2")).differentials == plain.differentials
 
 
@@ -921,12 +935,19 @@ def test_d_squared_witness_messages_are_pinned(monkeypatch, name, theory, kind, 
         build_complex(d, th)
     assert str(info.value) == message
     # streamed, and graded too: none of these theories is graded, and the
-    # guard's error comes before that one
+    # guard's error comes before that one.  The fast pass fails its guard
+    # (mod a prime = 1 mod 4 over Q, graded or not) and the exact pass names
+    # the witness
+    passes, p = record_passes(monkeypatch), th.field.characteristic
     for run in (lambda: homology_of(d, th),
                 lambda: stream_homology(d, th, graded=True)):
+        passes.clear()
         with pytest.raises(DSquaredNonzero) as streamed:
             run()
         assert str(streamed.value) == message
+        (fast, own_basis), exact = passes
+        assert exact == (p, True) and not own_basis
+        assert fast % 4 == 1 if p == 0 else fast == p
 
 
 def test_cli_reports_the_d_squared_witness(monkeypatch, capsys, tmp_path):

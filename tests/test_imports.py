@@ -1,14 +1,16 @@
 """The package stays stdlib-only: every import in src/vlinkhom/ names a
 standard-library module or vlinkhom itself.  The test oracles stay
 independent of the code they check: of vlinkhom they import only the TQFT
-blocks."""
+blocks.  Every name of the package the benchmark reads exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vlinkhom"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def imported_roots(tree):
@@ -45,3 +47,23 @@ def test_the_oracles_import_only_the_blocks_from_vlinkhom():
     # nor do they read a diagram's own tables of arc ends and splices
     assert not {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)} & {"ends", "splices"}
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # perfbench reaches the package as lib.<layer>.<name>, lib being its
+    # namespace of vlinkhom modules (a name, or an attribute such as env.lib);
+    # a deletion of one of those names would otherwise surface only when the
+    # benchmark runs
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                lib = node.value.value
+                name = lib.id if isinstance(lib, ast.Name) else getattr(lib, "attr", None)
+                if name == "lib":
+                    reads.add((node.value.attr, node.attr))
+    assert {("diagram", "cube_edges"), ("homology", "build_complex"),
+            ("corpus", "load_r3_pairs")} <= reads
+    missing = [f"{layer}.{name}" for layer, name in sorted(reads)
+               if not hasattr(importlib.import_module(f"vlinkhom.{layer}"), name)]
+    assert not missing
