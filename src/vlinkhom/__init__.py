@@ -10,7 +10,7 @@ from .diagram import (Smoothing, VirtualLinkDiagram, apply_r1, apply_r1_inverse,
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
 from .homology import (ChainComplex, HomologyResult, betti_with_reversed_anchor,
                        build_complex, graded_euler_poly, graded_homology,
-                       homology, homology_of, stream_homology)
+                       homology_of, stream_homology)
 from .jones import LaurentPoly, jones_at_one, kauffman_jones
 from .tqft import elementary_map, evaluate_closed_surface
 

@@ -72,7 +72,6 @@ saddle blocks and the surface values from the same matrices.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
@@ -441,21 +440,3 @@ def verify_4tu(th):
     if diff.is_zero():
         return True, ""
     return False, f"lhs - rhs = {format_column(diff)}"
-
-
-# ---------------------------------------------------------------------------
-# sampling helpers (used by tests and the verification harness)
-
-def random_rational_triples(count, seed):
-    """Deterministic stream of (a, lam, mu) over QQ, integers in -6..6 with
-    a, mu nonzero."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        a = rng.randint(-6, 6)
-        lam = rng.randint(-6, 6)
-        mu = rng.randint(-6, 6)
-        if a == 0 or mu == 0:
-            continue
-        out.append((QQ.from_int(a), QQ.from_int(lam), QQ.from_int(mu)))
-    return out

@@ -45,17 +45,19 @@ EXIT_INPUT = 3
 _MAX_MOVES = 1 << 16
 
 
-def _split_kv(text):
+def _split_kv(text, flag):
+    """The plain items of the comma list ``text``, and its key=value items
+    by lowercased key; ``flag`` names the list where a key repeats."""
     plain, keyed = [], {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" in item:
-            k, v = item.split("=", 1)
-            keyed[k.strip().lower()] = v.strip()
-        else:
+    for item in filter(None, map(str.strip, text.split(","))):
+        k, eq, v = item.partition("=")
+        k = k.strip().lower()
+        if not eq:
             plain.append(item)
+        elif k in keyed:
+            raise InputError(f"{flag} repeats the key {cut(repr(k))}")
+        else:
+            keyed[k] = v.strip()
     return plain, keyed
 
 
@@ -84,7 +86,7 @@ def resolve_theory(args, check_constraints=True):
         _field(args, th.field.name, f"preset {cut(repr(args.theory))}")
         return th, {"preset": args.theory.strip().lower()}
     if args.params:
-        plain, keyed = _split_kv(args.params)
+        plain, keyed = _split_kv(args.params, "--params")
         if plain:
             raise InputError(f"--params items must be key=value, got {cut(repr(plain))}")
         fld = _field(args, keyed.pop("field", None), "--params")
@@ -99,7 +101,7 @@ def resolve_theory(args, check_constraints=True):
               else TheoryParams(fld, *params))
         return th, {"params": {k: fld.to_str(v) for k, v in vals.items()},
                     "field": fld.name}
-    plain, keyed = _split_kv(args.triple)
+    plain, keyed = _split_kv(args.triple, "--triple")
     if len(plain) != 3:
         raise InputError("--triple needs exactly three values a,lambda,mu")
     fld = _field(args, keyed.pop("field", None), "--triple")

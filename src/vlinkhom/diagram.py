@@ -137,23 +137,6 @@ class VirtualLinkDiagram:
                        else (crossed, oriented))
         return tuple(out)
 
-    # -- derived diagrams ----------------------------------------------------
-
-    def relabeled(self, perm):
-        """Apply a bijection old-label -> new-label to all crossings."""
-        comps = [[Passage(perm[p.crossing], p.over, p.sign) for p in comp]
-                 for comp in self.components]
-        return VirtualLinkDiagram(comps, self.name, self.classical)
-
-    def reversed_component(self, comp):
-        """Component ``comp`` traversed backwards: each crossing it shares with
-        another component changes sign, and its self-crossings keep theirs."""
-        own = [p.crossing for p in self.components[comp]]
-        comps = [[p._replace(sign=-p.sign) if own.count(p.crossing) == 1 else p for p in c]
-                 for c in self.components]
-        comps[comp].reverse()
-        return VirtualLinkDiagram(comps, self.name, self.classical)
-
     # -- serialization -------------------------------------------------------
 
     def serialize(self):

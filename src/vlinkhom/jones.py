@@ -44,10 +44,6 @@ class LaurentPoly:
     def at_one(self):
         return sum(c for _, c in self.terms)
 
-    def substitute_inverse(self):
-        """q -> 1/q (used by mirror-image checks in tests)."""
-        return LaurentPoly.make({-e: c for e, c in self.terms})
-
     def to_json(self):
         return {str(e): c for e, c in self.terms}
 
@@ -67,9 +63,6 @@ class LaurentPoly:
                 bits.append(f"{c:+d}*{mono}")
         text = "".join(bits)
         return text[1:] if text.startswith("+") else text
-
-
-CIRCLE_POLY = LaurentPoly.make({1: 1, -1: 1})
 
 
 def kauffman_jones(d, smoothings=None):

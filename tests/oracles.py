@@ -1,15 +1,19 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the tests' own inputs.
 
 These deliberately avoid the library's own machinery where the point is to
 cross-check it: arc ends and splices read off the Gauss code, circle
 counting by union-find instead of tracing, a dense classical Khovanov
 construction with no twist data, and a standalone dense elimination for
-ranks.  Of the library they import only ``tqft.elementary_map``, the
-blocks that ``assembled_differential`` places by hand.
+ranks.  The inputs of the invariance and sampling tests are made here on
+plain data too: seeded rational triples as ``Fraction``s, and relabeled or
+reversed Gauss codes as lists of passages (label, over, sign).  Of the
+library they import only ``tqft.elementary_map``, the blocks that
+``assembled_differential`` places by hand.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -46,6 +50,38 @@ def splice_pairing(d, bits):
         for a, b in ((oi, uo), (ui, oo)) if flow else ((oi, ui), (oo, uo)):
             pairing[a], pairing[b] = b, a
     return pairing
+
+
+# -- test inputs on plain data ------------------------------------------------
+
+def random_rational_triples(count, seed):
+    """A seeded list of ``count`` triples (a, lambda, mu) of ``Fraction``s,
+    each an integer in -6..6, with a and mu nonzero."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, lam, mu = (rng.randint(-6, 6) for _ in range(3))
+        if a and mu:
+            out.append((Fraction(a), Fraction(lam), Fraction(mu)))
+    return out
+
+
+def relabeled(components, perm):
+    """The passages (label, over, sign) of ``components`` with every label
+    sent through the bijection ``perm`` (old label -> new label)."""
+    return [[(perm[label], over, sign) for label, over, sign in comp]
+            for comp in components]
+
+
+def reversed_component(components, comp):
+    """The passages of ``components`` with component ``comp`` traversed
+    backwards: each crossing it shares with another component changes sign,
+    and its self-crossings keep theirs."""
+    own = [label for label, _, _ in components[comp]]
+    out = [[(label, over, -sign if own.count(label) == 1 else sign)
+            for label, over, sign in c] for c in components]
+    out[comp].reverse()
+    return out
 
 
 # -- circle counting by union-find -------------------------------------------

@@ -9,13 +9,12 @@ import contextlib
 import random
 import time
 
-from oracles import classical_khovanov_f2_betti, dense_betti_qq
+from oracles import classical_khovanov_f2_betti, dense_betti_qq, random_rational_triples
 from vlinkhom import corpus
 from vlinkhom._linalg import ExactLinearMap, compose
 from vlinkhom.algebra import (all_presets, constraint_residuals,
                               coproduct_matrix, counit_matrix, phi_matrix,
-                              preset, product_matrix, random_rational_triples,
-                              theory_from_params, theory_from_triple,
+                              preset, product_matrix, theory_from_params, theory_from_triple,
                               theta_matrix, unit_matrix, verify_4tu,
                               verify_axioms)
 from vlinkhom.diagram import all_smoothings, random_moves

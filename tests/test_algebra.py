@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_rational_triples
 from vlinkhom._linalg import ExactLinearMap, compose
 from vlinkhom.algebra import (TheoryParams, all_presets, constraint_residuals,
                               coproduct_matrix, counit_matrix,
                               four_tube_sides, phi_matrix, preset,
-                              product_matrix, random_rational_triples,
-                              reduced_mod_p, sparsest_basis, structure_maps,
-                              theory_from_params, theory_from_triple,
-                              theta_matrix, unit_matrix, verify_4tu,
-                              verify_axioms)
+                              product_matrix, reduced_mod_p, sparsest_basis,
+                              structure_maps, theory_from_params,
+                              theory_from_triple, theta_matrix, unit_matrix,
+                              verify_4tu, verify_axioms)
 from vlinkhom.errors import (ConstraintViolated, InputError, NotInvertible,
                              UnknownPreset)
 from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
@@ -70,6 +70,8 @@ def test_params_eq2_rejected_over_qq():
 def test_params_not_invertible():
     with pytest.raises(NotInvertible):
         theory_from_params(Q(0), Q(0), Q(0), Q(1), Q(0))
+    with pytest.raises(NotInvertible):
+        PrimeField(7).inv(0)
 
 
 def test_theory_derives_f_and_h_from_its_parameters():

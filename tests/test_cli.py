@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import vlinkhom.homology as H
 from vlinkhom import corpus
 from vlinkhom.algebra import PRESET_NAMES, constraint_residuals, theory_from_triple
 from vlinkhom.cli import build_parser, main
@@ -113,8 +117,18 @@ _KINK = '{"c": 1, "o": false, "s": 1}'
     # past int()'s digit limit and the parser's nesting limit
     ('{"components": [[{"c": %s, "o": true, "s": 1}]]}' % ("1" * 5000), "too many digits"),
     ('{"components": %s}' % ("[" * 100000 + "]" * 100000), "nested too deeply"),
+    ('{"components": [[{"c": -1, "o": true, "s": 1}, {"c": -1, "o": false, "s": 1}]]}',
+     "bad syntax at position (0, 0): crossing labels must be positive"),
+    # a body that does not start with "{" is read in the text grammar
+    ("O0+,U0+", "bad syntax at position (0, 0): crossing labels must be positive"),
+    ('{"components": [[{"c": 1, "o": true, "s": 2}, {"c": 1, "o": false, "s": 2}]]}',
+     "bad syntax at position (0, 0): sign must be +1 or -1"),
+    ('{"classical": "yes", "components": [[]]}', "must be true or false, got 'yes'"),
+    ('{"components": [[{"c": 1, "o": true, "s": "1"}, %s]]}' % _KINK,
+     "'s' must be 1 or -1, got '1'"),
 ], ids=["missing_s", "truncated", "c_string", "components_int", "o_string",
-        "c_bool", "c_float", "not_utf8", "c_5000_digits", "nested_100000_deep"])
+        "c_bool", "c_float", "not_utf8", "c_5000_digits", "nested_100000_deep",
+        "c_negative", "text_label_zero", "s_two", "classical_string", "s_string"])
 def test_compute_malformed_json_diagram(tmp_path, capsys, body, message):
     path = tmp_path / "bad.json"
     if isinstance(body, bytes):
@@ -161,9 +175,7 @@ def test_compute_refuses_a_22_crossing_diagram(tmp_path, capsys, monkeypatch):
     def no_smoothing(d):
         raise AssertionError("smoothed a diagram above the cap")
 
-    # the homology module, not the function that ``vlinkhom.homology`` names
-    monkeypatch.setattr(importlib.import_module("vlinkhom.homology"),
-                        "smoothings_from_both_ends", no_smoothing)
+    monkeypatch.setattr(H, "smoothings_from_both_ends", no_smoothing)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(braid_closure([1, -2] * 11).to_json_obj()))
     start = time.perf_counter()
@@ -711,7 +723,13 @@ def test_parser_rejects_bad_options(capsys, argv, flag):
      "vlinkhom surface: argument --genus: invalid int value: 'abc'"),
     (("compute", "--bogus"), "vlinkhom: unrecognized arguments: --bogus"),
     ((), "vlinkhom: the following arguments are required: command"),
-], ids=["surface --genus abc", "compute --bogus", "no command"])
+    (("compute", "--triple", "1,2"), "--triple needs exactly three values a,lambda,mu"),
+    (("compute", "--triple", "abc,0,1"), "cannot parse rational 'abc'"),
+    (("verify", "--params", "a=1,a=2,t=0,lambda=1,mu=1,beta=0,field=f2"),
+     "--params repeats the key 'a'"),
+    (("compute", "--triple", "1,0,1,field=q,field=f2"), "--triple repeats the key 'field'"),
+], ids=["surface --genus abc", "compute --bogus", "no command", "compute --triple 1,2",
+        "compute --triple abc,0,1", "verify --params a=1,a=2", "compute --triple field twice"])
 def test_bad_flags_and_a_missing_command_exit_3(capsys, argv, message):
     code, (out, err) = main(list(argv)), capsys.readouterr()
     assert code == 3 and err == ""
@@ -724,6 +742,23 @@ def test_a_5000_digit_moves_is_cut_in_its_message(capsys):
     message = json.loads(out)["error"]["message"]
     assert message.startswith("vlinkhom invariance: argument --moves: invalid int value: '999")
     assert message.endswith("...") and len(message) < 200
+
+
+def test_the_module_runs_as_a_process():
+    # python -m vlinkhom.cli goes through sys.exit(main()): the report is
+    # stdout byte for byte, and main's return value is the exit code
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "vlinkhom.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+
+    graded = cli("compute", "--theory", "manturov", "--graded")
+    assert graded.returncode == 0 and graded.stderr == b""
+    assert graded.stdout == (GOLDEN_DIR / "compute_manturov_graded.json").read_bytes()
+    assert cli("compute", "--theory", "nope").returncode == 3
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "invariance", "surface"])

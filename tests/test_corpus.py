@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from vlinkhom import corpus
 from vlinkhom.diagram import cube_edges, load_diagram
 
@@ -34,6 +36,8 @@ def test_corpus_has_required_members():
     assert {"unknot", "unlink2", "trefoil", "figure_eight",
             "virtual_trefoil", "kishino"} <= names
     assert len(corpus.R3_PAIRS) >= 3
+    with pytest.raises(KeyError, match="no corpus diagram named 'nope'"):
+        corpus.load("nope")
 
 
 def test_virtual_members_have_single_cycle_edges():

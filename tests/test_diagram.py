@@ -417,6 +417,9 @@ def test_random_moves_bounded_and_deterministic():
     m2, t2 = random_moves(d, 30, random.Random(11), max_crossings=7)
     assert m1 == m2 and t1 == t2
     assert m1.n <= 7
+    # no move fits in 0 crossings, and the unknot has no inverse move
+    assert random_moves(parse_gauss(""), 3, random.Random(1), max_crossings=0)[1] == \
+        ["stuck: no moves available"]
 
 
 def test_random_moves_match_pinned_walks():

@@ -1,12 +1,21 @@
 """The package stays stdlib-only: every import in src/vlinkhom/ names a
 standard-library module or vlinkhom itself.  The test oracles stay
 independent of the code they check: of vlinkhom they import only the TQFT
-blocks.  Every name of the package the benchmark reads exists."""
+blocks.  Every name of the package the benchmark reads exists, and so does
+every attribute it reads of the cubes the package builds.  A submodule's
+name binds the submodule."""
 
 import ast
 import importlib
+import random
 import sys
+import types
 from pathlib import Path
+
+from vlinkhom import corpus
+from vlinkhom.algebra import preset, theory_from_triple
+from vlinkhom.fields import QQ
+from vlinkhom.homology import build_complex
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vlinkhom"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -67,3 +76,30 @@ def test_every_name_the_benchmark_reads_exists():
     missing = [f"{layer}.{name}" for layer, name in sorted(reads)
                if not hasattr(importlib.import_module(f"vlinkhom.{layer}"), name)]
     assert not missing
+
+
+def test_the_benchmark_reads_what_it_needs_of_a_built_cube(monkeypatch):
+    # perfbench's traced counters read a complex's edges (kind and twist
+    # bits), differentials (entries and ncols), smoothings and dims(), and
+    # its anchor flips each state's circle keys; the name check above sees
+    # none of these attributes.  Both calls only read.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    stages, jobs = (importlib.import_module(name) for name in ("stages", "jobs"))
+    counters = stages.Counters()
+    for name, th in (("kishino", preset("f2_row2")),
+                     ("trefoil", theory_from_triple(QQ.one, QQ.zero, QQ.one))):
+        c = build_complex(corpus.load(name), th)
+        counters.add_cube(c, 1)
+        assert len(jobs.flip_selectors(c.smoothings, random.Random(1), 3)) == 3
+    counts = counters.result()
+    assert counts["diagram.states"] == 2 ** 4 + 2 ** 3
+    assert all(counts[key] for key in ("diagram.edges", "homology.gens", "homology.nnz",
+                                       "linalg.dense_cells", "tqft.distinct_blocks"))
+
+
+def test_vlinkhom_homology_is_the_module():
+    # the package re-exports no function under its submodule's name, so the
+    # import binds the module and its functions are attributes
+    import vlinkhom.homology as H
+    assert H.stream_homology is sys.modules["vlinkhom.homology"].stream_homology
+    assert isinstance(H, types.ModuleType)

@@ -1,7 +1,6 @@
 """Sparse exact rank on ints and the row-wise product check against the
 standalone dense, Markowitz and dict-product oracles."""
 
-import importlib
 import random
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlinkhom.homology as H
 from oracles import (first_nonzero_product, pivot_rows_markowitz, rank_fp_dense,
                      rank_qq_dense)
 from vlinkhom import corpus
@@ -20,8 +20,6 @@ from vlinkhom.fields import GF2, PRIME_LIMIT, QQ, PrimeField, is_prime
 from vlinkhom.tqft import ExactLinearMap
 
 PRIMES = (3, 7, 1000003)
-# the module; ``vlinkhom.homology`` as an attribute is the function homology()
-H = importlib.import_module("vlinkhom.homology")
 
 
 def as_map(field, dense, ncols):
