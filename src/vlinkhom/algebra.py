@@ -257,28 +257,31 @@ def sparsest_basis(th):
     """``th`` in the sparsest basis of V over its own field, which its
     characteristic, h and t choose (module docstring): ``th`` itself for
     t = h = 0 over GF(2), for h = 0 over Q and GF(p) with p = 3 mod 4, and
-    outside GF(2) for a tuple that fails eq1 or eq2."""
+    outside GF(2) for a tuple that fails eq1 or eq2.  Short of idempotents,
+    (1, x + 1) over GF(2) and (1, x - h/2) elsewhere are both the basis
+    (1, y), y = x - c, in which the theory is (a, t + h*c - c^2,
+    lambda + mu*c, mu, beta), with c = t over GF(2) and c = h/2 elsewhere;
+    Lee's idempotents take the same lambda + mu*c."""
     F = th.field
     if F.characteristic == 2:
-        if F.is_zero(th.h):
-            if F.is_zero(th.t):
-                return th
-            return TheoryParams(F, th.a, F.zero, F.add(th.lam, F.mul(th.mu, th.t)),
-                                th.mu, th.beta)
-        return Idempotents(F, (F.one, F.one), (th.lam, th.lam), not F.is_zero(th.beta))
-    res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
-    if not all(F.is_zero(r) for r in (*res["eq1"], res["eq2"])):
-        return th
-    half_h = F.div(th.h, F.from_int(2))
-    lam = F.add(th.lam, F.mul(th.mu, half_h))
+        if not F.is_zero(th.h):
+            return Idempotents(F, (F.one, F.one), (th.lam, th.lam), not F.is_zero(th.beta))
+        c = th.t
+    else:
+        res = constraint_residuals(F, th.a, th.t, th.lam, th.mu, th.beta)
+        if not all(F.is_zero(r) for r in (*res["eq1"], res["eq2"])):
+            return th
+        c = F.div(th.h, F.from_int(2))
+    lam = F.add(th.lam, F.mul(th.mu, c))
     i = _sqrt_minus_one(F)
     if i is not None:
         s = F.div(i, F.mul(th.a, F.mul(th.mu, th.mu)))
-        c, ms = F.div(F.add(s, s), th.a), F.mul(th.mu, s)
-        return Idempotents(F, (c, F.neg(c)), (F.add(lam, ms), F.sub(lam, ms)), False)
-    if F.is_zero(th.h):
+        e, ms = F.div(F.add(s, s), th.a), F.mul(th.mu, s)
+        return Idempotents(F, (e, F.neg(e)), (F.add(lam, ms), F.sub(lam, ms)), False)
+    if F.is_zero(c):
         return th
-    return TheoryParams(F, th.a, F.add(th.t, F.mul(half_h, half_h)), lam, th.mu, th.beta)
+    t = F.sub(F.add(th.t, F.mul(th.h, c)), F.mul(c, c))
+    return TheoryParams(F, th.a, t, lam, th.mu, th.beta)
 
 
 def reduced_mod_p(th, bound):
@@ -434,7 +437,12 @@ def four_tube_sides(delta1):
 
 
 def verify_4tu(th):
-    """Check the 4-Tu relation for this theory; returns (passed, witness)."""
+    """Check the 4-Tu relation for this theory; returns (passed, witness).
+
+    Every ``TheoryParams`` passes: 4-Tu holds exactly when Delta(1) has no
+    x(x)x term and equal 1(x)x and x(x)1 terms, as the formula for Delta(1)
+    gives, so the check guards ``coproduct_matrix`` against a change that
+    breaks that formula."""
     lhs, rhs = four_tube_sides(compose(coproduct_matrix(th), unit_matrix(th)))
     diff = lhs.add(rhs.negated())
     if diff.is_zero():

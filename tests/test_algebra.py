@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlinkhom.algebra as algebra
 from oracles import random_rational_triples
 from vlinkhom._linalg import ExactLinearMap, compose
 from vlinkhom.algebra import (TheoryParams, all_presets, constraint_residuals,
@@ -342,7 +343,7 @@ def test_4tu_row1_explicit_expansion():
     assert lhs == expected and rhs == expected
 
 
-def test_4tu_catches_corrupted_coproduct():
+def test_4tu_catches_corrupted_coproduct(monkeypatch):
     # an asymmetric corruption Delta(1) := 1(x)x makes the two sides differ
     # over QQ (a fully symmetric corruption such as 1(x)1 would not)
     corrupted = ExactLinearMap.make(QQ, 4, 1, {(1, 0): Q(1)})
@@ -350,6 +351,12 @@ def test_4tu_catches_corrupted_coproduct():
     assert lhs != rhs
     diff = lhs.add(rhs.negated())
     assert not diff.is_zero()  # concrete witness vector
+    # no theory's Delta(1) has an x(x)x term: verify_4tu reports one added
+    exact = algebra.coproduct_matrix
+    monkeypatch.setattr(algebra, "coproduct_matrix", lambda th: exact(th).add(
+        ExactLinearMap.make(th.field, 4, 2, {(3, 0): th.field.one})))
+    assert verify_4tu(preset("manturov")) == (False, (
+        "lhs - rhs = 1(x)1(x)x(x)x + 1(x)x(x)1(x)x + x(x)1(x)x(x)1 + x(x)x(x)1(x)1"))
 
 
 def test_random_rational_triples_deterministic():

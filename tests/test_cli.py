@@ -485,32 +485,49 @@ def test_surface_negative_genus_is_input_error(capsys):
         assert named in json.loads(out)["error"]["message"]
 
 
-# compute reports pinned byte for byte; regenerate only for an intended
-# change of the report, with the same flags and stdout redirected.  The
-# corpus is the default input; GOLDEN_DIAGRAMS are written as JSON files
-# and passed with --diagram, in this order.
+# CLI reports pinned byte for byte, keyed by the file in golden/ and run
+# with the whole argv; regenerate only for an intended change of the
+# report, with the same argv and stdout redirected.  The corpus is the
+# default input; GOLDEN_DIAGRAMS are written as JSON files and passed with
+# --diagram, in this order.
+_TRIPLE_101_FP = ("--triple", "1,0,1", "--field", "fp:1000003")
 GOLDEN = {
-    "compute_manturov_graded": ("--theory", "manturov", "--graded"),
-    "compute_manturov_graded_beyond_corpus": ("--theory", "manturov", "--graded"),
-    "compute_f2_row2": ("--theory", "f2_row2"),
-    "compute_f2_row7": ("--theory", "f2_row7"),
-    "compute_triple_101_q": ("--triple", "1,0,1", "--field", "q"),
-    "compute_triple_101_fp1000003": ("--triple", "1,0,1", "--field", "fp:1000003"),
-    "compute_triple_101_fp1000033": ("--triple", "1,0,1", "--field", "fp:1000033"),
+    "compute_manturov_graded.json": ("compute", "--theory", "manturov", "--graded"),
+    "compute_manturov_graded.txt": ("compute", "--theory", "manturov", "--graded",
+                                    "--format", "text"),
+    "compute_manturov_graded_beyond_corpus.json": ("compute", "--theory", "manturov",
+                                                   "--graded"),
+    "compute_f2_row2.json": ("compute", "--theory", "f2_row2"),
+    "compute_f2_row7.json": ("compute", "--theory", "f2_row7"),
+    "compute_triple_101_q.json": ("compute", "--triple", "1,0,1", "--field", "q"),
+    "compute_triple_101_q.txt": ("compute", "--triple", "1,0,1", "--field", "q",
+                                 "--format", "text"),
+    "compute_triple_101_fp1000003.json": ("compute", *_TRIPLE_101_FP),
+    "compute_triple_101_fp1000033.json": ("compute", "--triple", "1,0,1",
+                                          "--field", "fp:1000033"),
     # Q triples whose blocks have denominators in every basis of V
-    "compute_triple_13_12_5_q": ("--triple", "1/3,1/2,5", "--field", "q"),
-    "compute_triple_12_3_m23_q": ("--triple", "1/2,3,-2/3", "--field", "q"),
-    "compute_triple_101_q_beyond_corpus": ("--triple", "1,0,1", "--field", "q"),
-    "compute_triple_101_fp1000003_beyond_corpus": ("--triple", "1,0,1",
-                                                   "--field", "fp:1000003"),
+    "compute_triple_13_12_5_q.json": ("compute", "--triple", "1/3,1/2,5", "--field", "q"),
+    "compute_triple_12_3_m23_q.json": ("compute", "--triple", "1/2,3,-2/3", "--field", "q"),
+    "compute_triple_101_q_beyond_corpus.json": ("compute", "--triple", "1,0,1",
+                                                "--field", "q"),
+    "compute_triple_101_fp1000003_beyond_corpus.json": ("compute", *_TRIPLE_101_FP),
+    **{f"invariance_{name}.{ext}": ("invariance", "--seed", "42", *selector,
+                                    "--format", fmt)
+       for name, selector in (("manturov", ("--theory", "manturov")),
+                              ("triple_101_fp1000003", _TRIPLE_101_FP))
+       for fmt, ext in (("json", "json"), ("text", "txt"))},
+    # homology_of over Q, which takes its reduction mod p
+    "invariance_triple_101_q.json": ("invariance", "--seed", "42", "--triple", "1,0,1",
+                                     "--field", "q"),
 }
 GOLDEN_DIAGRAMS = {
-    "compute_manturov_graded_beyond_corpus": lambda: (
+    "compute_manturov_graded_beyond_corpus.json": lambda: (
         braid_closure([1] * 7, name="t2_7"),          # T(2,7)
         braid_closure([1, -2] * 3, name="s12_3"),     # (s1 s2^-1)^3
         corpus.load("kishino")),
     **dict.fromkeys(
-        ("compute_triple_101_q_beyond_corpus", "compute_triple_101_fp1000003_beyond_corpus"),
+        ("compute_triple_101_q_beyond_corpus.json",
+         "compute_triple_101_fp1000003_beyond_corpus.json"),
         lambda: (braid_closure([1, -2] * 5, name="s12_5"),  # (s1 s2^-1)^5
                  braid_closure([1] * 7, name="t2_7"),       # T(2,7)
                  corpus.load("kishino"))),
@@ -518,9 +535,9 @@ GOLDEN_DIAGRAMS = {
 
 
 def golden_argv(name, directory):
-    """The ``compute`` arguments of the golden ``name``: its flags, then a
+    """The argv of the golden ``name``: its command and flags, then a
     ``--diagram`` for each of its GOLDEN_DIAGRAMS, written as a JSON file
-    into ``directory``.  CI runs the same arguments as a process."""
+    into ``directory``."""
     argv = list(GOLDEN[name])
     for d in GOLDEN_DIAGRAMS.get(name, lambda: ())():
         path = Path(directory) / f"{d.name}.json"
@@ -530,10 +547,16 @@ def golden_argv(name, directory):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_compute_matches_golden(tmp_path, capsys, name):
-    code, out = run(capsys, "compute", *golden_argv(name, tmp_path))
+def test_cli_matches_golden(tmp_path, capsys, name):
+    code, out = run(capsys, *golden_argv(name, tmp_path))
     assert code == 0
-    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_cli_golden_has_a_reader():
+    on_disk = {p.name for pattern in ("compute_*", "invariance_*")
+               for p in GOLDEN_DIR.glob(pattern)}
+    assert on_disk == set(GOLDEN)
 
 
 def test_large_mersenne_prime_field_is_accepted(capsys):
@@ -643,32 +666,6 @@ def verify_transcript(capsys, fmt):
 def test_verify_matches_golden(capsys, fmt):
     expected = (GOLDEN_DIR / f"verify_{fmt}.txt").read_bytes()
     assert verify_transcript(capsys, fmt).encode("utf-8") == expected
-
-
-# text compute reports and invariance reports, pinned byte for byte like
-# the compute goldens above; the argv is the whole command line.
-CLI_GOLDEN = {
-    "compute_manturov_graded.txt": (
-        "compute", "--theory", "manturov", "--graded", "--format", "text"),
-    "compute_triple_101_q.txt": (
-        "compute", "--triple", "1,0,1", "--field", "q", "--format", "text"),
-    **{f"invariance_{name}.{ext}": ("invariance", "--seed", "42", *selector,
-                                    "--format", fmt)
-       for name, selector in (
-           ("manturov", ("--theory", "manturov")),
-           ("triple_101_fp1000003", ("--triple", "1,0,1", "--field", "fp:1000003")))
-       for fmt, ext in (("json", "json"), ("text", "txt"))},
-    # homology_of over Q, which takes its reduction mod p
-    "invariance_triple_101_q.json": ("invariance", "--seed", "42", "--triple", "1,0,1",
-                                     "--field", "q"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
-def test_cli_matches_golden(capsys, name):
-    code, out = run(capsys, *CLI_GOLDEN[name])
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
 
 
 _SELECTORS = {"theory": None, "params": None, "triple": None, "field": None}

@@ -35,6 +35,7 @@ def test_parse_trefoil():
 def test_parse_empty_is_unknot():
     d = parse_gauss("")
     assert d.n == 0 and len(d.components) == 1 and d.components[0] == ()
+    assert repr(d) == "<diagram: (unknot)>"
 
 
 def test_parse_two_unlink():
@@ -86,7 +87,8 @@ def test_serialize_roundtrip_corpus():
     for name in corpus.all_names():
         d = corpus.load(name)
         again = parse_gauss(d.serialize(), name=d.name, classical=d.classical)
-        assert again == d
+        assert again == d and hash(again) == hash(d)
+    assert repr(corpus.load("trefoil")) == "<trefoil: O1+,U2+,O3+,U1+,O2+,U3+>"
 
 
 def test_json_roundtrip():
